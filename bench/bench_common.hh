@@ -12,8 +12,14 @@
 #define GEO_BENCH_COMMON_HH
 
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
+#include <sstream>
 #include <string>
+
+#include "util/logging.hh"
+#include "util/parse.hh"
+#include "util/supervise.hh"
 
 namespace geo {
 namespace bench {
@@ -26,12 +32,18 @@ fullScale()
     return env != nullptr && std::string(env) == "1";
 }
 
-/** Integer knob with reduced/full defaults and an env override. */
+/** Integer knob with reduced/full defaults and an env override (a
+ *  value that is not a non-negative integer is fatal). */
 inline size_t
 knob(const char *env_name, size_t reduced, size_t full)
 {
-    if (const char *env = std::getenv(env_name))
-        return static_cast<size_t>(std::stoull(env));
+    if (const char *env = std::getenv(env_name)) {
+        uint64_t value = 0;
+        if (!util::parseU64(env, value))
+            fatal("%s='%s': expected a non-negative integer", env_name,
+                  env);
+        return static_cast<size_t>(value);
+    }
     return fullScale() ? full : reduced;
 }
 
@@ -52,6 +64,39 @@ gbps(double bytes_per_second)
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.2f", bytes_per_second / 1e9);
     return buf;
+}
+
+// --- Crash drills (fig8, fig9) ------------------------------------
+
+/** Supervision of a scenario that crashes on purpose (a short backoff
+ *  keeps the bench snappy). */
+inline constexpr util::SuperviseConfig kCrashDrillSupervision{
+    .maxRestarts = 2, .backoffMs = 10};
+
+/** One key's value in a drill child's "key value" stats text (0 if
+ *  absent). */
+inline double
+statValue(const std::string &stats, const std::string &key)
+{
+    std::istringstream is(stats);
+    std::string k;
+    double v;
+    while (is >> k >> v)
+        if (k == key)
+            return v;
+    return 0.0;
+}
+
+/** Did a kill point leave a flight-recorder dump in `dir`? */
+inline bool
+hasFlightDump(const std::string &dir)
+{
+    std::error_code ec;
+    for (const auto &entry : std::filesystem::directory_iterator(dir, ec))
+        if (entry.path().filename().string().rfind("flight-killpoint-",
+                                                   0) == 0)
+            return true;
+    return false;
 }
 
 } // namespace bench

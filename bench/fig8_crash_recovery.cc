@@ -89,8 +89,7 @@ runScenario(const Scenario &sc, int attempt, bool resume)
     std::string ledger_path = sc.dir + "/ledger.ndjson";
     if (!resume) {
         manager.clear();
-        for (const char *suffix : {"", "-journal", "-wal", "-shm"})
-            std::filesystem::remove(db_path + suffix, ec);
+        core::ReplayDb::removeFiles(db_path);
         std::filesystem::remove(ledger_path, ec);
     }
 
@@ -188,43 +187,6 @@ runScenario(const Scenario &sc, int attempt, bool resume)
     return 0;
 }
 
-/** Read a whole file; empty string when missing. */
-std::string
-slurp(const std::string &path)
-{
-    std::string content;
-    util::readFileAll(path, content);
-    return content;
-}
-
-/** One key's value from a stats file written by runScenario. */
-double
-statValue(const std::string &stats, const std::string &key)
-{
-    std::istringstream is(stats);
-    std::string k;
-    double v;
-    while (is >> k >> v) {
-        if (k == key)
-            return v;
-    }
-    return 0.0;
-}
-
-/** Did the kill point leave a flight-recorder dump in `dir`? */
-bool
-hasFlightDump(const std::string &dir)
-{
-    std::error_code ec;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir, ec)) {
-        std::string name = entry.path().filename().string();
-        if (name.rfind("flight-killpoint-", 0) == 0)
-            return true;
-    }
-    return false;
-}
-
 } // namespace
 
 int
@@ -252,8 +214,9 @@ main()
         {0});
     if (sup.exitCode != 0)
         fatal("fig8: reference run failed (exit %d)", sup.exitCode);
-    std::string ref_series = slurp(ref.seriesPath);
-    std::string ref_ledger = slurp(ref.dir + "/ledger.ndjson");
+    std::string ref_series, ref_ledger;
+    util::readFileAll(ref.seriesPath, ref_series);
+    util::readFileAll(ref.dir + "/ledger.ndjson", ref_ledger);
     if (ref_ledger.empty())
         fatal("fig8: reference run wrote no decision ledger");
 
@@ -269,6 +232,26 @@ main()
     };
     std::vector<Row> rows;
 
+    // A resumed scenario's row: byte identity of its series and ledger
+    // against the reference, its kill-point dump and recovery stats.
+    auto finishRow = [&](const Scenario &sc, const std::string &name,
+                         const util::SuperviseResult &result) {
+        Row row;
+        row.name = name;
+        row.restarts = result.restarts;
+        std::string series, ledger, stats;
+        util::readFileAll(sc.seriesPath, series);
+        util::readFileAll(sc.dir + "/ledger.ndjson", ledger);
+        util::readFileAll(sc.statsPath, stats);
+        row.identical = result.exitCode == 0 && !ref_series.empty() &&
+                        series == ref_series && ledger == ref_ledger;
+        row.flightDump = bench::hasFlightDump(sc.dir);
+        row.restoreMs = bench::statValue(stats, "restore_ms");
+        row.runsSaved = bench::statValue(stats, "runs_saved");
+        row.cyclesSaved = bench::statValue(stats, "cycles_saved");
+        return row;
+    };
+
     auto &registry = util::MetricRegistry::global();
     for (storage::CrashPoint point :
          {storage::CrashPoint::AfterTrain, storage::CrashPoint::AfterPropose,
@@ -280,26 +263,12 @@ main()
         sc.seriesPath = root + "/" + name + "-series.txt";
         sc.statsPath = root + "/" + name + "-stats.txt";
         sc.crash = point;
-        util::SuperviseConfig sconfig;
-        sconfig.maxRestarts = 2;
-        sconfig.backoffMs = 10; // keep the bench snappy
         util::SuperviseResult result = util::runSupervised(
             [&](int attempt, bool resume) {
                 return runScenario(sc, attempt, resume);
             },
-            sconfig);
-
-        Row row;
-        row.name = name;
-        row.restarts = result.restarts;
-        std::string stats = slurp(sc.statsPath);
-        row.identical = result.exitCode == 0 && !ref_series.empty() &&
-                        slurp(sc.seriesPath) == ref_series &&
-                        slurp(sc.dir + "/ledger.ndjson") == ref_ledger;
-        row.flightDump = hasFlightDump(sc.dir);
-        row.restoreMs = statValue(stats, "restore_ms");
-        row.runsSaved = statValue(stats, "runs_saved");
-        row.cyclesSaved = statValue(stats, "cycles_saved");
+            bench::kCrashDrillSupervision);
+        Row row = finishRow(sc, name, result);
         rows.push_back(row);
 
         registry.gauge("fig8." + row.name + ".identical")
@@ -326,7 +295,8 @@ main()
         std::vector<uint64_t> cycles = manager.availableCycles();
         if (cycles.size() >= 2) {
             std::string victim = manager.pathFor(cycles.back());
-            std::string blob = slurp(victim);
+            std::string blob;
+            util::readFileAll(victim, blob);
             blob[blob.size() / 2] ^= 0x40; // flip a payload bit
             std::ofstream os(victim, std::ios::binary | std::ios::trunc);
             os << blob;
@@ -337,16 +307,7 @@ main()
                     return runScenario(sc, attempt + 1, true);
                 },
                 {0});
-            std::string stats = slurp(sc.statsPath);
-            corrupt_row.restarts = 0;
-            corrupt_row.identical =
-                result.exitCode == 0 &&
-                slurp(sc.seriesPath) == ref_series &&
-                slurp(sc.dir + "/ledger.ndjson") == ref_ledger;
-            corrupt_row.flightDump = hasFlightDump(sc.dir);
-            corrupt_row.restoreMs = statValue(stats, "restore_ms");
-            corrupt_row.runsSaved = statValue(stats, "runs_saved");
-            corrupt_row.cyclesSaved = statValue(stats, "cycles_saved");
+            corrupt_row = finishRow(sc, corrupt_row.name, result);
         } else {
             warn("fig8: not enough snapshots for the corruption case");
         }

@@ -306,8 +306,7 @@ runScenario(const Scenario &sc, int attempt, bool resume)
     std::string ledger_path = sc.dir + "/ledger.ndjson";
     if (!resume) {
         manager.clear();
-        for (const char *suffix : {"", "-journal", "-wal", "-shm"})
-            std::filesystem::remove(db_path + suffix, ec);
+        core::ReplayDb::removeFiles(db_path);
         std::filesystem::remove(sc.digestPath, ec);
         std::filesystem::remove(ledger_path, ec);
     }
@@ -459,15 +458,6 @@ runScenario(const Scenario &sc, int attempt, bool resume)
     return 0;
 }
 
-/** Read a whole file; empty string when missing. */
-std::string
-slurp(const std::string &path)
-{
-    std::string content;
-    util::readFileAll(path, content);
-    return content;
-}
-
 /** Parse a digest log into cycle -> line (later lines win: a crashed
  *  child may have logged a cycle whose checkpoint never became
  *  durable; the resumed child re-runs it, and re-runs must agree with
@@ -485,18 +475,6 @@ parseDigests(const std::string &text)
             out[cycle] = line;
     }
     return out;
-}
-
-double
-statValue(const std::string &stats, const std::string &key)
-{
-    std::istringstream is(stats);
-    std::string k;
-    double v;
-    while (is >> k >> v)
-        if (k == key)
-            return v;
-    return 0.0;
 }
 
 } // namespace
@@ -532,12 +510,14 @@ main()
         {0});
     if (sup.exitCode != 0)
         fatal("fig9: reference run failed (exit %d)", sup.exitCode);
+    std::string ref_digest_log, ref_ledger;
+    util::readFileAll(ref.digestPath, ref_digest_log);
+    util::readFileAll(ref.dir + "/ledger.ndjson", ref_ledger);
     std::map<uint64_t, std::string> ref_digests =
-        parseDigests(slurp(ref.digestPath));
+        parseDigests(ref_digest_log);
     if (ref_digests.size() != base.cycles)
         fatal("fig9: reference logged %zu of %llu cycles",
               ref_digests.size(), (unsigned long long)base.cycles);
-    std::string ref_ledger = slurp(ref.dir + "/ledger.ndjson");
     if (ref_ledger.empty())
         fatal("fig9: reference run wrote no decision ledger");
 
@@ -555,30 +535,23 @@ main()
     std::vector<Row> rows;
     auto &registry = util::MetricRegistry::global();
 
-    auto hasFlightDump = [](const std::string &dir) {
-        std::error_code ec;
-        for (const auto &entry :
-             std::filesystem::directory_iterator(dir, ec))
-            if (entry.path().filename().string().rfind(
-                    "flight-killpoint-", 0) == 0)
-                return true;
-        return false;
-    };
     auto finishRow = [&](const Scenario &sc, const std::string &name,
                          int restarts) {
         Row row;
         row.name = name;
         row.restarts = restarts;
-        row.identical =
-            parseDigests(slurp(sc.digestPath)) == ref_digests &&
-            slurp(sc.dir + "/ledger.ndjson") == ref_ledger;
+        std::string digest_log, ledger, stats;
+        util::readFileAll(sc.digestPath, digest_log);
+        util::readFileAll(sc.dir + "/ledger.ndjson", ledger);
+        util::readFileAll(sc.statsPath, stats);
+        row.identical = parseDigests(digest_log) == ref_digests &&
+                        ledger == ref_ledger;
         if (sc.crash != storage::CrashPoint::None)
-            row.flightDump = hasFlightDump(sc.dir);
-        std::string stats = slurp(sc.statsPath);
-        row.safeEntries = statValue(stats, "safe_entries");
-        row.safeExits = statValue(stats, "safe_exits");
-        row.quarantined = statValue(stats, "quarantined");
-        row.overruns = statValue(stats, "overruns");
+            row.flightDump = bench::hasFlightDump(sc.dir);
+        row.safeEntries = bench::statValue(stats, "safe_entries");
+        row.safeExits = bench::statValue(stats, "safe_exits");
+        row.quarantined = bench::statValue(stats, "quarantined");
+        row.overruns = bench::statValue(stats, "overruns");
         rows.push_back(row);
         registry.gauge("fig9." + name + ".identical")
             .set(row.identical ? 1.0 : 0.0);
@@ -607,14 +580,11 @@ main()
         Scenario sc = configure("crash-train");
         sc.crash = storage::CrashPoint::AfterTrain;
         sc.crashCycle = 5;
-        util::SuperviseConfig sconfig;
-        sconfig.maxRestarts = 2;
-        sconfig.backoffMs = 10;
         util::SuperviseResult result = util::runSupervised(
             [&](int attempt, bool resume) {
                 return runScenario(sc, attempt, resume);
             },
-            sconfig);
+            bench::kCrashDrillSupervision);
         finishRow(sc, "crash-after-train", result.restarts);
     }
 
@@ -624,14 +594,11 @@ main()
         Scenario sc = configure("crash-safe");
         sc.crash = storage::CrashPoint::AfterCommit;
         sc.crashCycle = stormStart(sc) + 3;
-        util::SuperviseConfig sconfig;
-        sconfig.maxRestarts = 2;
-        sconfig.backoffMs = 10;
         util::SuperviseResult result = util::runSupervised(
             [&](int attempt, bool resume) {
                 return runScenario(sc, attempt, resume);
             },
-            sconfig);
+            bench::kCrashDrillSupervision);
         finishRow(sc, "crash-in-safe-mode", result.restarts);
     }
 

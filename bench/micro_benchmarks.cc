@@ -9,7 +9,7 @@
  * before the google micros and writes it to BENCH_perf.json:
  * naive-vs-fast GEMM (packed register-blocked kernel), training-path
  * timings (steady-state epoch, full retrain, arena alloc count),
- * scalar-vs-batched candidate scoring, one full Geomancy decision
+ * one-row-vs-batched candidate scoring, one full Geomancy decision
  * cycle, model-search scaling over 1/2/4 workers, and
  * metric-primitive overhead (counter/histogram ns per op).
  * Knobs: GEO_PERF_OUT (output path), GEO_PERF_QUICK=1
@@ -530,8 +530,9 @@ timeCandidateScoring(bool quick)
                     scalar.clear();
                     for (const core::PerfRecord &rec : files)
                         for (storage::DeviceId device : devices)
-                            scalar.push_back(engine.predictThroughput(
-                                rec.featuresAt(device)));
+                            scalar.push_back(
+                                engine.scoreLocations({rec}, {device})[0][0]
+                                    .predictedThroughput);
                 },
                 1));
         result.batchedMs = std::min(

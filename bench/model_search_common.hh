@@ -13,6 +13,7 @@
 #include <map>
 #include <vector>
 
+#include "bench_common.hh"
 #include "core/perf_record.hh"
 #include "nn/model_zoo.hh"
 #include "storage/bluesky.hh"
@@ -157,9 +158,7 @@ scoreModel(int number, const std::vector<core::PerfRecord> &records,
                                   .recurrent
                               ? nn::kDefaultTimesteps
                               : 1;
-    size_t smoothing = 32;
-    if (const char *env = std::getenv("GEO_SMOOTH"))
-        smoothing = static_cast<size_t>(std::stoull(env));
+    const size_t smoothing = knob("GEO_SMOOTH", 32, 32);
     trace::MinMaxNormalizer target_norm;
     nn::Dataset data =
         buildMountDataset(records, window, smoothing, target_norm);

@@ -10,6 +10,7 @@
 #include "util/flight_recorder.hh"
 #include "util/fs_atomic.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace geo {
 namespace core {
@@ -112,11 +113,10 @@ CheckpointManager::availableCycles() const
             name.compare(0, stem.size(), stem) != 0 ||
             name.compare(name.size() - 4, 4, ".geo") != 0)
             continue;
-        std::string digits =
-            name.substr(stem.size(), name.size() - stem.size() - 4);
-        char *end = nullptr;
-        unsigned long long cycle = std::strtoull(digits.c_str(), &end, 10);
-        if (end && *end == '\0')
+        uint64_t cycle = 0;
+        if (util::parseU64(
+                name.substr(stem.size(), name.size() - stem.size() - 4),
+                cycle))
             cycles.push_back(cycle);
     }
     std::sort(cycles.begin(), cycles.end());

@@ -1,6 +1,5 @@
 #include "core/drl_engine.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <sstream>
@@ -156,64 +155,12 @@ DrlEngine::weightsFinite()
     return true;
 }
 
-double
-DrlEngine::predictThroughput(const std::vector<double> &raw_features)
-{
-    if (!ready_)
-        panic("DrlEngine::predictThroughput before a successful retrain");
-    rowScratch_.reshape(1, raw_features.size());
-    std::copy(raw_features.begin(), raw_features.end(),
-              rowScratch_.data().begin());
-    return predictBatch(rowScratch_)[0];
-}
-
-std::vector<double>
-DrlEngine::predictBatch(const nn::Matrix &raw_rows)
-{
-    if (!ready_)
-        panic("DrlEngine::predictBatch before a successful retrain");
-    GEO_SPAN("drl", "predict");
-    const size_t rows = raw_rows.rows();
-    const size_t z = raw_rows.cols();
-    featureScratch_.reshape(rows, z);
-    for (size_t r = 0; r < rows; ++r)
-        batch_.normalizeFeaturesInto(raw_rows.data().data() + r * z, z,
-                                     featureScratch_.data().data() + r * z);
-    model_.predictInto(featureScratch_, outputScratch_);
-    const nn::Matrix &outputs = outputScratch_;
-
-    std::vector<double> predicted(rows);
-    for (size_t r = 0; r < rows; ++r) {
-        double value = batch_.denormalizeTarget(outputs.at(r, 0));
-        if (adjustSign_ != 0.0)
-            value += adjustSign_ * maeFraction_ * value;
-        predicted[r] = value < 0.0 ? 0.0 : value;
-    }
-    return predicted;
-}
-
-std::vector<CandidateScore>
-DrlEngine::scoreCandidates(const PerfRecord &latest,
-                           const std::vector<storage::DeviceId> &devices)
-{
-    return scoreLocations(latest, devices);
-}
-
-std::vector<CandidateScore>
-DrlEngine::scoreLocations(const PerfRecord &latest,
-                          const std::vector<storage::DeviceId> &devices)
-{
-    std::vector<std::vector<CandidateScore>> all =
-        scoreLocations(std::vector<PerfRecord>{latest}, devices);
-    return std::move(all.front());
-}
-
 std::vector<std::vector<CandidateScore>>
 DrlEngine::scoreLocations(const std::vector<PerfRecord> &records,
                           const std::vector<storage::DeviceId> &devices)
 {
     if (!ready_)
-        panic("DrlEngine::scoreCandidates before a successful retrain");
+        panic("DrlEngine::scoreLocations before a successful retrain");
     GEO_SPAN("drl", "predict");
     auto start = std::chrono::steady_clock::now();
 
@@ -231,24 +178,19 @@ DrlEngine::scoreLocations(const std::vector<PerfRecord> &records,
             ++row;
         }
     }
-    nn::Matrix outputs = model_.predict(featureScratch_);
+    model_.predictInto(featureScratch_, outputScratch_);
 
-    std::vector<std::vector<CandidateScore>> all;
-    all.reserve(records.size());
+    std::vector<std::vector<CandidateScore>> all(records.size());
     row = 0;
-    for (size_t f = 0; f < records.size(); ++f) {
-        std::vector<CandidateScore> scores;
+    for (std::vector<CandidateScore> &scores : all) {
         scores.reserve(devices.size());
-        for (size_t d = 0; d < devices.size(); ++d, ++row) {
-            CandidateScore score;
-            score.device = devices[d];
-            double predicted = batch_.denormalizeTarget(outputs.at(row, 0));
+        for (storage::DeviceId device : devices) {
+            double value =
+                batch_.denormalizeTarget(outputScratch_.at(row++, 0));
             if (adjustSign_ != 0.0)
-                predicted += adjustSign_ * maeFraction_ * predicted;
-            score.predictedThroughput = predicted < 0.0 ? 0.0 : predicted;
-            scores.push_back(score);
+                value += adjustSign_ * maeFraction_ * value;
+            scores.push_back({device, value < 0.0 ? 0.0 : value});
         }
-        all.push_back(std::move(scores));
     }
 
     auto elapsed = std::chrono::steady_clock::now() - start;

@@ -93,41 +93,14 @@ class DrlEngine
     }
 
     /**
-     * Predicted throughput (bytes/s) for a raw Z-feature row,
-     * MAE-adjusted when configured. Thin shim over predictBatch()
-     * sharing its preallocated row buffer.
-     */
-    double predictThroughput(const std::vector<double> &raw_features);
-
-    /**
-     * Predict raw targets for a batch of raw Z-feature rows in ONE
-     * forward pass: result[r] is bitwise equal to
-     * predictThroughput(row r) — normalization, the Sec. V-G MAE
-     * adjustment and the >= 0 clamp are applied per row in the same
-     * order as the scalar path.
-     */
-    std::vector<double> predictBatch(const nn::Matrix &raw_rows);
-
-    /**
-     * Score every candidate location for the access pattern described
-     * by `latest`: one row per device, only the location column
-     * varying, including the current location ("the possibility that
-     * moving the data will not improve performance").
-     */
-    std::vector<CandidateScore> scoreCandidates(
-        const PerfRecord &latest,
-        const std::vector<storage::DeviceId> &devices);
-
-    /** Single-file alias of the batched scoreLocations() below. */
-    std::vector<CandidateScore> scoreLocations(
-        const PerfRecord &latest,
-        const std::vector<storage::DeviceId> &devices);
-
-    /**
-     * Batched Section V-C scoring: one feature matrix with
-     * records.size() * devices.size() rows and a single forward pass.
-     * result[f][d] is bitwise equal to
-     * scoreCandidates(records[f], devices)[d].
+     * Section V-C scoring, batched: one feature matrix with
+     * records.size() * devices.size() rows — a row per (file,
+     * candidate) pair, cloning the file's latest access with only the
+     * location column varying, the current location included ("the
+     * possibility that moving the data will not improve performance")
+     * — and a single forward pass. Each prediction is denormalized,
+     * MAE-adjusted when configured (Sec. V-G) and clamped at 0;
+     * result[f][d] scores records[f] on devices[d].
      */
     std::vector<std::vector<CandidateScore>> scoreLocations(
         const std::vector<PerfRecord> &records,
@@ -184,7 +157,6 @@ class DrlEngine
     const util::CancelToken *cancelToken_ = nullptr;
 
     // Preallocated batch buffers, reused across prediction calls.
-    nn::Matrix rowScratch_;     ///< 1 x Z raw row for the scalar shim
     nn::Matrix featureScratch_; ///< (F * D) x Z normalized batch
     nn::Matrix outputScratch_;  ///< model predictions (reused per call)
 

@@ -1,9 +1,7 @@
 #include "core/geomancy.hh"
 
 #include <algorithm>
-#include <sstream>
 
-#include "core/checkpoint.hh"
 #include "storage/fault_injector.hh"
 #include "util/flight_recorder.hh"
 #include "util/logging.hh"
@@ -107,44 +105,51 @@ Geomancy::attachLedger(const std::string &path)
     ledger_ = std::make_unique<DecisionLedger>(path);
 }
 
-double
-Geomancy::phaseBudget(const char *phase) const
+/**
+ * One decision-cycle phase, open for the scope's lifetime: arms the
+ * guardrail watchdog with the phase budget, brackets the phase with
+ * flight-recorder PhaseBegin/PhaseEnd events, traces it as a "cycle"
+ * span and, on close, appends the ledger's phase row.
+ */
+class Geomancy::PhaseScope
 {
-    const GuardrailsConfig &cfg = config_.guardrails;
-    if (!cfg.enabled)
-        return 0.0;
-    if (std::string(phase) == "monitor")
-        return cfg.monitorBudgetSeconds;
-    if (std::string(phase) == "train")
-        return cfg.trainBudgetSeconds;
-    if (std::string(phase) == "propose")
-        return cfg.proposeBudgetSeconds;
-    if (std::string(phase) == "migrate")
-        return cfg.migrateBudgetSeconds;
-    return 0.0;
-}
+  public:
+    PhaseScope(Geomancy &geo, Phase phase)
+        : geo_(geo), phase_(phase), began_(geo.system_.clock().now())
+#if GEO_TRACE
+          ,
+          span_("cycle", phaseName(phase))
+#endif
+    {
+        geo_.guardrails_->beginPhase(phase_, began_);
+        util::FlightRecorder::global().record(
+            util::FlightKind::PhaseBegin, began_, geo_.cycles_,
+            static_cast<uint64_t>(phase_));
+    }
 
-void
-Geomancy::enterPhase(const char *phase, int index)
-{
-    double now = system_.clock().now();
-    guardrails_->beginPhase(phase, now);
-    util::FlightRecorder::global().record(
-        util::FlightKind::PhaseBegin, now, cycles_,
-        static_cast<uint64_t>(index));
-}
+    ~PhaseScope()
+    {
+        double now = geo_.system_.clock().now();
+        geo_.guardrails_->endPhase(now);
+        util::FlightRecorder::global().record(
+            util::FlightKind::PhaseEnd, now, geo_.cycles_,
+            static_cast<uint64_t>(phase_));
+        if (geo_.ledger_)
+            geo_.ledger_->recordPhase(phaseName(phase_), now - began_,
+                                      geo_.guardrails_->phaseBudget(phase_));
+    }
 
-void
-Geomancy::leavePhase(const char *phase, int index, double began)
-{
-    double now = system_.clock().now();
-    guardrails_->endPhase(now);
-    util::FlightRecorder::global().record(
-        util::FlightKind::PhaseEnd, now, cycles_,
-        static_cast<uint64_t>(index));
-    if (ledger_)
-        ledger_->recordPhase(phase, now - began, phaseBudget(phase));
-}
+    PhaseScope(const PhaseScope &) = delete;
+    PhaseScope &operator=(const PhaseScope &) = delete;
+
+  private:
+    Geomancy &geo_;
+    Phase phase_;
+    double began_;
+#if GEO_TRACE
+    util::ScopedSpan span_;
+#endif
+};
 
 std::vector<CheckedMove>
 Geomancy::proposeMoves()
@@ -349,13 +354,10 @@ void
 Geomancy::runCycleBody(CycleReport &report, bool probe,
                        storage::FaultInjector *injector)
 {
-    double began = system_.clock().now();
-    enterPhase("monitor", 0);
     {
-        GEO_SPAN("cycle", "monitor");
+        PhaseScope scope(*this, Phase::Monitor);
         flushAgents();
     }
-    leavePhase("monitor", 0, began);
     // The freshly flushed window closes the loop on any outstanding
     // prediction: join realized per-mount throughput against it.
     if (ledger_)
@@ -378,15 +380,12 @@ Geomancy::runCycleBody(CycleReport &report, bool probe,
         return;
     }
 
-    began = system_.clock().now();
-    enterPhase("train", 1);
     {
-        GEO_SPAN("cycle", "train");
+        PhaseScope scope(*this, Phase::Train);
         TrainingBatch batch =
             daemon_->buildTrainingBatch(system_.deviceIds());
         report.retrain = engine_->retrain(batch);
     }
-    leavePhase("train", 1, began);
     if (injector)
         injector->maybeCrash(storage::CrashPoint::AfterTrain);
     if (!report.retrain.trained || report.retrain.diverged ||
@@ -417,10 +416,8 @@ Geomancy::runCycleBody(CycleReport &report, bool probe,
     }
 
     std::vector<CheckedMove> moves;
-    began = system_.clock().now();
-    enterPhase("propose", 2);
     {
-        GEO_SPAN("cycle", "propose");
+        PhaseScope scope(*this, Phase::Propose);
         if (rng_.chance(config_.explorationRate)) {
             report.explored = true;
             cyclesExploredMetric_->inc();
@@ -435,23 +432,19 @@ Geomancy::runCycleBody(CycleReport &report, bool probe,
                                          system_.clock().now());
         }
     }
-    leavePhase("propose", 2, began);
     if (injector)
         injector->maybeCrash(storage::CrashPoint::AfterPropose);
     if (moves.empty() && control_->pendingRetries() == 0)
         return;
 
-    began = system_.clock().now();
-    enterPhase("migrate", 3);
     {
-        GEO_SPAN("cycle", "migrate");
+        PhaseScope scope(*this, Phase::Migrate);
         std::vector<MoveRequest> requests;
         requests.reserve(moves.size());
         for (const CheckedMove &move : moves)
             requests.push_back({move.file, move.to});
         report.moves = control_->apply(requests);
     }
-    leavePhase("migrate", 3, began);
     report.acted = report.moves.applied > 0;
     if (ledger_) {
         for (const AppliedMove &fate : report.moves.outcomes)
@@ -546,32 +539,6 @@ Geomancy::loadState(util::StateReader &r)
     cycles_ = cycles;
     rng_.setState(rng);
     db_->rewindTo(wm);
-}
-
-bool
-Geomancy::restore(const std::string &path)
-{
-    CheckpointHeader header;
-    std::string payload;
-    if (!CheckpointManager::read(path, header, payload))
-        return false;
-    std::istringstream is(payload);
-    util::StateReader r(is);
-    loadState(r);
-    if (!r.ok()) {
-        warn("Geomancy::restore: %s rejected: %s", path.c_str(),
-             r.error().c_str());
-        return false;
-    }
-    // Safety net: reconcile the pending queue against the attempt log.
-    // Idempotent, so it is harmless when the snapshot carried the queue.
-    control_->restorePending();
-    util::FlightRecorder::global().record(util::FlightKind::Restore,
-                                          system_.clock().now(),
-                                          cycles_);
-    inform("Geomancy::restore: resumed at cycle %llu from %s",
-           static_cast<unsigned long long>(cycles_), path.c_str());
-    return true;
 }
 
 std::vector<MoveRequest>

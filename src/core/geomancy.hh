@@ -137,7 +137,7 @@ class Geomancy
     /**
      * Attach a decision audit ledger writing NDJSON to `path`
      * (recording-only: the decision trajectory is unchanged — pinned
-     * by the LedgerIdentity test). Attach before restore() so the
+     * by the LedgerIdentity test). Attach before loadState() so the
      * ledger cursor is part of the loaded cut; nothing touches the
      * disk until the first cycle ends.
      */
@@ -169,16 +169,6 @@ class Geomancy
      * appended after the cut. No-op when the reader fails validation.
      */
     void loadState(util::StateReader &r);
-
-    /**
-     * Restore from a checkpoint file (header + CRC validated). On
-     * success the pending-retry queue is additionally reconciled
-     * against the attempt log via restorePending() — a no-op when the
-     * snapshot already carries the queue, the safety net when it
-     * predates one. @return false when the file is missing, corrupt
-     * or from an incompatible topology.
-     */
-    bool restore(const std::string &path);
 
   private:
     storage::StorageSystem &system_;
@@ -216,12 +206,8 @@ class Geomancy
     /** Propose checked moves from the current model. */
     std::vector<CheckedMove> proposeMoves();
 
-    /** Guardrail budget of a named phase (for the ledger's rows). */
-    double phaseBudget(const char *phase) const;
-
-    /** beginPhase/endPhase plus ledger/flight-recorder bookkeeping. */
-    void enterPhase(const char *phase, int index);
-    void leavePhase(const char *phase, int index, double began);
+    /** RAII bookkeeping of one cycle phase (see geomancy.cc). */
+    class PhaseScope;
 
     /** Random exploration move set. */
     std::vector<CheckedMove> explorationMoves();

@@ -1,7 +1,6 @@
 #include "core/guardrails.hh"
 
 #include <cmath>
-#include <cstring>
 #include <string>
 
 #include "util/flight_recorder.hh"
@@ -10,6 +9,14 @@
 
 namespace geo {
 namespace core {
+
+const char *
+phaseName(Phase phase)
+{
+    static const char *const kNames[] = {"monitor", "train", "propose",
+                                         "migrate"};
+    return kNames[static_cast<size_t>(phase)];
+}
 
 const char *
 quarantineReasonName(QuarantineReason reason)
@@ -159,24 +166,18 @@ Guardrails::quarantineFlood() const
 }
 
 double
-Guardrails::phaseBudget(const char *phase) const
+Guardrails::phaseBudget(Phase phase) const
 {
-    if (std::strcmp(phase, "monitor") == 0)
-        return config_.monitorBudgetSeconds;
-    if (std::strcmp(phase, "train") == 0)
-        return config_.trainBudgetSeconds;
-    if (std::strcmp(phase, "propose") == 0)
-        return config_.proposeBudgetSeconds;
-    if (std::strcmp(phase, "migrate") == 0)
-        return config_.migrateBudgetSeconds;
-    return 0.0;
+    const double budgets[] = {
+        config_.monitorBudgetSeconds, config_.trainBudgetSeconds,
+        config_.proposeBudgetSeconds, config_.migrateBudgetSeconds};
+    return config_.enabled ? budgets[static_cast<size_t>(phase)] : 0.0;
 }
 
 void
-Guardrails::beginPhase(const char *phase, double now)
+Guardrails::beginPhase(Phase phase, double now)
 {
-    double budget = config_.enabled ? phaseBudget(phase) : 0.0;
-    watchdog_.beginPhase(phase, now, budget);
+    watchdog_.beginPhase(phaseName(phase), now, phaseBudget(phase));
 }
 
 void

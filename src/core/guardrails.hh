@@ -59,6 +59,13 @@ constexpr size_t kQuarantineReasonCount = 7;
 /** Stable lowercase name ("non_finite", ... — used as metric suffix). */
 const char *quarantineReasonName(QuarantineReason reason);
 
+/** The decision-cycle phases, in cycle order (the value is the index
+ *  the flight recorder's PhaseBegin/PhaseEnd events carry). */
+enum class Phase { Monitor, Train, Propose, Migrate };
+
+/** Stable lowercase name ("monitor", ... — ledger rows, trace spans). */
+const char *phaseName(Phase phase);
+
 /** One quarantined record, kept for diagnosis. */
 struct QuarantinedRecord
 {
@@ -192,12 +199,11 @@ class Guardrails
 
     // --- Decision deadlines ---------------------------------------
 
-    /**
-     * Arm the watchdog for a named phase ("monitor", "train",
-     * "propose", "migrate" — anything else has no budget). A zero
-     * budget leaves the watchdog disarmed.
-     */
-    void beginPhase(const char *phase, double now);
+    /** SimClock budget of a phase (0 = none, always 0 when disabled). */
+    double phaseBudget(Phase phase) const;
+
+    /** Arm the watchdog for a phase; a zero budget leaves it disarmed. */
+    void beginPhase(Phase phase, double now);
 
     /** Final poll + disarm; remembers an overrun for the cycle. */
     void endPhase(double now);
@@ -248,7 +254,6 @@ class Guardrails
 
   private:
     void quarantineRecord(const PerfRecord &rec, QuarantineReason reason);
-    double phaseBudget(const char *phase) const;
     uint64_t probeBackoffCycles() const;
     void enterSafeMode(uint64_t cycle);
     void exitSafeMode(uint64_t cycle);

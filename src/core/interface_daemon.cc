@@ -8,20 +8,6 @@
 namespace geo {
 namespace core {
 
-std::vector<double>
-TrainingBatch::normalizeFeatures(const std::vector<double> &raw) const
-{
-    if (!featureNorm.fitted())
-        return raw;
-    if (raw.size() != featureNorm.columns())
-        panic("normalizeFeatures: %zu values, scaler has %zu columns",
-              raw.size(), featureNorm.columns());
-    std::vector<double> out(raw.size());
-    for (size_t c = 0; c < raw.size(); ++c)
-        out[c] = featureNorm.value(raw[c], c);
-    return out;
-}
-
 void
 TrainingBatch::normalizeFeaturesInto(const double *raw, size_t count,
                                      double *out) const
@@ -31,7 +17,7 @@ TrainingBatch::normalizeFeaturesInto(const double *raw, size_t count,
         return;
     }
     if (count != featureNorm.columns())
-        panic("normalizeFeatures: %zu values, scaler has %zu columns",
+        panic("normalizeFeaturesInto: %zu values, scaler has %zu columns",
               count, featureNorm.columns());
     for (size_t c = 0; c < count; ++c)
         out[c] = featureNorm.value(raw[c], c);

@@ -52,14 +52,10 @@ struct TrainingBatch
     trace::MinMaxNormalizer targetNorm;
     ModelTarget target = ModelTarget::Throughput;
 
-    /** Normalize a raw Z-feature row with this batch's scalers. */
-    std::vector<double> normalizeFeatures(
-        const std::vector<double> &raw) const;
-
     /**
-     * Normalize a raw Z-feature row directly into `out` (at least
-     * `count` doubles). Allocation-free variant used by the batched
-     * prediction path; `raw` and `out` may alias.
+     * Normalize a raw Z-feature row with this batch's scalers, writing
+     * `count` doubles to `out` (allocation-free; `raw` and `out` may
+     * alias). An unfitted scaler copies the row through.
      */
     void normalizeFeaturesInto(const double *raw, size_t count,
                                double *out) const;

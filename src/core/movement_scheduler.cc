@@ -8,20 +8,6 @@
 namespace geo {
 namespace core {
 
-const char *
-breakerStateName(BreakerState state)
-{
-    switch (state) {
-    case BreakerState::Closed:
-        return "closed";
-    case BreakerState::Open:
-        return "open";
-    case BreakerState::HalfOpen:
-        return "half-open";
-    }
-    return "unknown";
-}
-
 MovementScheduler::MovementScheduler(storage::StorageSystem &system,
                                      const ReplayDb &db,
                                      const SchedulerConfig &config)

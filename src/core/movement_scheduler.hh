@@ -51,9 +51,6 @@ enum class BreakerState {
     HalfOpen, ///< cooldown elapsed: exactly one probe move admitted
 };
 
-/** Printable name of a breaker state. */
-const char *breakerStateName(BreakerState state);
-
 /** Scheduler configuration. */
 struct SchedulerConfig
 {

@@ -3,10 +3,9 @@
 #include <sqlite3.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
-#include <sstream>
 
-#include "util/csv.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
 
@@ -298,15 +297,6 @@ ReplayDb::queryAccesses(const std::string &sql, int64_t bind0,
 }
 
 std::vector<PerfRecord>
-ReplayDb::recentAccesses(size_t limit) const
-{
-    return queryAccesses(
-        strprintf("SELECT %s FROM accesses ORDER BY id DESC LIMIT ?;",
-                  kAccessColumns),
-        -1, limit);
-}
-
-std::vector<PerfRecord>
 ReplayDb::recentAccessesForDevice(storage::DeviceId device,
                                   size_t limit) const
 {
@@ -450,28 +440,6 @@ readMovementRow(sqlite3_stmt *stmt)
 } // namespace
 
 std::vector<MovementRecord>
-ReplayDb::movementsBetween(double begin, double end) const
-{
-    const char *sql =
-        "SELECT id, timestamp, file_id, from_device, to_device, bytes,"
-        " seconds FROM movements WHERE timestamp >= ? AND timestamp < ?"
-        " ORDER BY id ASC;";
-    sqlite3_stmt *stmt = nullptr;
-    if (sqlite3_prepare_v2(db_, sql, -1, &stmt, nullptr) != SQLITE_OK)
-        fatal("ReplayDb: movementsBetween: %s", sqlite3_errmsg(db_));
-    sqlite3_bind_double(stmt, 1, begin);
-    sqlite3_bind_double(stmt, 2, end);
-    std::vector<MovementRecord> records;
-    int rc;
-    while ((rc = sqlite3_step(stmt)) == SQLITE_ROW)
-        records.push_back(readMovementRow(stmt));
-    if (rc != SQLITE_DONE)
-        noteReadCorrupt("movementsBetween");
-    sqlite3_finalize(stmt);
-    return records;
-}
-
-std::vector<MovementRecord>
 ReplayDb::recentMovements(size_t limit) const
 {
     const char *sql =
@@ -581,30 +549,6 @@ ReplayDb::recentMoveAttempts(size_t limit) const
     return records;
 }
 
-std::vector<MoveAttemptRecord>
-ReplayDb::attemptsForFile(storage::FileId file, size_t limit) const
-{
-    std::string sql = strprintf(
-        "SELECT %s FROM move_attempts WHERE file_id = ?"
-        " ORDER BY id DESC LIMIT ?;",
-        kAttemptColumns);
-    sqlite3_stmt *stmt = nullptr;
-    if (sqlite3_prepare_v2(db_, sql.c_str(), -1, &stmt, nullptr) !=
-        SQLITE_OK)
-        fatal("ReplayDb: attemptsForFile: %s", sqlite3_errmsg(db_));
-    sqlite3_bind_int64(stmt, 1, static_cast<int64_t>(file));
-    sqlite3_bind_int64(stmt, 2, static_cast<int64_t>(limit));
-    std::vector<MoveAttemptRecord> records;
-    int rc;
-    while ((rc = sqlite3_step(stmt)) == SQLITE_ROW)
-        records.push_back(readAttemptRow(stmt));
-    if (rc != SQLITE_DONE)
-        noteReadCorrupt("attemptsForFile");
-    sqlite3_finalize(stmt);
-    std::reverse(records.begin(), records.end());
-    return records;
-}
-
 int64_t
 ReplayDb::insertFaultEvent(const FaultEventRecord &event)
 {
@@ -634,43 +578,14 @@ ReplayDb::faultEventCount() const
     return count;
 }
 
-std::vector<FaultEventRecord>
-ReplayDb::recentFaultEvents(size_t limit) const
-{
-    const char *sql =
-        "SELECT id, timestamp, device_id, kind, active, magnitude"
-        " FROM fault_events ORDER BY id DESC LIMIT ?;";
-    sqlite3_stmt *stmt = nullptr;
-    if (sqlite3_prepare_v2(db_, sql, -1, &stmt, nullptr) != SQLITE_OK)
-        fatal("ReplayDb: recentFaultEvents: %s", sqlite3_errmsg(db_));
-    sqlite3_bind_int64(stmt, 1, static_cast<int64_t>(limit));
-    std::vector<FaultEventRecord> records;
-    int rc;
-    while ((rc = sqlite3_step(stmt)) == SQLITE_ROW) {
-        FaultEventRecord rec;
-        rec.id = sqlite3_column_int64(stmt, 0);
-        rec.timestamp = sqlite3_column_double(stmt, 1);
-        rec.device = static_cast<storage::DeviceId>(
-            sqlite3_column_int64(stmt, 2));
-        rec.kind = static_cast<int>(sqlite3_column_int64(stmt, 3));
-        rec.active = sqlite3_column_int64(stmt, 4) != 0;
-        rec.magnitude = sqlite3_column_double(stmt, 5);
-        records.push_back(rec);
-    }
-    if (rc != SQLITE_DONE)
-        noteReadCorrupt("recentFaultEvents");
-    sqlite3_finalize(stmt);
-    std::reverse(records.begin(), records.end());
-    return records;
-}
-
 void
-ReplayDb::clear()
+ReplayDb::removeFiles(const std::string &path)
 {
-    exec("DELETE FROM accesses;");
-    exec("DELETE FROM movements;");
-    exec("DELETE FROM move_attempts;");
-    exec("DELETE FROM fault_events;");
+    // The hot journal must go with the database: a stale rollback
+    // journal next to a fresh file would be replayed into it on open.
+    std::error_code ec;
+    for (const char *suffix : {"", "-journal", "-wal", "-shm"})
+        std::filesystem::remove(path + suffix, ec);
 }
 
 void
@@ -728,66 +643,6 @@ ReplayDb::rewindTo(const ReplayDbWatermark &wm)
                        static_cast<long long>(cut.id), cut.table));
     }
     exec("COMMIT;");
-}
-
-std::string
-ReplayDb::exportAccessesCsv() const
-{
-    std::ostringstream os;
-    CsvWriter writer(os);
-    writer.writeRow({"file_id", "device_id", "rb", "wb", "ots", "otms",
-                     "cts", "ctms", "throughput", "failed"});
-    // Stream in id order; the window helper returns oldest-first when
-    // given the full count.
-    size_t total = static_cast<size_t>(accessCount());
-    for (const PerfRecord &rec : recentAccesses(total)) {
-        writer.writeRow({
-            std::to_string(rec.file), std::to_string(rec.device),
-            std::to_string(rec.rb), std::to_string(rec.wb),
-            std::to_string(rec.ots), std::to_string(rec.otms),
-            std::to_string(rec.cts), std::to_string(rec.ctms),
-            strprintf("%.17g", rec.throughput),
-            rec.failed ? "1" : "0",
-        });
-    }
-    return os.str();
-}
-
-size_t
-ReplayDb::importAccessesCsv(const std::string &csv)
-{
-    std::vector<std::vector<std::string>> rows = parseCsv(csv);
-    if (rows.empty())
-        return 0;
-    std::vector<PerfRecord> records;
-    // 10 columns since the failed flag was added; 9-column exports from
-    // before the fault-injection layer import with failed = 0.
-    constexpr size_t kColumns = 10;
-    constexpr size_t kLegacyColumns = 9;
-    for (size_t i = 1; i < rows.size(); ++i) { // skip header
-        const auto &row = rows[i];
-        if (row.size() != kColumns && row.size() != kLegacyColumns) {
-            warn("importAccessesCsv: row %zu has %zu fields, expected "
-                 "%zu", i, row.size(), kColumns);
-            continue;
-        }
-        PerfRecord rec;
-        size_t c = 0;
-        rec.file = std::stoull(row[c++]);
-        rec.device = static_cast<storage::DeviceId>(std::stoul(row[c++]));
-        rec.rb = std::stoull(row[c++]);
-        rec.wb = std::stoull(row[c++]);
-        rec.ots = std::stoll(row[c++]);
-        rec.otms = std::stoll(row[c++]);
-        rec.cts = std::stoll(row[c++]);
-        rec.ctms = std::stoll(row[c++]);
-        rec.throughput = std::stod(row[c++]);
-        if (row.size() == kColumns)
-            rec.failed = std::stoi(row[c++]) != 0;
-        records.push_back(rec);
-    }
-    insertAccesses(records);
-    return records.size();
 }
 
 } // namespace core

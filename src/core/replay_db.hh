@@ -123,12 +123,6 @@ class ReplayDb
     /** Total stored access samples. */
     int64_t accessCount() const;
 
-    /**
-     * The most recent `limit` accesses, oldest first (ready to use as
-     * a chronological training window).
-     */
-    std::vector<PerfRecord> recentAccesses(size_t limit) const;
-
     /** Most recent `limit` accesses observed on one device. */
     std::vector<PerfRecord> recentAccessesForDevice(
         storage::DeviceId device, size_t limit) const;
@@ -159,10 +153,6 @@ class ReplayDb
 
     int64_t movementCount() const;
 
-    /** All movements with timestamp in [begin, end), oldest first. */
-    std::vector<MovementRecord> movementsBetween(double begin,
-                                                 double end) const;
-
     /** Most recent `limit` movements, oldest first. */
     std::vector<MovementRecord> recentMovements(size_t limit) const;
 
@@ -174,20 +164,10 @@ class ReplayDb
     /** Most recent `limit` attempts, oldest first. */
     std::vector<MoveAttemptRecord> recentMoveAttempts(size_t limit) const;
 
-    /** Most recent `limit` attempts touching one file, oldest first. */
-    std::vector<MoveAttemptRecord> attemptsForFile(storage::FileId file,
-                                                   size_t limit) const;
-
     /** Record a fault-schedule transition. */
     int64_t insertFaultEvent(const FaultEventRecord &event);
 
     int64_t faultEventCount() const;
-
-    /** Most recent `limit` fault events, oldest first. */
-    std::vector<FaultEventRecord> recentFaultEvents(size_t limit) const;
-
-    /** Delete all stored data (used between experiment phases). */
-    void clear();
 
     /** Current high-water row id of every table. */
     ReplayDbWatermark watermark() const;
@@ -206,17 +186,12 @@ class ReplayDb
     bool openedCorrupt() const { return openedCorrupt_; }
 
     /**
-     * Export all access samples as CSV (header + one row per access,
-     * oldest first) — the operations-side escape hatch for analyzing
-     * a run with external tooling.
+     * Delete a file-backed database at `path` together with its SQLite
+     * side files (rollback journal, WAL, shared memory), so a fresh
+     * run does not reopen — or replay a hot journal into — old state.
+     * Missing files are fine.
      */
-    std::string exportAccessesCsv() const;
-
-    /**
-     * Import access samples from CSV produced by exportAccessesCsv()
-     * (row ids are reassigned). @return rows imported.
-     */
-    size_t importAccessesCsv(const std::string &csv);
+    static void removeFiles(const std::string &path);
 
   private:
     sqlite3 *db_ = nullptr;

@@ -66,14 +66,6 @@ Matrix::fromRows(const std::vector<std::vector<double>> &rows)
     return m;
 }
 
-Matrix
-Matrix::rowVector(const std::vector<double> &values)
-{
-    Matrix m(1, values.size());
-    m.data_ = values;
-    return m;
-}
-
 void
 Matrix::panicOutOfRange(size_t r, size_t c) const
 {

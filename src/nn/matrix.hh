@@ -65,9 +65,6 @@ class Matrix
     static Matrix fromRows(
         const std::vector<std::vector<double>> &rows);
 
-    /** A single-row matrix wrapping a vector. */
-    static Matrix rowVector(const std::vector<double> &values);
-
     size_t rows() const { return rows_; }
     size_t cols() const { return cols_; }
     size_t size() const { return data_.size(); }

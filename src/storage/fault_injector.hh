@@ -180,11 +180,6 @@ class FaultInjector
      */
     void armCrash(CrashPoint point, uint64_t cycle);
 
-    /** Disarm the kill point (what a supervisor does on restart). */
-    void disarmCrash() { armedPoint_ = CrashPoint::None; }
-
-    CrashPoint armedCrashPoint() const { return armedPoint_; }
-
     /** Tell the injector which decision cycle is running. */
     void notifyCycle(uint64_t cycle) { currentCycle_ = cycle; }
 

@@ -4,6 +4,7 @@
 
 #include "util/csv.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace geo {
 namespace trace {
@@ -124,27 +125,49 @@ recordsFromCsv(const std::string &text)
                  i, row.size(), kColumns);
             continue;
         }
+        // Every field parses in full, or the row is skipped: a trace
+        // from outside must not abort the process.
         AccessRecord r;
         size_t c = 0;
-        r.fid = std::stoull(row[c++]);
-        r.fsid = static_cast<uint32_t>(std::stoul(row[c++]));
+        bool ok = true;
+        auto u64 = [&](uint64_t &out) {
+            ok = util::parseU64(row[c++], out) && ok;
+        };
+        auto u32 = [&](uint32_t &out) {
+            uint64_t v = 0;
+            ok = util::parseU64(row[c++], v) && v <= UINT32_MAX && ok;
+            out = static_cast<uint32_t>(v);
+        };
+        auto i64 = [&](int64_t &out) {
+            ok = util::parseI64(row[c++], out) && ok;
+        };
+        auto f64 = [&](double &out) {
+            ok = util::parseDouble(row[c++], out) && ok;
+        };
+        u64(r.fid);
+        u32(r.fsid);
         r.path = row[c++];
-        r.rb = std::stoull(row[c++]);
-        r.wb = std::stoull(row[c++]);
-        r.ots = std::stoll(row[c++]);
-        r.otms = std::stoll(row[c++]);
-        r.cts = std::stoll(row[c++]);
-        r.ctms = std::stoll(row[c++]);
-        r.rt = std::stod(row[c++]);
-        r.wt = std::stod(row[c++]);
-        r.nrc = static_cast<uint32_t>(std::stoul(row[c++]));
-        r.nwc = static_cast<uint32_t>(std::stoul(row[c++]));
-        r.secgrps = static_cast<uint32_t>(std::stoul(row[c++]));
-        r.secrole = static_cast<uint32_t>(std::stoul(row[c++]));
-        r.secapp = static_cast<uint32_t>(std::stoul(row[c++]));
-        r.td = static_cast<uint32_t>(std::stoul(row[c++]));
-        r.osize = std::stoull(row[c++]);
-        r.csize = std::stoull(row[c++]);
+        u64(r.rb);
+        u64(r.wb);
+        i64(r.ots);
+        i64(r.otms);
+        i64(r.cts);
+        i64(r.ctms);
+        f64(r.rt);
+        f64(r.wt);
+        u32(r.nrc);
+        u32(r.nwc);
+        u32(r.secgrps);
+        u32(r.secrole);
+        u32(r.secapp);
+        u32(r.td);
+        u64(r.osize);
+        u64(r.csize);
+        if (!ok) {
+            warn("recordsFromCsv: row %zu has a non-numeric or "
+                 "out-of-range field", i);
+            continue;
+        }
         records.push_back(std::move(r));
     }
     return records;

@@ -65,21 +65,6 @@ MinMaxNormalizer::transform(const nn::Matrix &data) const
     return out;
 }
 
-nn::Matrix
-MinMaxNormalizer::inverseTransform(const nn::Matrix &data) const
-{
-    if (!fitted())
-        panic("MinMaxNormalizer::inverseTransform before fit");
-    if (data.cols() != mins_.size())
-        panic("MinMaxNormalizer::inverseTransform: %zu columns, "
-              "fitted with %zu", data.cols(), mins_.size());
-    nn::Matrix out = data;
-    for (size_t r = 0; r < data.rows(); ++r)
-        for (size_t c = 0; c < data.cols(); ++c)
-            out.at(r, c) = inverseValue(data.at(r, c), c);
-    return out;
-}
-
 double
 MinMaxNormalizer::value(double raw, size_t col) const
 {

@@ -45,10 +45,7 @@ class MinMaxNormalizer
     /** Scale columns into [0, 1]; requires fit() first. */
     nn::Matrix transform(const nn::Matrix &data) const;
 
-    /** Inverse of transform(). */
-    nn::Matrix inverseTransform(const nn::Matrix &data) const;
-
-    /** Scalar denormalization for column `col`. */
+    /** Scalar denormalization for column `col` (inverse of value()). */
     double inverseValue(double normalized, size_t col) const;
 
     /** Scalar normalization for column `col`. */

@@ -1,6 +1,5 @@
 #include "util/flight_recorder.hh"
 
-#include <cerrno>
 #include <cinttypes>
 #include <csignal>
 #include <cstdio>
@@ -9,7 +8,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "util/logging.hh"
 #include "util/trace_event.hh"
 
 namespace geo {
@@ -148,20 +146,6 @@ FlightRecorder::dumpTo(int fd) const
             return false;
     }
     return true;
-}
-
-bool
-FlightRecorder::dumpToFile(const std::string &path) const
-{
-    int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0) {
-        warn("FlightRecorder: cannot open %s: %s", path.c_str(),
-             std::strerror(errno));
-        return false;
-    }
-    bool ok = dumpTo(fd);
-    ::close(fd);
-    return ok;
 }
 
 bool

@@ -132,9 +132,6 @@ class FlightRecorder
     /** Serialize the ring to an open descriptor (see crashDump). */
     bool dumpTo(int fd) const;
 
-    /** Convenience wrapper: open `path`, dumpTo(), close. */
-    bool dumpToFile(const std::string &path) const;
-
     /**
      * Install SIGSEGV/SIGABRT/SIGBUS/SIGFPE/SIGILL handlers that dump
      * the global ring (and crash-flush the global TraceCollector),

@@ -1,5 +1,7 @@
 #include "util/smoothing.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace geo {
@@ -20,67 +22,6 @@ movingAverage(const std::vector<double> &series, size_t window)
         out.push_back(sum / static_cast<double>(denom));
     }
     return out;
-}
-
-std::vector<double>
-cumulativeAverage(const std::vector<double> &series)
-{
-    std::vector<double> out;
-    out.reserve(series.size());
-    double sum = 0.0;
-    for (size_t i = 0; i < series.size(); ++i) {
-        sum += series[i];
-        out.push_back(sum / static_cast<double>(i + 1));
-    }
-    return out;
-}
-
-std::vector<double>
-exponentialMovingAverage(const std::vector<double> &series, double alpha)
-{
-    if (alpha <= 0.0 || alpha > 1.0)
-        panic("exponentialMovingAverage: alpha %f out of (0, 1]", alpha);
-    std::vector<double> out;
-    out.reserve(series.size());
-    double ema = 0.0;
-    for (size_t i = 0; i < series.size(); ++i) {
-        ema = (i == 0) ? series[i] : alpha * series[i] + (1.0 - alpha) * ema;
-        out.push_back(ema);
-    }
-    return out;
-}
-
-MovingAverageFilter::MovingAverageFilter(size_t window) : window_(window)
-{
-    if (window_ == 0)
-        panic("MovingAverageFilter: window must be >= 1");
-}
-
-double
-MovingAverageFilter::push(double value)
-{
-    buffer_.push_back(value);
-    sum_ += value;
-    if (buffer_.size() > window_) {
-        sum_ -= buffer_.front();
-        buffer_.pop_front();
-    }
-    return this->value();
-}
-
-double
-MovingAverageFilter::value() const
-{
-    if (buffer_.empty())
-        return 0.0;
-    return sum_ / static_cast<double>(buffer_.size());
-}
-
-void
-MovingAverageFilter::reset()
-{
-    buffer_.clear();
-    sum_ = 0.0;
 }
 
 } // namespace geo

@@ -3,18 +3,14 @@
  * Series smoothing used by the Interface Daemon (paper Section V-E).
  *
  * The paper removes small variations from ReplayDB training data with a
- * moving average and rejects the cumulative average because it erases the
- * short-term dips that signal an incoming slowdown. Both are provided
- * (the cumulative variant is used in the ablation benchmarks), plus an
- * exponential moving average that the paper discusses as the heuristic
- * alternative to a learned model.
+ * moving average and rejects the cumulative average because it erases
+ * the short-term dips that signal an incoming slowdown.
  */
 
 #ifndef GEO_UTIL_SMOOTHING_HH
 #define GEO_UTIL_SMOOTHING_HH
 
 #include <cstddef>
-#include <deque>
 #include <vector>
 
 namespace geo {
@@ -27,39 +23,6 @@ namespace geo {
  */
 std::vector<double> movingAverage(const std::vector<double> &series,
                                   size_t window);
-
-/** Cumulative average: output i is the mean of inputs 0 .. i. */
-std::vector<double> cumulativeAverage(const std::vector<double> &series);
-
-/** Exponential moving average with smoothing factor alpha in (0, 1]. */
-std::vector<double> exponentialMovingAverage(
-    const std::vector<double> &series, double alpha);
-
-/**
- * Streaming counterpart of movingAverage() for online smoothing.
- */
-class MovingAverageFilter
-{
-  public:
-    /** @param window number of trailing samples to average (>= 1). */
-    explicit MovingAverageFilter(size_t window);
-
-    /** Push one sample and return the smoothed value. */
-    double push(double value);
-
-    /** Current smoothed value (0 before any sample). */
-    double value() const;
-
-    /** Number of samples currently inside the window. */
-    size_t fill() const { return buffer_.size(); }
-
-    void reset();
-
-  private:
-    size_t window_;
-    std::deque<double> buffer_;
-    double sum_ = 0.0;
-};
 
 } // namespace geo
 

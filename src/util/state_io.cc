@@ -1,9 +1,10 @@
 #include "util/state_io.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
+
+#include "util/parse.hh"
 
 namespace geo {
 namespace util {
@@ -17,16 +18,6 @@ hexFloat(double v)
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%a", v);
     return buf;
-}
-
-bool
-parseDouble(const std::string &tok, double &out)
-{
-    if (tok.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtod(tok.c_str(), &end);
-    return end && *end == '\0';
 }
 
 } // namespace

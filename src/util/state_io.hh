@@ -81,8 +81,6 @@ class StateReader
   private:
     /** Consume one `key ` prefix; false (and latched fail) on mismatch. */
     bool expectKey(const char *key);
-    /** Read the rest of the line as whitespace-separated tokens. */
-    bool restOfLine(std::string &out);
 
     std::istream &is_;
     bool ok_ = true;

@@ -72,12 +72,6 @@ StatAccumulator::stddev() const
 }
 
 double
-StatAccumulator::sampleStddev() const
-{
-    return std::sqrt(sampleVariance());
-}
-
-double
 StatAccumulator::min() const
 {
     return count_ ? min_ : 0.0;

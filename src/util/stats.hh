@@ -43,7 +43,6 @@ class StatAccumulator
     double sampleVariance() const;
 
     double stddev() const;
-    double sampleStddev() const;
     double min() const;
     double max() const;
     double sum() const { return mean_ * static_cast<double>(count_); }

@@ -2,8 +2,10 @@
  * @file
  * Bit-identity tests for the batched scoring path: scoreLocations()
  * assembles one feature matrix per decision cycle, but every predicted
- * value must equal the scalar predictThroughput() result bitwise, for
- * both model orientations (throughput and latency targets).
+ * value must equal a plain one-row reference bitwise — normalize with
+ * the training batch's scalers, model().predict, denormalize, apply
+ * the Sec. V-G adjustment, clamp — for both model orientations
+ * (throughput and latency targets).
  */
 
 #include <gtest/gtest.h>
@@ -109,10 +111,32 @@ struct TrainedEngine
     }
 };
 
+/**
+ * The reference prediction for one (file, candidate) pair, written out
+ * independently of DrlEngine: the same training batch rebuilt for its
+ * scalers, a one-row model().predict, and the engine's Sec. V-G
+ * adjustment and clamp.
+ */
+double
+referencePrediction(TrainedEngine &fixture, const TrainingBatch &batch,
+                    const PerfRecord &latest, storage::DeviceId device)
+{
+    std::vector<double> raw = latest.featuresAt(device);
+    nn::Matrix row(1, raw.size());
+    batch.normalizeFeaturesInto(raw.data(), raw.size(), row.data().data());
+    double value = batch.denormalizeTarget(
+        fixture.engine.model().predict(row).at(0, 0));
+    if (fixture.engine.adjustSign() != 0.0)
+        value += fixture.engine.adjustSign() *
+                 fixture.engine.maeFraction() * value;
+    return value < 0.0 ? 0.0 : value;
+}
+
 void
 expectBatchedMatchesScalar(TrainedEngine &fixture)
 {
     const std::vector<storage::DeviceId> devices = {0, 1, 2, 3};
+    TrainingBatch batch = fixture.daemon.buildTrainingBatch(devices);
     std::vector<std::vector<CandidateScore>> batched =
         fixture.engine.scoreLocations(fixture.latest, devices);
     ASSERT_EQ(batched.size(), fixture.latest.size());
@@ -120,8 +144,8 @@ expectBatchedMatchesScalar(TrainedEngine &fixture)
         ASSERT_EQ(batched[f].size(), devices.size());
         for (size_t d = 0; d < devices.size(); ++d) {
             EXPECT_EQ(batched[f][d].device, devices[d]);
-            double scalar = fixture.engine.predictThroughput(
-                fixture.latest[f].featuresAt(devices[d]));
+            double scalar = referencePrediction(
+                fixture, batch, fixture.latest[f], devices[d]);
             // Bitwise, not approximate: the batched matrix walk must
             // preserve the exact per-row arithmetic.
             EXPECT_EQ(batched[f][d].predictedThroughput, scalar)
@@ -143,37 +167,6 @@ TEST(BatchedScoring, MatchesScalarLatencyTarget)
     expectBatchedMatchesScalar(fixture);
 }
 
-TEST(BatchedScoring, SingleFileMatchesScoreCandidates)
-{
-    TrainedEngine fixture(ModelTarget::Throughput);
-    const std::vector<storage::DeviceId> devices = {0, 1, 2, 3};
-    std::vector<CandidateScore> single =
-        fixture.engine.scoreCandidates(fixture.latest.front(), devices);
-    std::vector<std::vector<CandidateScore>> batched =
-        fixture.engine.scoreLocations(
-            std::vector<PerfRecord>{fixture.latest.front()}, devices);
-    ASSERT_EQ(batched.size(), 1u);
-    ASSERT_EQ(batched[0].size(), single.size());
-    for (size_t d = 0; d < single.size(); ++d) {
-        EXPECT_EQ(batched[0][d].device, single[d].device);
-        EXPECT_EQ(batched[0][d].predictedThroughput,
-                  single[d].predictedThroughput);
-    }
-}
-
-TEST(BatchedScoring, PredictBatchSingleRowMatchesScalar)
-{
-    TrainedEngine fixture(ModelTarget::Throughput);
-    std::vector<double> features =
-        fixture.latest.front().featuresAt(2);
-    nn::Matrix row(1, features.size());
-    for (size_t c = 0; c < features.size(); ++c)
-        row.at(0, c) = features[c];
-    std::vector<double> batched = fixture.engine.predictBatch(row);
-    ASSERT_EQ(batched.size(), 1u);
-    EXPECT_EQ(batched[0], fixture.engine.predictThroughput(features));
-}
-
 TEST(BatchedScoring, EmptyInputsYieldEmptyOutputs)
 {
     TrainedEngine fixture(ModelTarget::Throughput);
@@ -191,10 +184,8 @@ TEST(BatchedScoringDeathTest, PanicsBeforeRetrain)
 {
     DrlEngine engine{DrlConfig{}};
     PerfRecord rec = throughputRecord(0, 0, 5e5, 10);
-    EXPECT_DEATH(engine.scoreLocations(rec, {0, 1}),
+    EXPECT_DEATH(engine.scoreLocations({rec}, {0, 1}),
                  "before a successful retrain");
-    nn::Matrix row(1, 4);
-    EXPECT_DEATH(engine.predictBatch(row), "before a successful retrain");
 }
 
 } // namespace

@@ -205,13 +205,11 @@ PipelineOutput
 runPipeline(const std::string &dir, size_t abandonAfter, bool resume)
 {
     PipelineOutput out;
-    std::error_code ec;
     CheckpointManager manager({dir});
     std::string db_path = dir + "/replay.db";
     if (!resume) {
         manager.clear();
-        for (const char *suffix : {"", "-journal", "-wal", "-shm"})
-            std::filesystem::remove(db_path + suffix, ec);
+        ReplayDb::removeFiles(db_path);
     }
 
     auto system = storage::makeBlueskySystem(7);

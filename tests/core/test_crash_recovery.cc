@@ -289,8 +289,9 @@ TEST(CrashRecovery, DivergedRetrainRollsBackToLastGoodWeights)
     probe.rb = 1010000;
     probe.ots = 300;
     probe.cts = 301;
-    for (const CandidateScore &score :
-         engine.scoreCandidates(probe, {0, 1, 2}))
+    std::vector<std::vector<CandidateScore>> scores =
+        engine.scoreLocations({probe}, {0, 1, 2});
+    for (const CandidateScore &score : scores[0])
         EXPECT_TRUE(std::isfinite(score.predictedThroughput));
 }
 

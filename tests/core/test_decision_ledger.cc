@@ -10,6 +10,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +21,8 @@
 #include "core/geomancy.hh"
 #include "core/policies.hh"
 #include "storage/bluesky.hh"
+#include "util/fs_atomic.hh"
+#include "util/parse.hh"
 #include "util/state_io.hh"
 
 namespace geo {
@@ -41,15 +45,6 @@ struct TempDir
 
     ~TempDir() { std::filesystem::remove_all(path); }
 };
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    std::ostringstream os;
-    os << is.rdbuf();
-    return os.str();
-}
 
 /** One deterministic synthetic cycle's worth of recording calls. */
 void
@@ -121,10 +116,67 @@ TEST(DecisionLedger, RecordingOnlyIdentity)
     ASSERT_EQ(without.moveEvents.size(), with.moveEvents.size());
 
     // And the ledger actually recorded the run.
-    std::string text = slurp(dir.path + "/ledger.ndjson");
+    std::string text;
+    ASSERT_TRUE(util::readFileAll(dir.path + "/ledger.ndjson", text));
     EXPECT_NE(text.find("\"schema\":\"geo-ledger-1\""),
               std::string::npos);
     EXPECT_NE(text.find("\"t\":\"cycle\""), std::string::npos);
+}
+
+/** Every cycle's phase rows come in cycle order — a prefix of monitor,
+ *  train, propose, migrate, as far as the cycle got — and carry the
+ *  phase's guardrail budget: the configured seconds with guardrails
+ *  on, 0 with them off. */
+TEST(DecisionLedger, PhaseRowsInCycleOrderWithBudgets)
+{
+    TempDir dir("ledger_phases");
+    const std::vector<std::string> order = {"monitor", "train", "propose",
+                                            "migrate"};
+    const std::regex phase_row(
+        R"re("t":"phase","cycle":(\d+),"name":"(\w+)",)re"
+        R"re("seconds":[^,]+,"budget":([^,]+),)re");
+    for (bool enabled : {true, false}) {
+        SCOPED_TRACE(enabled ? "guardrails on" : "guardrails off");
+        std::string path = dir.path + (enabled ? "/on" : "/off");
+        auto system = storage::makeBlueskySystem(7);
+        workload::Belle2Workload workload(*system);
+        GeomancyConfig config;
+        config.drl.epochs = 4;
+        config.minHistory = 200;
+        config.explorationRate = 1.0; // every acting cycle migrates
+        config.guardrails.enabled = enabled;
+        // Budgets 1000, 2000, 3000, 4000 s in cycle order.
+        config.guardrails.monitorBudgetSeconds = 1000.0;
+        config.guardrails.trainBudgetSeconds = 2000.0;
+        config.guardrails.proposeBudgetSeconds = 3000.0;
+        config.guardrails.migrateBudgetSeconds = 4000.0;
+        Geomancy geomancy(*system, workload.files(), config);
+        geomancy.attachLedger(path);
+        for (int cycle = 0; cycle < 3; ++cycle) {
+            workload.executeRun();
+            geomancy.runCycle();
+        }
+
+        std::string text;
+        ASSERT_TRUE(util::readFileAll(path, text));
+        std::map<std::string, size_t> rows_per_cycle;
+        bool migrated = false;
+        std::sregex_iterator it(text.begin(), text.end(), phase_row), end;
+        for (; it != end; ++it) {
+            const std::smatch &row = *it;
+            size_t &index = rows_per_cycle[row[1]];
+            ASSERT_LT(index, order.size()) << row[0];
+            EXPECT_EQ(row[2], order[index]) << row[0];
+            double budget = -1.0;
+            ASSERT_TRUE(util::parseDouble(row[3], budget)) << row[0];
+            EXPECT_EQ(budget, enabled ? 1000.0 * (index + 1) : 0.0)
+                << row[0];
+            migrated = migrated || row[2] == "migrate";
+            ++index;
+        }
+        EXPECT_EQ(rows_per_cycle.size(), 3u);
+        EXPECT_TRUE(migrated);
+    }
 }
 
 /** The checkpointed byte cursor makes crash/rewind/resume ledgers
@@ -144,7 +196,8 @@ TEST(DecisionLedger, CursorExactAcrossCrashRewindResume)
         for (uint64_t cycle = 1; cycle <= 3; ++cycle)
             recordSyntheticCycle(ledger, cycle);
     }
-    std::string reference = slurp(ref_path);
+    std::string reference, recovered;
+    ASSERT_TRUE(util::readFileAll(ref_path, reference));
     ASSERT_FALSE(reference.empty());
 
     // Crashed run: checkpoint after cycle 2, then cycle 3 happens but
@@ -164,7 +217,8 @@ TEST(DecisionLedger, CursorExactAcrossCrashRewindResume)
                          std::ios::binary | std::ios::app);
         os << "{\"t\":\"cycle_start\",\"cyc"; // torn mid-append tail
     }
-    ASSERT_NE(slurp(crash_path), reference);
+    ASSERT_TRUE(util::readFileAll(crash_path, recovered));
+    ASSERT_NE(recovered, reference);
 
     // Resume: a fresh process restores the cut and replays cycle 3.
     {
@@ -174,10 +228,11 @@ TEST(DecisionLedger, CursorExactAcrossCrashRewindResume)
         ledger.loadState(reader);
         recordSyntheticCycle(ledger, 3);
     }
-    EXPECT_EQ(slurp(crash_path), reference);
+    ASSERT_TRUE(util::readFileAll(crash_path, recovered));
+    EXPECT_EQ(recovered, reference);
 
     // No sequence number repeats or gaps in the recovered file.
-    std::istringstream lines(slurp(crash_path));
+    std::istringstream lines(recovered);
     std::string line;
     uint64_t expect_seq = 0;
     bool first = true;
@@ -236,7 +291,8 @@ TEST(DecisionLedger, AppendFlushSurvivesExternalTruncation)
     DecisionLedger ledger(path);
 
     recordSyntheticCycle(ledger, 1);
-    std::string after_one = slurp(path);
+    std::string after_one;
+    ASSERT_TRUE(util::readFileAll(path, after_one));
     ASSERT_FALSE(after_one.empty());
 
     // Clobber the file behind the ledger's back.
@@ -247,7 +303,8 @@ TEST(DecisionLedger, AppendFlushSurvivesExternalTruncation)
     recordSyntheticCycle(ledger, 2);
 
     // The flush must have detected the mismatch and rewritten whole.
-    std::string text = slurp(path);
+    std::string text;
+    ASSERT_TRUE(util::readFileAll(path, text));
     EXPECT_EQ(text.compare(0, after_one.size(), after_one), 0);
     EXPECT_EQ(text.find("garbage"), std::string::npos);
     EXPECT_NE(text.find("\"cycle\":2"), std::string::npos);

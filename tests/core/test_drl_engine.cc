@@ -52,8 +52,7 @@ TEST(DrlEngine, NotReadyBeforeRetrain)
 {
     DrlEngine engine(fastConfig());
     EXPECT_FALSE(engine.ready());
-    EXPECT_DEATH(engine.predictThroughput({0, 0, 0, 0, 0, 0}),
-                 "before");
+    EXPECT_DEATH(engine.scoreLocations({PerfRecord{}}, {0}), "before");
 }
 
 TEST(DrlEngine, RetrainSkipsTinyBatches)
@@ -85,7 +84,7 @@ TEST(DrlEngine, RetrainLearnsDeviceOrdering)
     probe.ots = 300;
     probe.cts = 301;
     std::vector<CandidateScore> scores =
-        engine.scoreCandidates(probe, {0, 1, 2});
+        engine.scoreLocations({probe}, {0, 1, 2})[0];
     ASSERT_EQ(scores.size(), 3u);
     EXPECT_GT(scores[2].predictedThroughput,
               scores[0].predictedThroughput);
@@ -102,10 +101,12 @@ TEST(DrlEngine, PredictionsArePositiveThroughputs)
     probe.rb = 1000000;
     probe.ots = 10;
     probe.cts = 11;
-    for (storage::DeviceId d : {0u, 1u, 2u}) {
-        double tp = engine.predictThroughput(probe.featuresAt(d));
-        EXPECT_GE(tp, 0.0);
-        EXPECT_LT(tp, 1e4); // plausible range given targets 100-300
+    std::vector<std::vector<CandidateScore>> scores =
+        engine.scoreLocations({probe}, {0, 1, 2});
+    for (const CandidateScore &score : scores[0]) {
+        EXPECT_GE(score.predictedThroughput, 0.0);
+        // Plausible range given targets 100-300.
+        EXPECT_LT(score.predictedThroughput, 1e4);
     }
 }
 
@@ -118,7 +119,7 @@ TEST(DrlEngine, ScoreCandidatesTracksDevices)
     probe.ots = 5;
     probe.cts = 6;
     std::vector<CandidateScore> scores =
-        engine.scoreCandidates(probe, {2, 0});
+        engine.scoreLocations({probe}, {2, 0})[0];
     ASSERT_EQ(scores.size(), 2u);
     EXPECT_EQ(scores[0].device, 2u);
     EXPECT_EQ(scores[1].device, 0u);
@@ -140,8 +141,10 @@ TEST(DrlEngine, MaeAdjustmentCanBeDisabled)
     probe.rb = 1000000;
     probe.ots = 5;
     probe.cts = 6;
-    double adjusted = engine_with.predictThroughput(probe.featuresAt(1));
-    double raw = engine_without.predictThroughput(probe.featuresAt(1));
+    double adjusted =
+        engine_with.scoreLocations({probe}, {1})[0][0].predictedThroughput;
+    double raw = engine_without.scoreLocations({probe}, {1})[0][0]
+                     .predictedThroughput;
     EXPECT_NE(adjusted, raw);
 }
 

@@ -64,8 +64,10 @@ TEST(EngineEdgeCases, ConstantRewardHandledGracefully)
     ASSERT_TRUE(engine.ready());
     // The target normalizer collapses a constant column; predictions
     // denormalize back onto the constant.
+    const PerfRecord &last = records.back();
     double predicted =
-        engine.predictThroughput(records.back().features());
+        engine.scoreLocations({last}, {last.device})[0][0]
+            .predictedThroughput;
     EXPECT_NEAR(predicted, 100.0, 30.0);
 }
 
@@ -82,7 +84,7 @@ TEST(EngineEdgeCases, SingleDeviceCandidateList)
     if (stats.diverged)
         GTEST_SKIP() << "model diverged on this seed";
     std::vector<CandidateScore> scores =
-        engine.scoreCandidates(records.back(), {0});
+        engine.scoreLocations({records.back()}, {0})[0];
     ASSERT_EQ(scores.size(), 1u);
     EXPECT_EQ(scores[0].device, 0u);
     EXPECT_GE(scores[0].predictedThroughput, 0.0);
@@ -100,7 +102,7 @@ TEST(EngineEdgeCases, EmptyCandidateList)
     ASSERT_TRUE(stats.trained);
     if (stats.diverged)
         GTEST_SKIP() << "model diverged on this seed";
-    EXPECT_TRUE(engine.scoreCandidates(records.back(), {}).empty());
+    EXPECT_TRUE(engine.scoreLocations({records.back()}, {})[0].empty());
 }
 
 TEST(EngineEdgeCases, SlidingWindowRetrains)

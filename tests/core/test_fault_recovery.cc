@@ -87,7 +87,7 @@ TEST(FaultRecovery, InterruptedMoveRetriedAndCompletes)
     EXPECT_EQ(fx.system->location(fx.file), 3u);
 
     // Every attempt is visible in the ReplayDB, in order.
-    auto attempts = fx.db.attemptsForFile(fx.file, 10);
+    auto attempts = fx.db.recentMoveAttempts(10);
     ASSERT_EQ(attempts.size(), 2u);
     EXPECT_EQ(attempts[0].outcome, AttemptOutcome::Failed);
     EXPECT_EQ(attempts[0].reason, storage::MoveFail::TargetOffline);
@@ -111,7 +111,7 @@ TEST(FaultRecovery, MoveAbandonedWhenAttemptsExhausted)
     EXPECT_EQ(agent.totalAbandoned(), 1u);
     EXPECT_EQ(fx.system->location(fx.file), 0u);
 
-    auto attempts = fx.db.attemptsForFile(fx.file, 10);
+    auto attempts = fx.db.recentMoveAttempts(10);
     ASSERT_EQ(attempts.size(), 3u); // maxAttempts tries, all logged
     EXPECT_EQ(attempts.back().outcome, AttemptOutcome::Abandoned);
     EXPECT_EQ(attempts.back().attempt, 3);
@@ -135,7 +135,7 @@ TEST(FaultRecovery, MoveAbandonedAtDeadline)
     }
     EXPECT_EQ(agent.pendingRetries(), 0u);
     EXPECT_EQ(agent.totalAbandoned(), 1u);
-    auto log = fx.db.attemptsForFile(fx.file, 100);
+    auto log = fx.db.recentMoveAttempts(100);
     ASSERT_GE(log.size(), 2u);
     EXPECT_EQ(log.back().outcome, AttemptOutcome::Abandoned);
     // The deadline bit long before 100 attempts.

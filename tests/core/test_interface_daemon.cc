@@ -151,9 +151,10 @@ TEST(InterfaceDaemon, NormalizeFeaturesHelper)
                                  100.0 + i));
     daemon.receiveBatch(records);
     TrainingBatch training = daemon.buildTrainingBatch({0, 1, 2});
-    std::vector<double> normalized =
-        training.normalizeFeatures(records[10].features());
-    EXPECT_EQ(normalized.size(), kLiveFeatureCount);
+    std::vector<double> normalized = records[10].features();
+    ASSERT_EQ(normalized.size(), kLiveFeatureCount);
+    training.normalizeFeaturesInto(normalized.data(), normalized.size(),
+                                   normalized.data());
     for (double v : normalized) {
         EXPECT_GE(v, 0.0);
         EXPECT_LE(v, 1.0);

@@ -29,7 +29,7 @@ TEST(ReplayDb, StartsEmpty)
     ReplayDb db;
     EXPECT_EQ(db.accessCount(), 0);
     EXPECT_EQ(db.movementCount(), 0);
-    EXPECT_TRUE(db.recentAccesses(10).empty());
+    EXPECT_TRUE(db.recentAccessesForDevice(0, 10).empty());
 }
 
 TEST(ReplayDb, InsertAndCount)
@@ -56,7 +56,7 @@ TEST(ReplayDb, RecentAccessesOldestFirstWindow)
     for (int i = 0; i < 10; ++i)
         db.insertAccess(record(static_cast<storage::FileId>(i), 0,
                                static_cast<double>(i)));
-    std::vector<PerfRecord> recent = db.recentAccesses(3);
+    std::vector<PerfRecord> recent = db.recentAccessesForDevice(0, 3);
     ASSERT_EQ(recent.size(), 3u);
     EXPECT_EQ(recent[0].file, 7u);
     EXPECT_EQ(recent[1].file, 8u);
@@ -103,7 +103,7 @@ TEST(ReplayDb, RoundTripPreservesFields)
     original.ctms = 1;
     original.throughput = 123.456;
     db.insertAccess(original);
-    std::vector<PerfRecord> out = db.recentAccesses(1);
+    std::vector<PerfRecord> out = db.recentAccessesForDevice(3, 1);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].file, original.file);
     EXPECT_EQ(out[0].device, original.device);
@@ -158,23 +158,10 @@ TEST(ReplayDb, MovementsTimestampedAndQueryable)
     move.timestamp = 15.0;
     db.insertMovement(move);
     EXPECT_EQ(db.movementCount(), 2);
-    EXPECT_EQ(db.movementsBetween(0.0, 10.0).size(), 1u);
-    EXPECT_EQ(db.movementsBetween(0.0, 20.0).size(), 2u);
     auto recent = db.recentMovements(1);
     ASSERT_EQ(recent.size(), 1u);
     EXPECT_DOUBLE_EQ(recent[0].timestamp, 15.0);
     EXPECT_EQ(recent[0].toDevice, 2u);
-}
-
-TEST(ReplayDb, ClearRemovesEverything)
-{
-    ReplayDb db;
-    db.insertAccess(record(1, 0, 1.0));
-    MovementRecord move;
-    db.insertMovement(move);
-    db.clear();
-    EXPECT_EQ(db.accessCount(), 0);
-    EXPECT_EQ(db.movementCount(), 0);
 }
 
 TEST(ReplayDb, FileBackedPersistence)
@@ -188,7 +175,7 @@ TEST(ReplayDb, FileBackedPersistence)
     {
         ReplayDb db(path);
         EXPECT_EQ(db.accessCount(), 1);
-        std::vector<PerfRecord> out = db.recentAccesses(1);
+        std::vector<PerfRecord> out = db.recentAccessesForDevice(0, 1);
         ASSERT_EQ(out.size(), 1u);
         EXPECT_DOUBLE_EQ(out[0].throughput, 42.0);
     }

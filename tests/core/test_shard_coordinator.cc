@@ -9,13 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <sstream>
 
 #include "core/shard_coordinator.hh"
 #include "storage/bluesky.hh"
 #include "util/crc32.hh"
+#include "util/fs_atomic.hh"
 #include "workload/belle2.hh"
 
 namespace geo {
@@ -39,15 +39,6 @@ fastCoordConfig(size_t shards)
     config.shardCount = shards;
     config.base = fastConfig();
     return config;
-}
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
 }
 
 TEST(ShardCoordinator, HashPartitionStableAndComplete)
@@ -286,9 +277,11 @@ runTwinStack(const std::string &ledger_base, size_t rounds)
     coordinator.reset(); // close the ledgers before reading them
 
     std::vector<std::string> ledgers;
-    for (size_t i = 0; i < 4; ++i)
-        ledgers.push_back(
-            slurp(ShardCoordinator::ledgerPath(ledger_base, i)));
+    for (size_t i = 0; i < 4; ++i) {
+        ledgers.emplace_back();
+        util::readFileAll(ShardCoordinator::ledgerPath(ledger_base, i),
+                          ledgers.back());
+    }
     return {ledgers, os.str()};
 }
 
@@ -323,9 +316,7 @@ TEST(ShardCoordinator, CheckpointRoundTripRestoresCounters)
     // must share the database files between the two stacks.
     const std::string db_base = "coord-roundtrip.db";
     for (size_t i = 0; i < 2; ++i)
-        for (const char *suffix : {"", "-wal", "-shm"})
-            std::filesystem::remove(
-                ShardCoordinator::dbPath(db_base, i) + suffix);
+        ReplayDb::removeFiles(ShardCoordinator::dbPath(db_base, i));
     auto buildStack = [&](storage::StorageSystem &system,
                           workload::Belle2Workload &workload) {
         ShardCoordinatorConfig config = fastCoordConfig(2);
@@ -368,9 +359,7 @@ TEST(ShardCoordinator, CheckpointRoundTripRestoresCounters)
     EXPECT_EQ(os.str(), os2.str());
     b.reset();
     for (size_t i = 0; i < 2; ++i)
-        for (const char *suffix : {"", "-wal", "-shm"})
-            std::filesystem::remove(
-                ShardCoordinator::dbPath(db_base, i) + suffix);
+        ReplayDb::removeFiles(ShardCoordinator::dbPath(db_base, i));
 }
 
 TEST(ShardCoordinator, WrongShardCountSnapshotFailsLoudly)

@@ -21,12 +21,12 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <sstream>
 #include <string>
 
 #include "core/drl_engine.hh"
 #include "nn/optimizer.hh"
+#include "util/fs_atomic.hh"
 #include "util/state_io.hh"
 
 namespace geo {
@@ -37,11 +37,9 @@ std::string
 readFixture(const char *name)
 {
     const std::string path = std::string(GEO_TEST_DATA_DIR "/") + name;
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << "missing fixture " << path;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
+    std::string text;
+    EXPECT_TRUE(util::readFileAll(path, text)) << "missing fixture " << path;
+    return text;
 }
 
 TEST(CheckpointCompat, GoldenAdamStateRoundTripsByteExact)

@@ -8,6 +8,8 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "gradcheck.hh"
 #include "nn/dense_layer.hh"
@@ -25,6 +27,15 @@ struct LayerCase
     std::function<std::unique_ptr<Layer>(Rng &)> build;
     size_t inputWidth;
 };
+
+// gtest writes the parameter into every test's listed name. Without a
+// printer it dumps the struct's raw bytes, heap pointers included, so
+// the names would change from one run of the binary to the next.
+void
+PrintTo(const LayerCase &layer_case, std::ostream *os)
+{
+    *os << layer_case.name;
+}
 
 class LayerGradCheck : public testing::TestWithParam<LayerCase>
 {

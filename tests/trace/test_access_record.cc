@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 
 #include "trace/access_record.hh"
+#include "util/csv.hh"
 
 namespace geo {
 namespace trace {
@@ -138,8 +140,22 @@ TEST(AccessRecord, CsvEmptyInput)
 TEST(AccessRecord, CsvSkipsMalformedRows)
 {
     std::string csv = recordsToCsv({sampleRecord()});
-    csv += "1,2,broken\n";
-    EXPECT_EQ(recordsFromCsv(csv).size(), 1u);
+    std::ostringstream bad;
+    bad << "1,2,broken\n";
+    // Right column count, but a field no number parser may accept: the
+    // row is skipped with a warning instead of aborting the process.
+    CsvWriter writer(bad);
+    for (const auto &[column, value] :
+         std::vector<std::pair<size_t, std::string>>{
+             {0, "abc"}, {1, "-3"}, {5, "12x"}, {9, ""},
+             {11, "4294967296"}, {17, "99999999999999999999"}}) {
+        std::vector<std::string> fields = parseCsv(csv)[1];
+        fields[column] = value;
+        writer.writeRow(fields);
+    }
+    std::vector<AccessRecord> parsed = recordsFromCsv(csv + bad.str());
+    ASSERT_EQ(parsed.size(), 1u);
+    EXPECT_EQ(parsed[0].fid, sampleRecord().fid);
 }
 
 } // namespace

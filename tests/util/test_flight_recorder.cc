@@ -7,29 +7,21 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "util/flight_recorder.hh"
+#include "util/fs_atomic.hh"
 
 namespace geo {
 namespace util {
 namespace {
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    std::ostringstream os;
-    os << is.rdbuf();
-    return os.str();
-}
 
 TEST(FlightRecorder, RecordsInOrder)
 {
@@ -129,12 +121,17 @@ TEST(FlightRecorder, DumpFormat)
     recorder->record(FlightKind::SafeModeEnter, 12.5, 4);
     recorder->record(FlightKind::CrashPoint, 13.0, 2, 5);
 
-    std::string path =
-        (std::filesystem::temp_directory_path() / "geo_flight_dump.txt")
+    std::string dir =
+        (std::filesystem::temp_directory_path() / "geo_flight_dump")
             .string();
-    ASSERT_TRUE(recorder->dumpToFile(path));
-    std::string text = slurp(path);
-    std::remove(path.c_str());
+    std::filesystem::create_directories(dir);
+    recorder->setDumpDir(dir);
+    ASSERT_TRUE(recorder->crashDump("format"));
+    std::string text;
+    ASSERT_TRUE(readFileAll(
+        dir + "/flight-format-" + std::to_string(::getpid()) + ".txt",
+        text));
+    std::filesystem::remove_all(dir);
 
     std::istringstream lines(text);
     std::string header;
@@ -169,9 +166,9 @@ TEST(FlightRecorder, CrashDumpLandsInDumpDir)
         std::string name = entry.path().filename().string();
         if (name.rfind("flight-test-", 0) == 0) {
             found = true;
-            EXPECT_EQ(slurp(entry.path().string())
-                          .rfind("geo-flight-1 ", 0),
-                      0u);
+            std::string text;
+            ASSERT_TRUE(readFileAll(entry.path().string(), text));
+            EXPECT_EQ(text.rfind("geo-flight-1 ", 0), 0u);
         }
     }
     EXPECT_TRUE(found);

@@ -5,7 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "util/random.hh"
+#include <numeric>
+
 #include "util/smoothing.hh"
 
 namespace geo {
@@ -46,64 +47,6 @@ TEST(MovingAverageDeathTest, ZeroWindowPanics)
     EXPECT_DEATH(movingAverage(series, 0), "window");
 }
 
-TEST(CumulativeAverage, Known)
-{
-    std::vector<double> out = cumulativeAverage({2.0, 4.0, 6.0});
-    ASSERT_EQ(out.size(), 3u);
-    EXPECT_DOUBLE_EQ(out[0], 2.0);
-    EXPECT_DOUBLE_EQ(out[1], 3.0);
-    EXPECT_DOUBLE_EQ(out[2], 4.0);
-}
-
-TEST(ExponentialMovingAverage, AlphaOneIsIdentity)
-{
-    std::vector<double> series = {3.0, 1.0, 4.0};
-    EXPECT_EQ(exponentialMovingAverage(series, 1.0), series);
-}
-
-TEST(ExponentialMovingAverage, ConvergesToConstant)
-{
-    std::vector<double> series(100, 0.0);
-    series[0] = 1.0;
-    for (size_t i = 1; i < series.size(); ++i)
-        series[i] = 10.0;
-    std::vector<double> out = exponentialMovingAverage(series, 0.3);
-    EXPECT_NEAR(out.back(), 10.0, 1e-6);
-}
-
-TEST(ExponentialMovingAverageDeathTest, BadAlpha)
-{
-    std::vector<double> series = {1.0};
-    EXPECT_DEATH(exponentialMovingAverage(series, 0.0), "alpha");
-    EXPECT_DEATH(exponentialMovingAverage(series, 1.5), "alpha");
-}
-
-TEST(MovingAverageFilter, MatchesBatchVersion)
-{
-    Rng rng(31);
-    std::vector<double> series;
-    for (int i = 0; i < 200; ++i)
-        series.push_back(rng.uniform(0.0, 100.0));
-    for (size_t window : {1u, 3u, 8u, 50u}) {
-        MovingAverageFilter filter(window);
-        std::vector<double> batch = movingAverage(series, window);
-        for (size_t i = 0; i < series.size(); ++i)
-            EXPECT_NEAR(filter.push(series[i]), batch[i], 1e-9)
-                << "window " << window << " index " << i;
-    }
-}
-
-TEST(MovingAverageFilter, ResetClears)
-{
-    MovingAverageFilter filter(4);
-    filter.push(10.0);
-    filter.push(20.0);
-    filter.reset();
-    EXPECT_EQ(filter.fill(), 0u);
-    EXPECT_DOUBLE_EQ(filter.value(), 0.0);
-    EXPECT_DOUBLE_EQ(filter.push(6.0), 6.0);
-}
-
 /**
  * Property (paper Section V-E): a moving average keeps short-term
  * dips visible while the cumulative average washes them out.
@@ -115,7 +58,9 @@ TEST(Smoothing, MovingAverageKeepsShortTermDips)
     for (size_t i = 950; i < 1000; ++i)
         series[i] = 10.0;
     double ma = movingAverage(series, 10).back();
-    double ca = cumulativeAverage(series).back();
+    // The cumulative average at the last sample: the whole-series mean.
+    double ca = std::accumulate(series.begin(), series.end(), 0.0) /
+                static_cast<double>(series.size());
     EXPECT_LT(ma, 20.0);  // dip clearly visible
     EXPECT_GT(ca, 90.0);  // dip erased
 }

@@ -79,7 +79,7 @@ for key in ("files", "devices", "trained", "scalar_ms", "batched_ms",
 if not scoring["trained"]:
     fail("candidate_scoring model failed to train")
 if not scoring["bitwise_equal"]:
-    fail("batched scoring diverged from the scalar path")
+    fail("batched scoring diverged from one-row scoreLocations calls")
 
 cycle = doc.get("full_cycle")
 if not isinstance(cycle, dict):

@@ -46,6 +46,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -62,6 +63,7 @@
 #include "util/logging.hh"
 #include "util/metrics.hh"
 #include "util/flight_recorder.hh"
+#include "util/parse.hh"
 #include "util/state_io.hh"
 #include "util/supervise.hh"
 #include "util/table.hh"
@@ -165,18 +167,26 @@ parse(int argc, char **argv, Options &options)
                 fatal("%s needs a value", flag);
             return argv[++i];
         };
+        auto count = [&](const char *flag) -> uint64_t {
+            std::string value = next(flag);
+            uint64_t n = 0;
+            if (!util::parseU64(value, n))
+                fatal("%s '%s': expected a non-negative integer", flag,
+                      value.c_str());
+            return n;
+        };
         if (arg == "--policy")
             options.policy = next("--policy");
         else if (arg == "--runs")
-            options.runs = std::stoull(next("--runs"));
+            options.runs = count("--runs");
         else if (arg == "--warmup")
-            options.warmup = std::stoull(next("--warmup"));
+            options.warmup = count("--warmup");
         else if (arg == "--cadence")
-            options.cadence = std::stoull(next("--cadence"));
+            options.cadence = count("--cadence");
         else if (arg == "--seed")
-            options.seed = std::stoull(next("--seed"));
+            options.seed = count("--seed");
         else if (arg == "--epochs")
-            options.epochs = std::stoull(next("--epochs"));
+            options.epochs = count("--epochs");
         else if (arg == "--csv")
             options.csvPath = next("--csv");
         else if (arg == "--series")
@@ -189,37 +199,42 @@ parse(int argc, char **argv, Options &options)
             options.tracePath = next("--trace-out");
         else if (arg == "--checkpoint-dir")
             options.checkpointDir = next("--checkpoint-dir");
-        else if (arg == "--checkpoint-every")
-            options.checkpointEvery =
-                std::stoull(next("--checkpoint-every"));
-        else if (arg == "--crash-at") {
+        else if (arg == "--checkpoint-every") {
+            // A divisor of the measured-run count (`done % every`).
+            options.checkpointEvery = count("--checkpoint-every");
+            if (options.checkpointEvery == 0)
+                fatal("--checkpoint-every must be at least 1");
+        } else if (arg == "--crash-at") {
             std::string point = next("--crash-at");
             if (!storage::parseCrashPoint(point, options.crashAt))
                 fatal("unknown crash point '%s'", point.c_str());
         } else if (arg == "--crash-cycle")
-            options.crashCycle = std::stoull(next("--crash-cycle"));
+            options.crashCycle = count("--crash-cycle");
         else if (arg == "--resume")
             options.resume = true;
         else if (arg == "--max-restarts")
-            options.maxRestarts = std::stoi(next("--max-restarts"));
+            options.maxRestarts = static_cast<int>(
+                std::min<uint64_t>(count("--max-restarts"), INT_MAX));
         else if (arg == "--ledger-out")
             options.ledgerPath = next("--ledger-out");
         else if (arg == "--flight-dump-dir")
             options.flightDumpDir = next("--flight-dump-dir");
         else if (arg == "--shards")
-            options.shards = std::stoull(next("--shards"));
+            options.shards = count("--shards");
         else if (arg == "--tenants")
-            options.tenants = std::stoull(next("--tenants"));
+            options.tenants = count("--tenants");
         else if (arg == "--scheduler")
             options.scheduler = true;
         else if (arg == "--faults")
             options.faults = true;
         else if (arg == "--chaos")
             options.chaos = true;
-        else if (arg == "--force-safe-mode")
-            options.forceSafeMode =
-                std::stod(next("--force-safe-mode"));
-        else if (arg == "--quiet")
+        else if (arg == "--force-safe-mode") {
+            std::string value = next("--force-safe-mode");
+            if (!util::parseDouble(value, options.forceSafeMode))
+                fatal("--force-safe-mode '%s': expected a number",
+                      value.c_str());
+        } else if (arg == "--quiet")
             options.quiet = true;
         else if (arg == "--help" || arg == "-h") {
             usage();
@@ -279,17 +294,10 @@ runOnce(const Options &options, int attempt, bool resume)
         db_path = options.checkpointDir + "/replay.db";
         if (!resume) {
             manager->clear();
-            // The hot journal must go with the database: a stale
-            // rollback journal next to a fresh file would be replayed
-            // into it on open.
-            for (const char *suffix : {"", "-journal", "-wal", "-shm"}) {
-                std::filesystem::remove(db_path + suffix, ec);
-                for (size_t s = 0; s < options.shards; ++s)
-                    std::filesystem::remove(
-                        core::ShardCoordinator::dbPath(db_path, s) +
-                            suffix,
-                        ec);
-            }
+            core::ReplayDb::removeFiles(db_path);
+            for (size_t s = 0; s < options.shards; ++s)
+                core::ReplayDb::removeFiles(
+                    core::ShardCoordinator::dbPath(db_path, s));
         }
     }
 

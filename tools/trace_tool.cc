@@ -15,12 +15,13 @@
 
 #include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "storage/bluesky.hh"
 #include "trace/eos_trace_gen.hh"
 #include "trace/feature_select.hh"
+#include "util/fs_atomic.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
 #include "workload/trace_replay.hh"
@@ -60,7 +61,13 @@ flagInt(const std::map<std::string, std::string> &flags,
         const std::string &name, uint64_t fallback)
 {
     auto it = flags.find(name);
-    return it == flags.end() ? fallback : std::stoull(it->second);
+    if (it == flags.end())
+        return fallback;
+    uint64_t value = 0;
+    if (!util::parseU64(it->second, value))
+        fatal("--%s '%s': expected a non-negative integer", name.c_str(),
+              it->second.c_str());
+    return value;
 }
 
 std::vector<trace::AccessRecord>
@@ -69,13 +76,10 @@ loadTrace(const std::map<std::string, std::string> &flags)
     auto it = flags.find("in");
     if (it == flags.end())
         fatal("--in FILE is required");
-    std::ifstream in(it->second);
-    if (!in)
+    std::string text;
+    if (!util::readFileAll(it->second, text))
         fatal("cannot open '%s'", it->second.c_str());
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    std::vector<trace::AccessRecord> records =
-        trace::recordsFromCsv(buffer.str());
+    std::vector<trace::AccessRecord> records = trace::recordsFromCsv(text);
     if (records.empty())
         fatal("no records in '%s'", it->second.c_str());
     return records;
