@@ -232,14 +232,13 @@ main()
         struct Method
         {
             const char *name;
-            size_t window; ///< 1 = none; 0 = cumulative sentinel
+            size_t window; ///< 1 = none
         };
         for (const Method &m : {Method{"none", 1},
                                 Method{"moving average (32)", 32},
                                 Method{"moving average (8)", 8}}) {
-            setenv("GEO_SMOOTH", std::to_string(m.window).c_str(), 1);
-            bench::ModelScore score =
-                bench::scoreModelAveraged(1, people, 30, 900, 3);
+            bench::ModelScore score = bench::scoreModelAveraged(
+                1, people, 30, 900, 3, nullptr, m.window);
             table.addRow({m.name,
                           score.diverged
                               ? "Diverged"
@@ -248,7 +247,6 @@ main()
                                     score.stddevAbsRelError)});
             std::cerr << "E: " << m.name << " done\n";
         }
-        unsetenv("GEO_SMOOTH");
         table.print(std::cout);
     }
 

@@ -18,6 +18,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -184,7 +185,8 @@ BM_LedgerOverhead(benchmark::State &state)
 {
     const std::string path = "bm-ledger-overhead.ndjson";
     auto ledger = std::make_unique<core::DecisionLedger>(path);
-    std::vector<double> features{425082.0, 0.0, 28.9, 28.9, 0.0, 0.0};
+    std::array<double, core::kLiveFeatureCount> features{
+        425082.0, 0.0, 28.9, 28.9, 0.0, 0.0};
     std::vector<core::LedgerScore> scores;
     std::vector<std::pair<storage::DeviceId, std::pair<double, uint64_t>>>
         by_device;

@@ -13,7 +13,6 @@
 #include <map>
 #include <vector>
 
-#include "bench_common.hh"
 #include "core/perf_record.hh"
 #include "nn/model_zoo.hh"
 #include "storage/bluesky.hh"
@@ -78,7 +77,7 @@ buildMountDataset(const std::vector<core::PerfRecord> &records,
 {
     nn::Matrix features(records.size(), core::kLiveFeatureCount);
     for (size_t r = 0; r < records.size(); ++r) {
-        std::vector<double> row = records[r].features();
+        const auto row = records[r].features();
         for (size_t c = 0; c < row.size(); ++c)
             features.at(r, c) = row[c];
     }
@@ -140,25 +139,27 @@ struct ModelScore
  * architecture, not one initialization. Seed trials run as thread
  * pool tasks (`pool`, or the global pool when null) and are combined
  * in seed order, so the averages are worker-count independent.
+ * `smoothing` is the ReplayDB moving-average window (1 = none).
  */
 ModelScore scoreModelAveraged(int number,
                               const std::vector<core::PerfRecord> &records,
                               size_t epochs, uint64_t seed, size_t seeds,
-                              util::ThreadPool *pool = nullptr);
+                              util::ThreadPool *pool = nullptr,
+                              size_t smoothing = 32);
 
 /**
  * Train Table I model `number` on `records` and score it on the
- * held-out test split (chronological 60/20/20, as in the paper).
+ * held-out test split (chronological 60/20/20, as in the paper),
+ * smoothing the data with a `smoothing`-row moving average first.
  */
 inline ModelScore
 scoreModel(int number, const std::vector<core::PerfRecord> &records,
-           size_t epochs, uint64_t seed)
+           size_t epochs, uint64_t seed, size_t smoothing = 32)
 {
     const size_t window = nn::modelSpec(number, core::kLiveFeatureCount)
                                   .recurrent
                               ? nn::kDefaultTimesteps
                               : 1;
-    const size_t smoothing = knob("GEO_SMOOTH", 32, 32);
     trace::MinMaxNormalizer target_norm;
     nn::Dataset data =
         buildMountDataset(records, window, smoothing, target_norm);
@@ -205,7 +206,7 @@ inline ModelScore
 scoreModelAveraged(int number,
                    const std::vector<core::PerfRecord> &records,
                    size_t epochs, uint64_t seed, size_t seeds,
-                   util::ThreadPool *pool)
+                   util::ThreadPool *pool, size_t smoothing)
 {
     util::ThreadPool &workers =
         pool != nullptr ? *pool : util::ThreadPool::global();
@@ -213,8 +214,9 @@ scoreModelAveraged(int number,
     trials.reserve(seeds);
     for (size_t s = 0; s < seeds; ++s) {
         trials.push_back(workers.submit([number, &records, epochs, seed,
-                                         s]() -> ModelScore {
-            return scoreModel(number, records, epochs, seed + s * 7919);
+                                         s, smoothing]() -> ModelScore {
+            return scoreModel(number, records, epochs, seed + s * 7919,
+                              smoothing);
         }));
     }
     ModelScore averaged;

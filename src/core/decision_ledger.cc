@@ -115,7 +115,8 @@ DecisionLedger::recordPhase(const char *phase, double seconds,
 void
 DecisionLedger::recordCandidate(storage::FileId file,
                                 storage::DeviceId from,
-                                const std::vector<double> &features,
+                                const std::array<double, kLiveFeatureCount>
+                                    &features,
                                 const std::vector<LedgerScore> &scores,
                                 const std::string &verdict,
                                 storage::DeviceId to, double gain,

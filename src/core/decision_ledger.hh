@@ -39,6 +39,7 @@
 #ifndef GEO_CORE_DECISION_LEDGER_HH
 #define GEO_CORE_DECISION_LEDGER_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -129,12 +130,11 @@ class DecisionLedger
      * `to`/`gain`/`random` only appear in the row for verdicts that
      * produced a move.
      */
-    void recordCandidate(storage::FileId file, storage::DeviceId from,
-                         const std::vector<double> &features,
-                         const std::vector<LedgerScore> &scores,
-                         const std::string &verdict,
-                         storage::DeviceId to, double gain, bool random,
-                         bool moved);
+    void recordCandidate(
+        storage::FileId file, storage::DeviceId from,
+        const std::array<double, kLiveFeatureCount> &features,
+        const std::vector<LedgerScore> &scores, const std::string &verdict,
+        storage::DeviceId to, double gain, bool random, bool moved);
 
     /** One exploration move (random cycle; no scores exist). */
     void recordExploration(storage::FileId file, storage::DeviceId from,

@@ -171,7 +171,7 @@ DrlEngine::scoreLocations(const std::vector<PerfRecord> &records,
     size_t row = 0;
     for (const PerfRecord &rec : records) {
         for (storage::DeviceId device : devices) {
-            std::vector<double> raw = rec.featuresAt(device);
+            const auto raw = rec.featuresAt(device);
             batch_.normalizeFeaturesInto(
                 raw.data(), raw.size(),
                 featureScratch_.data().data() + row * z);

@@ -115,11 +115,8 @@ class Geomancy::PhaseScope
 {
   public:
     PhaseScope(Geomancy &geo, Phase phase)
-        : geo_(geo), phase_(phase), began_(geo.system_.clock().now())
-#if GEO_TRACE
-          ,
+        : geo_(geo), phase_(phase), began_(geo.system_.clock().now()),
           span_("cycle", phaseName(phase))
-#endif
     {
         geo_.guardrails_->beginPhase(phase_, began_);
         util::FlightRecorder::global().record(
@@ -146,9 +143,7 @@ class Geomancy::PhaseScope
     Geomancy &geo_;
     Phase phase_;
     double began_;
-#if GEO_TRACE
     util::ScopedSpan span_;
-#endif
 };
 
 std::vector<CheckedMove>

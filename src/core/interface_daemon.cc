@@ -92,7 +92,7 @@ InterfaceDaemon::buildTrainingBatch(
 
     nn::Matrix inputs(merged.size(), kLiveFeatureCount);
     for (size_t r = 0; r < merged.size(); ++r) {
-        std::vector<double> row = merged[r].features();
+        const auto row = merged[r].features();
         for (size_t c = 0; c < row.size(); ++c)
             inputs.at(r, c) = row[c];
     }

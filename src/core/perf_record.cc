@@ -5,13 +5,13 @@
 namespace geo {
 namespace core {
 
-std::vector<double>
+std::array<double, kLiveFeatureCount>
 PerfRecord::features() const
 {
     return featuresAt(device);
 }
 
-std::vector<double>
+std::array<double, kLiveFeatureCount>
 PerfRecord::featuresAt(storage::DeviceId candidate) const
 {
     return {

@@ -12,8 +12,8 @@
 #ifndef GEO_CORE_PERF_RECORD_HH
 #define GEO_CORE_PERF_RECORD_HH
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "storage/system.hh"
 
@@ -46,10 +46,11 @@ struct PerfRecord
      * The Z = 6 feature vector [rb, wb, ots, cts, fid, fsid], with the
      * millisecond parts folded into fractional timestamps.
      */
-    std::vector<double> features() const;
+    std::array<double, kLiveFeatureCount> features() const;
 
     /** Same features with the device column replaced by `candidate`. */
-    std::vector<double> featuresAt(storage::DeviceId candidate) const;
+    std::array<double, kLiveFeatureCount>
+    featuresAt(storage::DeviceId candidate) const;
 
     /** Build a record from a simulator observation. */
     static PerfRecord fromObservation(

@@ -72,20 +72,6 @@ activationName(Activation act)
     panic("unknown activation %d", static_cast<int>(act));
 }
 
-Activation
-activationFromName(const std::string &name)
-{
-    if (name == "linear")
-        return Activation::Linear;
-    if (name == "relu")
-        return Activation::ReLU;
-    if (name == "sigmoid")
-        return Activation::Sigmoid;
-    if (name == "tanh")
-        return Activation::Tanh;
-    panic("unknown activation name '%s'", name.c_str());
-}
-
 double
 activate(Activation act, double x)
 {
@@ -120,14 +106,6 @@ activateDerivative(Activation act, double x)
       }
     }
     panic("unknown activation %d", static_cast<int>(act));
-}
-
-Matrix
-applyActivation(Activation act, const Matrix &input)
-{
-    if (act == Activation::Linear)
-        return input;
-    return input.map([act](double x) { return activate(act, x); });
 }
 
 void

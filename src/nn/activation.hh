@@ -28,12 +28,6 @@ enum class Activation {
 /** Short lowercase name ("relu", "linear", ...). */
 std::string activationName(Activation act);
 
-/** Parse an activation name; panics on unknown names. */
-Activation activationFromName(const std::string &name);
-
-/** Apply the activation elementwise. */
-Matrix applyActivation(Activation act, const Matrix &input);
-
 /** Apply the activation in place (no temporary matrix). */
 void applyActivationInPlace(Activation act, Matrix &values);
 

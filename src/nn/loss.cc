@@ -1,7 +1,5 @@
 #include "nn/loss.hh"
 
-#include <cmath>
-
 #include "util/logging.hh"
 
 namespace geo {
@@ -54,16 +52,6 @@ MseLoss::gradientInto(const Matrix &predictions, const Matrix &targets,
     for (size_t i = 0; i < predictions.size(); ++i)
         out.data()[i] =
             (predictions.data()[i] - targets.data()[i]) * scale;
-}
-
-double
-MaeLoss::value(const Matrix &predictions, const Matrix &targets)
-{
-    checkShapes(predictions, targets, "MaeLoss::value");
-    double total = 0.0;
-    for (size_t i = 0; i < predictions.size(); ++i)
-        total += std::fabs(predictions.data()[i] - targets.data()[i]);
-    return total / static_cast<double>(predictions.size());
 }
 
 } // namespace nn

@@ -29,16 +29,6 @@ class MseLoss
                              const Matrix &targets, Matrix &out);
 };
 
-/**
- * Mean absolute error (used for reporting and the paper's MAE-based
- * prediction adjustment, Section V-G).
- */
-class MaeLoss
-{
-  public:
-    static double value(const Matrix &predictions, const Matrix &targets);
-};
-
 } // namespace nn
 } // namespace geo
 

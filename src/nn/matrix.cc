@@ -745,14 +745,6 @@ Matrix::operator*=(double scalar)
     return *this;
 }
 
-Matrix
-Matrix::addRowBroadcast(const Matrix &rowvec) const
-{
-    Matrix out = *this;
-    out.addRowBroadcastInPlace(rowvec);
-    return out;
-}
-
 Matrix &
 Matrix::addRowBroadcastInPlace(const Matrix &rowvec)
 {

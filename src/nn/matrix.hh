@@ -138,7 +138,6 @@ class Matrix
     Matrix &operator*=(double scalar);
 
     /** Add a 1 x cols row vector to every row (bias broadcast). */
-    Matrix addRowBroadcast(const Matrix &row) const;
     Matrix &addRowBroadcastInPlace(const Matrix &row);
 
     /** Column-wise sums as a 1 x cols matrix. */

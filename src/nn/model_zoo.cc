@@ -165,12 +165,6 @@ allModelSpecs(size_t z)
     return specs;
 }
 
-size_t
-modelInputWidth(int number, size_t z, size_t timesteps)
-{
-    return modelSpec(number, z).recurrent ? z * timesteps : z;
-}
-
 Sequential
 buildModel(int number, size_t z, Rng &rng, size_t timesteps)
 {

@@ -59,13 +59,6 @@ std::vector<ModelSpec> allModelSpecs(size_t z);
 Sequential buildModel(int number, size_t z, Rng &rng,
                       size_t timesteps = kDefaultTimesteps);
 
-/**
- * Width of the input row model `number` expects: z for dense models,
- * z * timesteps for recurrent ones.
- */
-size_t modelInputWidth(int number, size_t z,
-                       size_t timesteps = kDefaultTimesteps);
-
 } // namespace nn
 } // namespace geo
 

@@ -1,28 +1,14 @@
 #include "nn/optimizer.hh"
 
 #include <cmath>
-#include <cstddef>
 
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace geo {
 namespace nn {
 
-void
-Optimizer::saveState(util::StateWriter &w) const
-{
-    w.f64("opt.lr", lr_);
-}
-
-void
-Optimizer::loadState(util::StateReader &r)
-{
-    lr_ = r.f64("opt.lr");
-}
-
 SgdOptimizer::SgdOptimizer(double lr, double clip_norm)
-    : Optimizer(lr), clipNorm_(clip_norm)
+    : lr_(lr), clipNorm_(clip_norm)
 {
 }
 
@@ -54,140 +40,16 @@ SgdOptimizer::step(const std::vector<Matrix *> &params,
     }
 }
 
-AdamOptimizer::AdamOptimizer(double lr, double beta1, double beta2,
-                             double epsilon)
-    : Optimizer(lr), beta1_(beta1), beta2_(beta2), epsilon_(epsilon)
-{
-}
-
-namespace {
-
-/** Moment-array elements below which a parallel Adam step cannot pay
- *  for its dispatch. */
-constexpr size_t kAdamParallelMinElems = 32768;
-
-} // namespace
-
 void
-AdamOptimizer::step(const std::vector<Matrix *> &params,
-                    const std::vector<Matrix *> &grads)
+SgdOptimizer::saveState(util::StateWriter &w) const
 {
-    if (params.size() != grads.size())
-        panic("AdamOptimizer::step: %zu params vs %zu grads", params.size(),
-              grads.size());
-    if (shapes_.empty() && !params.empty()) {
-        size_t total = 0;
-        for (const Matrix *p : params) {
-            shapes_.emplace_back(p->rows(), p->cols());
-            offsets_.push_back(total);
-            total += p->size();
-        }
-        mFlat_.assign(total, 0.0);
-        vFlat_.assign(total, 0.0);
-    }
-    if (shapes_.size() != params.size())
-        panic("AdamOptimizer::step: parameter list changed size");
-    ++t_;
-    const double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-    const double bias2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-    util::ThreadPool &pool = util::ThreadPool::global();
-    for (size_t i = 0; i < params.size(); ++i) {
-        Matrix &pm = *params[i];
-        const Matrix &gm = *grads[i];
-        if (pm.rows() != shapes_[i].first ||
-            pm.cols() != shapes_[i].second || gm.rows() != pm.rows() ||
-            gm.cols() != pm.cols())
-            panic("AdamOptimizer::step: shape mismatch at tensor %zu", i);
-        double *__restrict p = pm.data().data();
-        const double *__restrict g = gm.data().data();
-        double *__restrict m = mFlat_.data() + offsets_[i];
-        double *__restrict v = vFlat_.data() + offsets_[i];
-        const size_t len = pm.size();
-        // Fused single pass: moment update, bias correction and the
-        // parameter step per element, with the exact operation order
-        // of the original per-matrix loops (store-then-read of the
-        // moments replaced by equivalent locals).
-        auto update = [&](size_t begin, size_t end) {
-            for (size_t j = begin; j < end; ++j) {
-                const double grad = g[j];
-                const double mj = beta1_ * m[j] + (1.0 - beta1_) * grad;
-                const double vj =
-                    beta2_ * v[j] + (1.0 - beta2_) * grad * grad;
-                m[j] = mj;
-                v[j] = vj;
-                const double mhat = mj / bias1;
-                const double vhat = vj / bias2;
-                p[j] -= lr_ * mhat / (std::sqrt(vhat) + epsilon_);
-            }
-        };
-        if (pool.workerCount() > 1 && len >= kAdamParallelMinElems) {
-            // Per-element updates are independent, so chunk boundaries
-            // cannot change results.
-            pool.parallelFor(len, kAdamParallelMinElems / 4,
-                             [&](size_t, size_t begin, size_t end) {
-                                 update(begin, end);
-                             });
-        } else {
-            update(0, len);
-        }
-    }
+    w.f64("opt.lr", lr_);
 }
 
 void
-AdamOptimizer::saveState(util::StateWriter &w) const
+SgdOptimizer::loadState(util::StateReader &r)
 {
-    Optimizer::saveState(w);
-    w.u64("adam.t", t_);
-    w.u64("adam.tensors", shapes_.size());
-    // Re-emit the original per-tensor record layout from the flat
-    // arrays so pre-existing geo-ckpt-1 payloads stay byte-compatible.
-    std::vector<double> tmp;
-    for (size_t i = 0; i < shapes_.size(); ++i) {
-        const auto off = static_cast<std::ptrdiff_t>(offsets_[i]);
-        const auto len = static_cast<std::ptrdiff_t>(shapes_[i].first *
-                                                     shapes_[i].second);
-        w.u64("adam.rows", shapes_[i].first);
-        w.u64("adam.cols", shapes_[i].second);
-        tmp.assign(mFlat_.begin() + off, mFlat_.begin() + off + len);
-        w.f64Vec("adam.m", tmp);
-        tmp.assign(vFlat_.begin() + off, vFlat_.begin() + off + len);
-        w.f64Vec("adam.v", tmp);
-    }
-}
-
-void
-AdamOptimizer::loadState(util::StateReader &r)
-{
-    Optimizer::loadState(r);
-    t_ = r.u64("adam.t");
-    size_t tensors = r.u64("adam.tensors");
-    mFlat_.clear();
-    vFlat_.clear();
-    shapes_.clear();
-    offsets_.clear();
-    for (size_t i = 0; i < tensors && r.ok(); ++i) {
-        size_t rows = r.u64("adam.rows");
-        size_t cols = r.u64("adam.cols");
-        std::vector<double> m = r.f64Vec("adam.m");
-        std::vector<double> v = r.f64Vec("adam.v");
-        if (!r.ok())
-            break;
-        if (m.size() != rows * cols || v.size() != rows * cols) {
-            r.fail("adam moment tensor size mismatch");
-            break;
-        }
-        shapes_.emplace_back(rows, cols);
-        offsets_.push_back(mFlat_.size());
-        mFlat_.insert(mFlat_.end(), m.begin(), m.end());
-        vFlat_.insert(vFlat_.end(), v.begin(), v.end());
-    }
-    if (!r.ok()) {
-        mFlat_.clear();
-        vFlat_.clear();
-        shapes_.clear();
-        offsets_.clear();
-        t_ = 0;
-    }
+    lr_ = r.f64("opt.lr");
 }
 
 } // namespace nn

@@ -1,17 +1,15 @@
 /**
  * @file
- * Gradient-descent optimizers.
+ * Gradient-descent optimizer.
  *
  * The paper trains all Table I models with plain SGD (it reports that
- * Adam gave worse relative error on this problem); both are provided so
- * the claim can be reproduced as an ablation.
+ * Adam gave worse relative error on this problem), so SGD is the one
+ * optimizer the stack carries.
  */
 
 #ifndef GEO_NN_OPTIMIZER_HH
 #define GEO_NN_OPTIMIZER_HH
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "nn/matrix.hh"
@@ -21,12 +19,16 @@ namespace geo {
 namespace nn {
 
 /**
- * Base optimizer: applies gradients to index-aligned parameter lists.
+ * Plain stochastic gradient descent with optional gradient clipping.
+ *
+ * Clipping (by global norm) keeps the ReLU recurrent models of Table I
+ * from diverging instantly; models that still diverge are reported as
+ * "Diverged", as in the paper.
  */
-class Optimizer
+class SgdOptimizer
 {
   public:
-    virtual ~Optimizer() = default;
+    explicit SgdOptimizer(double lr = 0.01, double clip_norm = 0.0);
 
     /**
      * Apply one update step.
@@ -34,88 +36,18 @@ class Optimizer
      * @param params parameter tensors (updated in place).
      * @param grads gradient tensors, index-aligned with params.
      */
-    virtual void step(const std::vector<Matrix *> &params,
-                      const std::vector<Matrix *> &grads) = 0;
+    void step(const std::vector<Matrix *> &params,
+              const std::vector<Matrix *> &grads);
 
-    virtual std::string name() const = 0;
+    /** Serialize the learning rate (`opt.lr`) for checkpointing. */
+    void saveState(util::StateWriter &w) const;
 
-    /**
-     * Serialize mutable optimizer state (not configuration) for
-     * checkpointing. Stateless optimizers inherit the base no-op.
-     */
-    virtual void saveState(util::StateWriter &w) const;
+    /** Restore state written by saveState. */
+    void loadState(util::StateReader &r);
 
-    /** Restore state written by saveState on an identically-configured
-     *  optimizer. */
-    virtual void loadState(util::StateReader &r);
-
-    double learningRate() const { return lr_; }
-    void setLearningRate(double lr) { lr_ = lr; }
-
-  protected:
-    explicit Optimizer(double lr) : lr_(lr) {}
+  private:
     double lr_;
-};
-
-/**
- * Plain stochastic gradient descent with optional gradient clipping.
- *
- * Clipping (by global norm) keeps the ReLU recurrent models of Table I
- * from diverging instantly; models that still diverge are reported as
- * "Diverged", as in the paper.
- */
-class SgdOptimizer : public Optimizer
-{
-  public:
-    explicit SgdOptimizer(double lr = 0.01, double clip_norm = 0.0);
-
-    void step(const std::vector<Matrix *> &params,
-              const std::vector<Matrix *> &grads) override;
-
-    std::string name() const override { return "sgd"; }
-
-  private:
     double clipNorm_;
-};
-
-/**
- * Adam optimizer (Kingma & Ba 2015).
- *
- * The first/second moments are packed per tensor into two contiguous
- * arrays so the update is one fused pass per parameter tensor (and can
- * be row-chunked across the thread pool for very large tensors — the
- * per-element update is independent, so chunking cannot change
- * results). Checkpoints still serialize the per-tensor
- * rows/cols/m/v records of the original format, reconstructed from
- * the flat arrays, so `geo-ckpt-1` payloads round-trip unchanged.
- */
-class AdamOptimizer : public Optimizer
-{
-  public:
-    explicit AdamOptimizer(double lr = 0.001, double beta1 = 0.9,
-                           double beta2 = 0.999, double epsilon = 1e-8);
-
-    void step(const std::vector<Matrix *> &params,
-              const std::vector<Matrix *> &grads) override;
-
-    std::string name() const override { return "adam"; }
-
-    /** Step counter and first/second moment tensors. */
-    void saveState(util::StateWriter &w) const override;
-    void loadState(util::StateReader &r) override;
-
-  private:
-    double beta1_;
-    double beta2_;
-    double epsilon_;
-    size_t t_ = 0;
-    // Flat-packed moments; tensor i occupies [offsets_[i],
-    // offsets_[i] + rows*cols) in both arrays, in parameter-list
-    // order. shapes_ keeps (rows, cols) for serialization.
-    std::vector<double> mFlat_;
-    std::vector<double> vFlat_;
-    std::vector<std::pair<size_t, size_t>> shapes_;
-    std::vector<size_t> offsets_;
 };
 
 } // namespace nn

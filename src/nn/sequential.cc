@@ -147,7 +147,7 @@ Sequential::parameterCount()
 
 double
 Sequential::trainBatch(const Matrix &inputs, const Matrix &targets,
-                       Optimizer &opt)
+                       SgdOptimizer &opt)
 {
     zeroGrad();
     const Matrix &predictions = runForward(inputs, /*training=*/true);
@@ -160,7 +160,7 @@ Sequential::trainBatch(const Matrix &inputs, const Matrix &targets,
 
 TrainResult
 Sequential::train(const Dataset &train_data, const Dataset &validation,
-                  Optimizer &opt, const TrainOptions &options)
+                  SgdOptimizer &opt, const TrainOptions &options)
 {
     if (train_data.empty())
         panic("Sequential::train: empty training set");

@@ -109,11 +109,11 @@ class Sequential
      * @param options epoch/batch configuration.
      */
     TrainResult train(const Dataset &train, const Dataset &validation,
-                      Optimizer &opt, const TrainOptions &options);
+                      SgdOptimizer &opt, const TrainOptions &options);
 
     /** One gradient step on a single batch; returns the batch loss. */
     double trainBatch(const Matrix &inputs, const Matrix &targets,
-                      Optimizer &opt);
+                      SgdOptimizer &opt);
 
     /** MSE over a dataset. */
     double evaluate(const Dataset &data);

@@ -1,6 +1,5 @@
 #include "nn/serialize.hh"
 
-#include <fstream>
 #include <sstream>
 
 #include "util/fs_atomic.hh"
@@ -87,20 +86,11 @@ bool
 saveWeightsFile(Sequential &model, const std::string &path)
 {
     // Stage in memory and publish atomically: a writer killed mid-save
-    // must not leave a truncated file that loadWeightsFile half-parses.
+    // must not leave a truncated file that loadWeights half-parses.
     std::ostringstream os;
     if (!saveWeights(model, os))
         return false;
     return util::writeFileAtomic(path, os.str());
-}
-
-bool
-loadWeightsFile(Sequential &model, const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is)
-        return false;
-    return loadWeights(model, is);
 }
 
 } // namespace nn

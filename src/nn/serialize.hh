@@ -34,9 +34,6 @@ bool loadWeights(Sequential &model, std::istream &is);
 /** Save to a file path. */
 bool saveWeightsFile(Sequential &model, const std::string &path);
 
-/** Load from a file path. */
-bool loadWeightsFile(Sequential &model, const std::string &path);
-
 } // namespace nn
 } // namespace geo
 

@@ -141,14 +141,6 @@ StorageDevice::release(uint64_t bytes)
 }
 
 void
-StorageDevice::resetStats()
-{
-    throughputStats_.reset();
-    accessCount_ = 0;
-    failedAccessCount_ = 0;
-}
-
-void
 StorageDevice::saveState(util::StateWriter &w) const
 {
     w.u64("dev.used_bytes", usedBytes_);

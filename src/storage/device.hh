@@ -139,8 +139,6 @@ class StorageDevice
     /** Number of failed accesses (fault injection). */
     uint64_t failedAccessCount() const { return failedAccessCount_; }
 
-    void resetStats();
-
     /**
      * Serialize every mutable field (usage, contention decay state,
      * stats, availability, the writable flag). Configuration is not

@@ -226,18 +226,6 @@ FaultInjector::shouldFailAccess(DeviceId device)
     return fail;
 }
 
-double
-FaultInjector::errorProbability(DeviceId device) const
-{
-    return device < errorProb_.size() ? errorProb_[device] : 0.0;
-}
-
-double
-FaultInjector::corruptProbability(DeviceId device) const
-{
-    return device < corruptProb_.size() ? corruptProb_[device] : 0.0;
-}
-
 bool
 FaultInjector::mutateTelemetry(AccessObservation &obs,
                                bool &emit_duplicate)

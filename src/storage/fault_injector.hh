@@ -145,9 +145,6 @@ class FaultInjector
      */
     bool shouldFailAccess(DeviceId device);
 
-    /** Active per-access failure probability of a device. */
-    double errorProbability(DeviceId device) const;
-
     /**
      * Apply any active telemetry faults to one observation, in place:
      * StaleTelemetry shifts its timestamps into the past, ClockSkew
@@ -159,9 +156,6 @@ class FaultInjector
      * clean runs stay byte-identical. @return true when `obs` changed.
      */
     bool mutateTelemetry(AccessObservation &obs, bool &emit_duplicate);
-
-    /** Active per-observation corruption probability of a device. */
-    double corruptProbability(DeviceId device) const;
 
     /** Transient failures injected so far (outages not counted). */
     uint64_t injectedFailures() const { return injectedFailures_; }

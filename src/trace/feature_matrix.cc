@@ -19,15 +19,6 @@ buildFeatureMatrix(const std::vector<AccessRecord> &records,
     return out;
 }
 
-nn::Matrix
-buildThroughputTargets(const std::vector<AccessRecord> &records)
-{
-    nn::Matrix out(records.size(), 1);
-    for (size_t r = 0; r < records.size(); ++r)
-        out.at(r, 0) = records[r].throughput();
-    return out;
-}
-
 double
 PreparedData::denormalizeTarget(double normalized) const
 {

@@ -55,9 +55,6 @@ struct PreparedData
 nn::Matrix buildFeatureMatrix(const std::vector<AccessRecord> &records,
                               const std::vector<std::string> &features);
 
-/** Raw throughput column (records.size() x 1). */
-nn::Matrix buildThroughputTargets(const std::vector<AccessRecord> &records);
-
 /**
  * Full pipeline: features -> smoothing -> normalization -> windowing.
  *

@@ -40,56 +40,14 @@ PathEncoder::encode(const std::string &path)
         return 0;
     uint64_t code = 0;
     for (const std::string &part : parts) {
-        auto [it, inserted] =
-            toIndex_.try_emplace(part, toName_.size() + 1);
-        if (inserted)
-            toName_.push_back(part);
-        uint64_t index = it->second;
+        uint64_t index =
+            toIndex_.try_emplace(part, toIndex_.size() + 1).first->second;
         if (index >= radix_)
             panic("PathEncoder: dictionary overflowed radix %llu",
                   static_cast<unsigned long long>(radix_));
         code = code * radix_ + index;
     }
     return code;
-}
-
-uint64_t
-PathEncoder::encodeReadOnly(const std::string &path) const
-{
-    std::vector<std::string> parts = splitPath(path);
-    if (parts.empty())
-        return 0;
-    uint64_t code = 0;
-    for (const std::string &part : parts) {
-        auto it = toIndex_.find(part);
-        if (it == toIndex_.end())
-            return 0;
-        code = code * radix_ + it->second;
-    }
-    return code;
-}
-
-std::string
-PathEncoder::decode(uint64_t code) const
-{
-    if (code == 0)
-        return "";
-    // Peel indices off the low end; they come out deepest-level first.
-    std::vector<uint64_t> indices;
-    while (code > 0) {
-        indices.push_back(code % radix_);
-        code /= radix_;
-    }
-    std::string path;
-    for (size_t level = indices.size(); level-- > 0;) {
-        uint64_t index = indices[level];
-        if (index == 0 || index > toName_.size())
-            return "";
-        if (!path.empty())
-            path += '/';
-        path += toName_[index - 1];
-    }
-    return path;
 }
 
 } // namespace trace

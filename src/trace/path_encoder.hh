@@ -27,7 +27,7 @@ namespace trace {
  * Component indices start at 1 and are assigned in first-seen order
  * from a single dictionary shared by all levels (matching the paper's
  * example). Codes pack one level per `radix` slot, so they are
- * decodable and prefix-ordered as long as fewer than radix distinct
+ * unique and prefix-ordered as long as fewer than radix distinct
  * component names exist.
  */
 class PathEncoder
@@ -42,17 +42,8 @@ class PathEncoder
      */
     uint64_t encode(const std::string &path);
 
-    /**
-     * Encode without mutating the dictionary.
-     * @return the code, or 0 if any component is unknown.
-     */
-    uint64_t encodeReadOnly(const std::string &path) const;
-
-    /** Decode a code back to a path (inverse of encode). */
-    std::string decode(uint64_t code) const;
-
     /** Number of distinct component names seen so far. */
-    size_t dictionarySize() const { return toName_.size(); }
+    size_t dictionarySize() const { return toIndex_.size(); }
 
     uint64_t radix() const { return radix_; }
 
@@ -62,7 +53,6 @@ class PathEncoder
   private:
     uint64_t radix_;
     std::map<std::string, uint64_t> toIndex_;
-    std::vector<std::string> toName_; ///< index-1 -> name
 };
 
 } // namespace trace

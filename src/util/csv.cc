@@ -1,6 +1,5 @@
 #include "util/csv.hh"
 
-#include <cstdio>
 #include <sstream>
 
 namespace geo {
@@ -14,19 +13,6 @@ CsvWriter::writeRow(const std::vector<std::string> &fields)
         if (i)
             os_ << ',';
         os_ << csvEscape(fields[i]);
-    }
-    os_ << '\n';
-}
-
-void
-CsvWriter::writeNumericRow(const std::vector<double> &values)
-{
-    char buf[64];
-    for (size_t i = 0; i < values.size(); ++i) {
-        if (i)
-            os_ << ',';
-        std::snprintf(buf, sizeof(buf), "%.17g", values[i]);
-        os_ << buf;
     }
     os_ << '\n';
 }

@@ -23,9 +23,6 @@ class CsvWriter
     /** Write one row, quoting fields as needed. */
     void writeRow(const std::vector<std::string> &fields);
 
-    /** Write a row of doubles with full round-trip precision. */
-    void writeNumericRow(const std::vector<double> &values);
-
   private:
     std::ostream &os_;
 };

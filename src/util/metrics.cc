@@ -6,6 +6,7 @@
 #include <limits>
 #include <sstream>
 
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace geo {
@@ -56,19 +57,6 @@ jsonNumber(double v)
         std::string candidate = strprintf("%.*g", precision, v);
         if (std::stod(candidate) == v)
             return candidate;
-    }
-    return out;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
     }
     return out;
 }

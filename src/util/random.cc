@@ -129,31 +129,4 @@ Rng::chance(double p)
     return uniform() < p;
 }
 
-size_t
-Rng::weightedIndex(const std::vector<double> &weights)
-{
-    double total = 0.0;
-    for (double w : weights) {
-        if (w < 0.0)
-            panic("weightedIndex: negative weight %f", w);
-        total += w;
-    }
-    if (total <= 0.0)
-        panic("weightedIndex: all weights are zero");
-    double mark = uniform() * total;
-    double cum = 0.0;
-    for (size_t i = 0; i < weights.size(); ++i) {
-        cum += weights[i];
-        if (mark < cum)
-            return i;
-    }
-    return weights.size() - 1;
-}
-
-Rng
-Rng::fork()
-{
-    return Rng((*this)());
-}
-
 } // namespace geo

@@ -66,9 +66,6 @@ class Rng
     /** Bernoulli trial with success probability p. */
     bool chance(double p);
 
-    /** Sample an index from non-negative weights (at least one > 0). */
-    size_t weightedIndex(const std::vector<double> &weights);
-
     /** Fisher-Yates shuffle of a vector. */
     template <typename T>
     void
@@ -80,9 +77,6 @@ class Rng
             std::swap(items[i - 1], items[j]);
         }
     }
-
-    /** Fork a statistically independent child generator. */
-    Rng fork();
 
     /**
      * Complete serializable generator state.

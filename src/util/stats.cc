@@ -23,46 +23,12 @@ StatAccumulator::add(double value)
     m2_ += delta * (value - mean_);
 }
 
-void
-StatAccumulator::merge(const StatAccumulator &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    double na = static_cast<double>(count_);
-    double nb = static_cast<double>(other.count_);
-    double delta = other.mean_ - mean_;
-    double total = na + nb;
-    mean_ += delta * nb / total;
-    m2_ += other.m2_ + delta * delta * na * nb / total;
-    count_ += other.count_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-}
-
-void
-StatAccumulator::reset()
-{
-    *this = StatAccumulator();
-}
-
 double
 StatAccumulator::variance() const
 {
     if (count_ < 2)
         return 0.0;
     return m2_ / static_cast<double>(count_);
-}
-
-double
-StatAccumulator::sampleVariance() const
-{
-    if (count_ < 2)
-        return 0.0;
-    return m2_ / static_cast<double>(count_ - 1);
 }
 
 double
@@ -81,33 +47,6 @@ double
 StatAccumulator::max() const
 {
     return count_ ? max_ : 0.0;
-}
-
-void
-PercentileTracker::add(double value)
-{
-    samples_.push_back(value);
-    sorted_ = false;
-}
-
-double
-PercentileTracker::percentile(double p) const
-{
-    if (samples_.empty())
-        panic("percentile of empty tracker");
-    if (p < 0.0 || p > 100.0)
-        panic("percentile %f out of [0, 100]", p);
-    if (!sorted_) {
-        std::sort(samples_.begin(), samples_.end());
-        sorted_ = true;
-    }
-    if (samples_.size() == 1)
-        return samples_.front();
-    double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
-    size_t lo = static_cast<size_t>(rank);
-    size_t hi = std::min(lo + 1, samples_.size() - 1);
-    double frac = rank - static_cast<double>(lo);
-    return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
 }
 
 double

@@ -27,20 +27,11 @@ class StatAccumulator
     /** Add one sample. */
     void add(double value);
 
-    /** Merge another accumulator into this one. */
-    void merge(const StatAccumulator &other);
-
-    /** Remove all samples. */
-    void reset();
-
     size_t count() const { return count_; }
     double mean() const { return count_ ? mean_ : 0.0; }
 
     /** Population variance (N denominator); 0 with fewer than 2 samples. */
     double variance() const;
-
-    /** Sample variance (N-1 denominator); 0 with fewer than 2 samples. */
-    double sampleVariance() const;
 
     double stddev() const;
     double min() const;
@@ -75,28 +66,6 @@ class StatAccumulator
     double m2_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-};
-
-/**
- * Reservoir of samples supporting percentile queries.
- *
- * Keeps every sample (suitable for experiment-sized series); percentile
- * uses linear interpolation between closest ranks.
- */
-class PercentileTracker
-{
-  public:
-    void add(double value);
-    size_t count() const { return samples_.size(); }
-
-    /** Percentile p in [0, 100]; requires at least one sample. */
-    double percentile(double p) const;
-
-    double median() const { return percentile(50.0); }
-
-  private:
-    mutable std::vector<double> samples_;
-    mutable bool sorted_ = true;
 };
 
 /**

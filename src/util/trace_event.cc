@@ -95,7 +95,7 @@ TraceCollector::completeEvent(const char *cat, const char *name,
 {
     if (!enabled())
         return;
-    push({cat, name, ts, dur, 0.0, currentTid(), 'X', domain});
+    push({cat, name, ts, dur, currentTid(), 'X', domain});
 }
 
 void
@@ -104,16 +104,7 @@ TraceCollector::instantEvent(const char *cat, const char *name,
 {
     if (!enabled())
         return;
-    push({cat, name, ts, 0.0, 0.0, currentTid(), 'i', domain});
-}
-
-void
-TraceCollector::counterEvent(const char *name, TimeDomain domain,
-                             double ts, double value)
-{
-    if (!enabled())
-        return;
-    push({"counter", name, ts, 0.0, value, currentTid(), 'C', domain});
+    push({cat, name, ts, 0.0, currentTid(), 'i', domain});
 }
 
 size_t
@@ -155,9 +146,6 @@ TraceCollector::toJson() const
             out << ",\"dur\":" << traceNumber(event.dur * scale);
         else if (event.phase == 'i')
             out << ",\"s\":\"t\"";
-        else if (event.phase == 'C')
-            out << ",\"args\":{\"value\":" << traceNumber(event.value)
-                << "}";
         out << "}";
     }
     out << "\n],\"displayTimeUnit\":\"ms\"}\n";
@@ -236,14 +224,8 @@ TraceCollector::crashFlushTo(int fd) const
         if (event.phase == 'X')
             len = std::snprintf(buf, sizeof buf, ",\"dur\":%.6g}",
                                 event.dur * scale);
-        else if (event.phase == 'i')
-            len = std::snprintf(buf, sizeof buf, ",\"s\":\"t\"}");
-        else if (event.phase == 'C')
-            len = std::snprintf(buf, sizeof buf,
-                                ",\"args\":{\"value\":%.6g}}",
-                                event.value);
         else
-            len = std::snprintf(buf, sizeof buf, "}");
+            len = std::snprintf(buf, sizeof buf, ",\"s\":\"t\"}");
         if (!writeAll(fd, buf, len))
             return false;
     }

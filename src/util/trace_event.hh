@@ -19,19 +19,10 @@
  * dropped and counted (a truncated trace beats a perturbed benchmark).
  * Event names/categories must be string literals (the collector stores
  * the pointers).
- *
- * The GEO_TRACE compile gate (CMake option, default ON) removes the
- * instrumentation macros entirely: with -DGEO_TRACE=0 every GEO_SPAN /
- * GEO_SIM_SPAN / GEO_TRACE_INSTANT expands to nothing, proving the
- * instrumented hot paths cost nothing when tracing is compiled out.
  */
 
 #ifndef GEO_UTIL_TRACE_EVENT_HH
 #define GEO_UTIL_TRACE_EVENT_HH
-
-#ifndef GEO_TRACE
-#define GEO_TRACE 1
-#endif
 
 #include <atomic>
 #include <cstddef>
@@ -86,10 +77,6 @@ class TraceCollector
     void instantEvent(const char *cat, const char *name,
                       TimeDomain domain, double ts);
 
-    /** Record a counter sample ("ph":"C"). Units as completeEvent. */
-    void counterEvent(const char *name, TimeDomain domain, double ts,
-                      double value);
-
     /** Events currently buffered. */
     size_t eventCount() const;
 
@@ -141,10 +128,9 @@ class TraceCollector
         const char *cat;
         const char *name;
         double ts;    ///< host: us; sim: seconds
-        double dur;   ///< span length (same unit as ts)
-        double value; ///< counter events
+        double dur; ///< span length (same unit as ts)
         uint32_t tid;
-        char phase; ///< 'X' span, 'i' instant, 'C' counter
+        char phase; ///< 'X' span, 'i' instant
         TimeDomain domain;
     };
 
@@ -217,7 +203,6 @@ traceInstant(const char *cat, const char *name, TimeDomain domain,
 } // namespace util
 } // namespace geo
 
-#if GEO_TRACE
 #define GEO_TRACE_CONCAT2(a, b) a##b
 #define GEO_TRACE_CONCAT(a, b) GEO_TRACE_CONCAT2(a, b)
 /** Host-domain scoped span covering the rest of the enclosing block. */
@@ -232,16 +217,5 @@ traceInstant(const char *cat, const char *name, TimeDomain domain,
 /** Instant marker in the given domain. */
 #define GEO_TRACE_INSTANT(cat, name, domain, ts)                        \
     ::geo::util::traceInstant(cat, name, domain, ts)
-#else
-#define GEO_SPAN(cat, name)                                             \
-    do {                                                                \
-    } while (0)
-#define GEO_SIM_SPAN(cat, name, start_s, dur_s)                         \
-    do {                                                                \
-    } while (0)
-#define GEO_TRACE_INSTANT(cat, name, domain, ts)                        \
-    do {                                                                \
-    } while (0)
-#endif
 
 #endif // GEO_UTIL_TRACE_EVENT_HH

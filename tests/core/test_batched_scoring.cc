@@ -121,7 +121,7 @@ double
 referencePrediction(TrainedEngine &fixture, const TrainingBatch &batch,
                     const PerfRecord &latest, storage::DeviceId device)
 {
-    std::vector<double> raw = latest.featuresAt(device);
+    const auto raw = latest.featuresAt(device);
     nn::Matrix row(1, raw.size());
     batch.normalizeFeaturesInto(raw.data(), raw.size(), row.data().data());
     double value = batch.denormalizeTarget(

@@ -54,7 +54,8 @@ recordSyntheticCycle(DecisionLedger &ledger, uint64_t cycle)
                       false);
     ledger.recordPhase("monitor", 0.125, 1.0);
     ledger.recordPhase("train", 0.5, 2.0);
-    std::vector<double> features = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
+    std::array<double, kLiveFeatureCount> features = {1.0, 2.0, 3.0,
+                                                      4.0, 5.0, 6.0};
     std::vector<LedgerScore> scores = {{0, 100.0, 2}, {1, 200.0, 1}};
     ledger.recordCandidate(3, 0, features, scores, "selected", 1, 0.25,
                            false, true);

@@ -151,7 +151,7 @@ TEST(InterfaceDaemon, NormalizeFeaturesHelper)
                                  100.0 + i));
     daemon.receiveBatch(records);
     TrainingBatch training = daemon.buildTrainingBatch({0, 1, 2});
-    std::vector<double> normalized = records[10].features();
+    auto normalized = records[10].features();
     ASSERT_EQ(normalized.size(), kLiveFeatureCount);
     training.normalizeFeaturesInto(normalized.data(), normalized.size(),
                                    normalized.data());

@@ -28,7 +28,7 @@ TEST(PerfRecord, FeatureOrderAndValues)
     rec.otms = 500;
     rec.cts = 12;
     rec.ctms = 250;
-    std::vector<double> f = rec.features();
+    const auto f = rec.features();
     EXPECT_DOUBLE_EQ(f[0], 100.0);   // rb
     EXPECT_DOUBLE_EQ(f[1], 200.0);   // wb
     EXPECT_DOUBLE_EQ(f[2], 10.5);    // open time
@@ -43,8 +43,8 @@ TEST(PerfRecord, FeaturesAtVariesOnlyLocation)
     rec.file = 3;
     rec.device = 1;
     rec.rb = 50;
-    std::vector<double> at_current = rec.features();
-    std::vector<double> at_other = rec.featuresAt(5);
+    const auto at_current = rec.features();
+    const auto at_other = rec.featuresAt(5);
     for (size_t i = 0; i + 1 < at_current.size(); ++i)
         EXPECT_DOUBLE_EQ(at_current[i], at_other[i]);
     EXPECT_DOUBLE_EQ(at_other.back(), 5.0);

@@ -58,27 +58,6 @@ TEST(AllocRegression, SteadyStateTrainEpochsAllocateNothing)
         << "steady-state epochs must not acquire Matrix buffers";
 }
 
-TEST(AllocRegression, SteadyStateAdamStepsAllocateNothing)
-{
-    Rng rng(29);
-    Sequential model = buildModel(1, 6, rng);
-    AdamOptimizer opt(0.002);
-    Matrix inputs(32, model.inputSize());
-    inputs.fillNormal(rng, 0.4);
-    Matrix targets(32, 1, 0.5);
-
-    // First step sizes everything, including Adam's flat moments.
-    model.trainBatch(inputs, targets, opt);
-
-    const uint64_t before = Matrix::allocationCount();
-    for (int step = 0; step < 8; ++step)
-        model.trainBatch(inputs, targets, opt);
-    const uint64_t after = Matrix::allocationCount();
-
-    EXPECT_EQ(after - before, 0u)
-        << "steady-state Adam steps must not acquire Matrix buffers";
-}
-
 TEST(AllocRegression, PredictIntoReusesOutputBuffer)
 {
     Rng rng(31);

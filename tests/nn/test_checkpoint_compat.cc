@@ -2,21 +2,16 @@
  * @file
  * Checkpoint compatibility against pre-refactor golden fixtures.
  *
- * tests/data/golden_drl.state and golden_adam.state were produced by
- * the build that stored Adam moments as per-tensor matrices and ran
- * the allocating training loop (see the generation recipe below).
- * Loading them through the current arena-backed parameter storage and
- * flat-packed optimizer state, then re-saving, must reproduce the
- * files byte for byte — the serialized format is the `geo-ckpt-1`
- * contract and may not drift.
+ * tests/data/golden_drl.state was produced by the build that ran the
+ * allocating training loop (see the generation recipe below). Loading
+ * it through the current arena-backed parameter storage, then
+ * re-saving, must reproduce the file byte for byte — the serialized
+ * format is the `geo-ckpt-1` contract and may not drift.
  *
  * Fixture recipe (run against the pre-refactor tree):
- *   golden_drl.state : DrlConfig{epochs=8}; 600 synthetic PerfRecords
+ *   golden_drl.state: DrlConfig{epochs=8}; 600 synthetic PerfRecords
  *     from Rng(11) via InterfaceDaemon::receiveBatch; retrain on
  *     buildTrainingBatch({0..5}); saveState.
- *   golden_adam.state: buildModel(1, 6, Rng(7)); 32x6 inputs
- *     fillNormal(rng, 0.4), targets 0.5; AdamOptimizer(0.002);
- *     12 trainBatch steps; saveState.
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +20,6 @@
 #include <string>
 
 #include "core/drl_engine.hh"
-#include "nn/optimizer.hh"
 #include "util/fs_atomic.hh"
 #include "util/state_io.hh"
 
@@ -40,25 +34,6 @@ readFixture(const char *name)
     std::string text;
     EXPECT_TRUE(util::readFileAll(path, text)) << "missing fixture " << path;
     return text;
-}
-
-TEST(CheckpointCompat, GoldenAdamStateRoundTripsByteExact)
-{
-    const std::string golden = readFixture("golden_adam.state");
-    ASSERT_FALSE(golden.empty());
-
-    AdamOptimizer opt(0.002);
-    std::istringstream is(golden);
-    util::StateReader r(is);
-    opt.loadState(r);
-    ASSERT_TRUE(r.ok());
-
-    std::ostringstream os;
-    util::StateWriter w(os);
-    opt.saveState(w);
-    EXPECT_EQ(os.str(), golden)
-        << "flat-packed Adam moments must re-serialize the original "
-           "per-tensor records unchanged";
 }
 
 TEST(CheckpointCompat, GoldenDrlEngineStateRoundTripsByteExact)

@@ -61,13 +61,6 @@ TEST(MseLossDeathTest, EmptyBatch)
     EXPECT_DEATH(MseLoss::value(a, b), "empty");
 }
 
-TEST(MaeLoss, KnownValue)
-{
-    Matrix pred = Matrix::fromRows({{2.0}, {-1.0}});
-    Matrix target = Matrix::fromRows({{0.0}, {0.0}});
-    EXPECT_DOUBLE_EQ(MaeLoss::value(pred, target), 1.5);
-}
-
 } // namespace
 } // namespace nn
 } // namespace geo

@@ -132,9 +132,9 @@ TEST(Matrix, AddRowBroadcast)
 {
     Matrix m = Matrix::fromRows({{1, 2}, {3, 4}});
     Matrix bias = Matrix::fromRows({{10, 20}});
-    Matrix out = m.addRowBroadcast(bias);
-    EXPECT_DOUBLE_EQ(out.at(0, 0), 11.0);
-    EXPECT_DOUBLE_EQ(out.at(1, 1), 24.0);
+    m.addRowBroadcastInPlace(bias);
+    EXPECT_DOUBLE_EQ(m.at(0, 0), 11.0);
+    EXPECT_DOUBLE_EQ(m.at(1, 1), 24.0);
 }
 
 TEST(Matrix, ColumnSums)

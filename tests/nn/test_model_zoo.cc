@@ -53,9 +53,12 @@ TEST(ModelZooDeathTest, OutOfRange)
 
 TEST(ModelZoo, InputWidths)
 {
-    EXPECT_EQ(modelInputWidth(1, 6), 6u);
-    EXPECT_EQ(modelInputWidth(12, 6, 8), 48u);
-    EXPECT_EQ(modelInputWidth(14, 13, 4), 52u);
+    // Dense models take one access (z); recurrent ones a window of
+    // `timesteps` accesses (z * timesteps).
+    Rng rng(50);
+    EXPECT_EQ(buildModel(1, 6, rng).inputSize(), 6u);
+    EXPECT_EQ(buildModel(12, 6, rng, 8).inputSize(), 48u);
+    EXPECT_EQ(buildModel(14, 13, rng, 4).inputSize(), 52u);
 }
 
 /** Parameterized sweep: every zoo model builds and runs forward. */
@@ -71,7 +74,8 @@ TEST_P(ModelZooBuildTest, BuildsAndPredicts)
     const size_t steps = 4;
     Sequential model = buildModel(number, z, rng, steps);
     EXPECT_EQ(model.outputSize(), 1u);
-    EXPECT_EQ(model.inputSize(), modelInputWidth(number, z, steps));
+    EXPECT_EQ(model.inputSize(),
+              modelSpec(number, z).recurrent ? z * steps : z);
 
     Matrix x(3, model.inputSize());
     x.fillNormal(rng, 0.5);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the SGD and Adam optimizers.
+ * Unit tests for the SGD optimizer.
  */
 
 #include <gtest/gtest.h>
@@ -74,82 +74,10 @@ TEST(Sgd, ConvergesOnQuadratic)
     EXPECT_NEAR(x.at(0, 0), 3.0, 1e-6);
 }
 
-TEST(Adam, ConvergesOnQuadratic)
-{
-    Matrix x(1, 1);
-    AdamOptimizer opt(0.1);
-    for (int i = 0; i < 500; ++i) {
-        Matrix grad = Matrix::fromRows({{2.0 * (x.at(0, 0) - 3.0)}});
-        opt.step({&x}, {&grad});
-    }
-    EXPECT_NEAR(x.at(0, 0), 3.0, 1e-3);
-}
-
-TEST(Adam, FirstStepBoundedByLearningRate)
-{
-    Matrix x(1, 1);
-    Matrix grad = Matrix::fromRows({{1000.0}});
-    AdamOptimizer opt(0.01);
-    opt.step({&x}, {&grad});
-    // Adam's bias-corrected first step is ~lr regardless of magnitude.
-    EXPECT_NEAR(x.at(0, 0), -0.01, 1e-6);
-}
-
-TEST(Adam, StatefulMomentumAcrossSteps)
-{
-    Matrix x(1, 1);
-    AdamOptimizer opt(0.01);
-    Matrix grad = Matrix::fromRows({{1.0}});
-    opt.step({&x}, {&grad});
-    double after_one = x.at(0, 0);
-    opt.step({&x}, {&grad});
-    EXPECT_LT(x.at(0, 0), after_one); // keeps moving in same direction
-}
-
-TEST(AdamDeathTest, ParameterListChanged)
-{
-    Matrix p1(1, 1), p2(1, 1), g(1, 1);
-    AdamOptimizer opt(0.01);
-    opt.step({&p1}, {&g});
-    EXPECT_DEATH(opt.step({&p1, &p2}, {&g, &g}), "changed size");
-}
-
-TEST(Adam, StateRoundTripContinuesIdentically)
-{
-    // Two optimizers take the same first step; one is then checkpointed
-    // into the other, and both must evolve identically afterwards —
-    // moments, step counter and all.
-    Matrix x1(1, 2), x2(1, 2);
-    AdamOptimizer original(0.05), restored(0.05);
-    Matrix grad = Matrix::fromRows({{1.0, -2.0}});
-    original.step({&x1}, {&grad});
-    original.step({&x1}, {&grad});
-
-    std::ostringstream os;
-    util::StateWriter w(os);
-    original.saveState(w);
-
-    restored.step({&x2}, {&grad}); // out-of-sync state, overwritten
-    x2 = x1;
-    std::istringstream is(os.str());
-    util::StateReader r(is);
-    restored.loadState(r);
-    ASSERT_TRUE(r.ok());
-
-    for (int i = 0; i < 10; ++i) {
-        Matrix g = Matrix::fromRows(
-            {{2.0 * x1.at(0, 0), 2.0 * x1.at(0, 1) + 1.0}});
-        original.step({&x1}, {&g});
-        restored.step({&x2}, {&g});
-        ASSERT_EQ(x1.at(0, 0), x2.at(0, 0)) << "step " << i;
-        ASSERT_EQ(x1.at(0, 1), x2.at(0, 1)) << "step " << i;
-    }
-}
-
 TEST(Sgd, StateRoundTripIsNoOp)
 {
-    // SGD is stateless: the base save/load must round-trip cleanly so
-    // engine checkpoints stay format-stable across optimizer choices.
+    // SGD keeps no state beyond its learning rate: save/load must
+    // round-trip cleanly so engine checkpoints stay format-stable.
     SgdOptimizer opt(0.1);
     std::ostringstream os;
     util::StateWriter w(os);
@@ -158,16 +86,6 @@ TEST(Sgd, StateRoundTripIsNoOp)
     util::StateReader r(is);
     opt.loadState(r);
     EXPECT_TRUE(r.ok());
-}
-
-TEST(Optimizer, LearningRateAccessors)
-{
-    SgdOptimizer opt(0.05);
-    EXPECT_DOUBLE_EQ(opt.learningRate(), 0.05);
-    opt.setLearningRate(0.1);
-    EXPECT_DOUBLE_EQ(opt.learningRate(), 0.1);
-    EXPECT_EQ(opt.name(), "sgd");
-    EXPECT_EQ(AdamOptimizer().name(), "adam");
 }
 
 } // namespace

@@ -294,18 +294,21 @@ TEST(FaultInjector, SameSeedSameFailures)
 
 TEST(FaultInjector, ErrorProbabilityReflectsActiveEpisode)
 {
+    // A certain-failure episode on device 1 over [10, 20): every access
+    // there fails inside the window and none fails outside it.
     StorageSystem system = twoDeviceSystem();
     FaultInjectorConfig config;
     config.schedule.push_back(
-        event(1, FaultKind::TransientErrors, 10.0, 10.0, 0.4));
+        event(1, FaultKind::TransientErrors, 10.0, 10.0, 1.0));
     FaultInjector injector(system, config);
     injector.advanceTo(5.0);
-    EXPECT_DOUBLE_EQ(injector.errorProbability(1), 0.0);
+    EXPECT_FALSE(injector.shouldFailAccess(1));
     injector.advanceTo(15.0);
-    EXPECT_DOUBLE_EQ(injector.errorProbability(1), 0.4);
-    EXPECT_DOUBLE_EQ(injector.errorProbability(0), 0.0);
+    EXPECT_TRUE(injector.shouldFailAccess(1));
+    EXPECT_FALSE(injector.shouldFailAccess(0));
     injector.advanceTo(25.0);
-    EXPECT_DOUBLE_EQ(injector.errorProbability(1), 0.0);
+    EXPECT_FALSE(injector.shouldFailAccess(1));
+    EXPECT_EQ(injector.injectedFailures(), 1u);
 }
 
 AccessObservation
@@ -468,7 +471,6 @@ TEST(FaultInjector, TelemetryFaultStateRoundTrips)
     b.loadState(r);
     ASSERT_TRUE(r.ok()) << r.error();
     EXPECT_EQ(b.corruptedRecords(), a.corruptedRecords());
-    EXPECT_DOUBLE_EQ(b.corruptProbability(0), 0.5);
 
     // The restored stream continues exactly where the original one is.
     for (int i = 0; i < 32; ++i) {

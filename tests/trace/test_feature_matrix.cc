@@ -44,8 +44,14 @@ TEST(FeatureMatrix, ValuesMatchExtractor)
 
 TEST(FeatureMatrix, ThroughputTargets)
 {
+    // Unsmoothed, unnormalized, one row per access: the target column
+    // is each record's throughput.
     std::vector<AccessRecord> records = sampleTrace(50);
-    nn::Matrix targets = buildThroughputTargets(records);
+    PrepareOptions options;
+    options.smoothingWindow = 1;
+    options.normalize = false;
+    nn::Matrix targets =
+        prepareDataset(records, {"rb"}, options).dataset.targets;
     EXPECT_EQ(targets.rows(), 50u);
     EXPECT_EQ(targets.cols(), 1u);
     for (size_t r = 0; r < records.size(); ++r)

@@ -35,19 +35,6 @@ TEST(Csv, WriteRow)
     EXPECT_EQ(os.str(), "a,\"b,c\",d\n");
 }
 
-TEST(Csv, NumericRowRoundTrips)
-{
-    std::ostringstream os;
-    CsvWriter writer(os);
-    writer.writeNumericRow({1.5, -2.25, 0.1});
-    std::vector<std::string> fields =
-        parseCsvLine(os.str().substr(0, os.str().size() - 1));
-    ASSERT_EQ(fields.size(), 3u);
-    EXPECT_DOUBLE_EQ(std::stod(fields[0]), 1.5);
-    EXPECT_DOUBLE_EQ(std::stod(fields[1]), -2.25);
-    EXPECT_DOUBLE_EQ(std::stod(fields[2]), 0.1);
-}
-
 TEST(Csv, ParseSimpleLine)
 {
     std::vector<std::string> fields = parseCsvLine("a,b,c");

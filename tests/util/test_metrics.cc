@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "minijson.hh"
+#include "util/json.hh"
 #include "util/metrics.hh"
 
 namespace geo {
@@ -20,6 +20,7 @@ using util::Counter;
 using util::Gauge;
 using util::Histogram;
 using util::HistogramSnapshot;
+using util::JsonValue;
 using util::MetricRegistry;
 
 TEST(Counter, AddAndReset)
@@ -195,21 +196,29 @@ TEST(MetricRegistry, JsonSnapshotRoundTrips)
     h.record(8.0);
 
     std::string json = registry.toJson();
-    ASSERT_TRUE(testjson::validJson(json)) << json;
+    JsonValue doc;
+    ASSERT_TRUE(util::parseJson(json, doc)) << json;
     EXPECT_NE(json.find("\"schema\": \"geo-metrics-1\""),
               std::string::npos);
-    EXPECT_EQ(testjson::numberAfterKey(json, "pipeline.cycles"), 12.0);
-    EXPECT_EQ(testjson::numberAfterKey(json, "pipeline.moves"), 3.0);
-    EXPECT_EQ(testjson::numberAfterKey(json, "model.val_mae"), 12.75);
+    const JsonValue *counters = doc.get("counters");
+    const JsonValue *gauges = doc.get("gauges");
+    const JsonValue *histograms = doc.get("histograms");
+    ASSERT_TRUE(counters && gauges && histograms) << json;
+    EXPECT_EQ(counters->num("pipeline.cycles"), 12.0);
+    EXPECT_EQ(counters->num("pipeline.moves"), 3.0);
+    EXPECT_EQ(gauges->num("model.val_mae"), 12.75);
     // Histogram block: count and sum must round-trip exactly.
-    EXPECT_EQ(testjson::numberAfterKey(json, "count"), 3.0);
-    EXPECT_EQ(testjson::numberAfterKey(json, "sum"), 10.5);
+    const JsonValue *predict = histograms->get("predict.ms");
+    ASSERT_NE(predict, nullptr) << json;
+    EXPECT_EQ(predict->num("count"), 3.0);
+    EXPECT_EQ(predict->num("sum"), 10.5);
 }
 
 TEST(MetricRegistry, EmptyRegistryIsValidJson)
 {
     MetricRegistry registry;
-    EXPECT_TRUE(testjson::validJson(registry.toJson()));
+    JsonValue doc;
+    EXPECT_TRUE(util::parseJson(registry.toJson(), doc));
 }
 
 TEST(MetricRegistry, PrometheusExposition)

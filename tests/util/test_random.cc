@@ -126,26 +126,6 @@ TEST(Rng, ChanceFrequency)
     EXPECT_NEAR(static_cast<double>(hits) / 20000.0, 0.3, 0.02);
 }
 
-TEST(Rng, WeightedIndexRespectsWeights)
-{
-    Rng rng(11);
-    std::vector<double> weights = {1.0, 0.0, 3.0};
-    std::vector<int> counts(3, 0);
-    for (int i = 0; i < 20000; ++i)
-        ++counts[rng.weightedIndex(weights)];
-    EXPECT_EQ(counts[1], 0);
-    EXPECT_NEAR(static_cast<double>(counts[2]) /
-                    static_cast<double>(counts[0]),
-                3.0, 0.3);
-}
-
-TEST(RngDeathTest, WeightedIndexAllZero)
-{
-    Rng rng(12);
-    std::vector<double> weights = {0.0, 0.0};
-    EXPECT_DEATH(rng.weightedIndex(weights), "zero");
-}
-
 TEST(Rng, ShuffleIsPermutation)
 {
     Rng rng(13);
@@ -154,18 +134,6 @@ TEST(Rng, ShuffleIsPermutation)
     rng.shuffle(shuffled);
     std::sort(shuffled.begin(), shuffled.end());
     EXPECT_EQ(shuffled, items);
-}
-
-TEST(Rng, ForkIndependent)
-{
-    Rng parent(14);
-    Rng child = parent.fork();
-    // Child diverges from the parent's continued stream.
-    int same = 0;
-    for (int i = 0; i < 100; ++i)
-        if (parent() == child())
-            ++same;
-    EXPECT_LT(same, 3);
 }
 
 /** Property sweep: uniformInt stays in bounds for many ranges. */

@@ -37,71 +37,6 @@ TEST(StatAccumulator, KnownValues)
     EXPECT_DOUBLE_EQ(acc.sum(), 40.0);
 }
 
-TEST(StatAccumulator, SampleVarianceDenominator)
-{
-    StatAccumulator acc;
-    acc.add(1.0);
-    acc.add(3.0);
-    EXPECT_DOUBLE_EQ(acc.variance(), 1.0);       // N
-    EXPECT_DOUBLE_EQ(acc.sampleVariance(), 2.0); // N - 1
-}
-
-TEST(StatAccumulator, MergeMatchesSequential)
-{
-    Rng rng(21);
-    StatAccumulator whole, part1, part2;
-    for (int i = 0; i < 1000; ++i) {
-        double v = rng.normal(3.0, 2.0);
-        whole.add(v);
-        (i < 400 ? part1 : part2).add(v);
-    }
-    part1.merge(part2);
-    EXPECT_EQ(part1.count(), whole.count());
-    EXPECT_NEAR(part1.mean(), whole.mean(), 1e-9);
-    EXPECT_NEAR(part1.variance(), whole.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(part1.min(), whole.min());
-    EXPECT_DOUBLE_EQ(part1.max(), whole.max());
-}
-
-TEST(StatAccumulator, MergeWithEmpty)
-{
-    StatAccumulator a, b;
-    a.add(1.0);
-    a.add(2.0);
-    StatAccumulator before = a;
-    a.merge(b);
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_DOUBLE_EQ(a.mean(), before.mean());
-    b.merge(a);
-    EXPECT_EQ(b.count(), 2u);
-    EXPECT_DOUBLE_EQ(b.mean(), 1.5);
-}
-
-TEST(PercentileTracker, Median)
-{
-    PercentileTracker tracker;
-    for (double v : {5.0, 1.0, 3.0, 2.0, 4.0})
-        tracker.add(v);
-    EXPECT_DOUBLE_EQ(tracker.median(), 3.0);
-    EXPECT_DOUBLE_EQ(tracker.percentile(0.0), 1.0);
-    EXPECT_DOUBLE_EQ(tracker.percentile(100.0), 5.0);
-}
-
-TEST(PercentileTracker, Interpolates)
-{
-    PercentileTracker tracker;
-    tracker.add(0.0);
-    tracker.add(10.0);
-    EXPECT_DOUBLE_EQ(tracker.percentile(50.0), 5.0);
-    EXPECT_DOUBLE_EQ(tracker.percentile(25.0), 2.5);
-}
-
-TEST(PercentileTrackerDeathTest, EmptyPanics)
-{
-    PercentileTracker tracker;
-    EXPECT_DEATH(tracker.percentile(50.0), "empty");
-}
-
 TEST(Pearson, PerfectPositive)
 {
     std::vector<double> xs = {1, 2, 3, 4, 5};

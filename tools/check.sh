@@ -4,11 +4,7 @@
 # suite under it.  Intended as a pre-merge check; the regular build tree
 # (build/) is left untouched.
 #
-# A second phase configures with -DGEO_TRACE=OFF and runs the suite
-# again: the tracing macros must compile out cleanly (no code may
-# depend on side effects inside GEO_SPAN and friends).
-#
-# With GEO_NATIVE=1 a third phase builds the shipping configuration
+# With GEO_NATIVE=1 a final phase builds the shipping configuration
 # (-O3 -march=native, Matrix bounds checks off) and runs the tests
 # again: the fast build must pass the same suite it ships with.
 #
@@ -35,7 +31,7 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}"
 echo "== check.sh: all tests passed under address;undefined =="
 
 # Perf-suite smoke under the sanitizers: the packed GEMM kernels,
-# scratch arena and fused optimizer run their real (quick-size) shapes
+# scratch arena and SGD step run their real (quick-size) shapes
 # with bounds/UB checking on.  Timings are meaningless here; this is a
 # memory-safety gate for the hot paths the plain suite exercises at
 # full size.
@@ -138,20 +134,6 @@ ctest --test-dir "${tsan_dir}" --output-on-failure -j "${jobs}" \
     -R 'ThreadPool|Watchdog|CancelToken|Metric|Trace|Logging|Parallel|Concurrent|Batched|Guardrails|Flight|ShardCoordinator'
 
 echo "== check.sh: concurrency subset clean under thread sanitizer =="
-
-notrace_dir="${repo_root}/build-notrace"
-echo "== configuring GEO_TRACE=OFF build in ${notrace_dir} =="
-cmake -S "${repo_root}" -B "${notrace_dir}" \
-    -DGEO_TRACE=OFF \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo
-
-echo "== building GEO_TRACE=OFF (${jobs} jobs) =="
-cmake --build "${notrace_dir}" -j "${jobs}"
-
-echo "== running tier-1 tests with tracing compiled out =="
-ctest --test-dir "${notrace_dir}" --output-on-failure -j "${jobs}"
-
-echo "== check.sh: GEO_TRACE=OFF build passed =="
 
 if [[ "${GEO_NATIVE:-0}" == "1" ]]; then
     native_dir="${repo_root}/build-native"

@@ -16,16 +16,13 @@
  * stats against the in-process `ledger.dev*` gauges; a mismatch exits 2 so
  * CI can gate on ledger/metrics consistency.
  *
- * The ledger is newline-delimited JSON, so the tool carries a small
- * self-contained JSON reader rather than depending on an external library.
+ * The ledger is newline-delimited JSON, read line by line with util/json.
  */
 
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -33,233 +30,14 @@
 #include <string>
 #include <vector>
 
+#include "util/json.hh"
+#include "util/parse.hh"
 #include "util/table.hh"
 
 namespace {
 
-/* ------------------------------------------------------------------ */
-/* Minimal JSON document model                                         */
-/* ------------------------------------------------------------------ */
-
-struct JsonValue
-{
-    enum Kind { Null, Bool, Number, String, Array, Object };
-
-    Kind kind = Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string text;
-    std::vector<JsonValue> items;
-    std::vector<std::pair<std::string, JsonValue>> fields;
-
-    const JsonValue *get(const char *key) const
-    {
-        for (const auto &kv : fields)
-            if (kv.first == key)
-                return &kv.second;
-        return nullptr;
-    }
-
-    double num(const char *key, double fallback = 0.0) const
-    {
-        const JsonValue *v = get(key);
-        return v && v->kind == Number ? v->number : fallback;
-    }
-
-    std::string str(const char *key) const
-    {
-        const JsonValue *v = get(key);
-        return v && v->kind == String ? v->text : std::string();
-    }
-
-    bool flag(const char *key) const
-    {
-        const JsonValue *v = get(key);
-        return v && v->kind == Bool && v->boolean;
-    }
-};
-
-/**
- * Recursive-descent JSON parser over a single ledger line.  Strict enough
- * for machine-written rows; on malformed input it fails rather than
- * guessing.
- */
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &text) : text_(text) {}
-
-    bool parse(JsonValue &out)
-    {
-        pos_ = 0;
-        if (!value(out))
-            return false;
-        skipSpace();
-        return pos_ == text_.size();
-    }
-
-  private:
-    void skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool literal(const char *word)
-    {
-        size_t n = std::strlen(word);
-        if (text_.compare(pos_, n, word) != 0)
-            return false;
-        pos_ += n;
-        return true;
-    }
-
-    bool value(JsonValue &out)
-    {
-        skipSpace();
-        if (pos_ >= text_.size())
-            return false;
-        char c = text_[pos_];
-        if (c == '{')
-            return object(out);
-        if (c == '[')
-            return array(out);
-        if (c == '"') {
-            out.kind = JsonValue::String;
-            return string(out.text);
-        }
-        if (c == 't') {
-            out.kind = JsonValue::Bool;
-            out.boolean = true;
-            return literal("true");
-        }
-        if (c == 'f') {
-            out.kind = JsonValue::Bool;
-            out.boolean = false;
-            return literal("false");
-        }
-        if (c == 'n') {
-            out.kind = JsonValue::Null;
-            return literal("null");
-        }
-        return numberValue(out);
-    }
-
-    bool numberValue(JsonValue &out)
-    {
-        const char *begin = text_.c_str() + pos_;
-        char *end = nullptr;
-        double v = std::strtod(begin, &end);
-        if (end == begin)
-            return false;
-        out.kind = JsonValue::Number;
-        out.number = v;
-        pos_ += static_cast<size_t>(end - begin);
-        return true;
-    }
-
-    bool string(std::string &out)
-    {
-        if (text_[pos_] != '"')
-            return false;
-        ++pos_;
-        out.clear();
-        while (pos_ < text_.size()) {
-            char c = text_[pos_++];
-            if (c == '"')
-                return true;
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
-            }
-            if (pos_ >= text_.size())
-                return false;
-            char esc = text_[pos_++];
-            switch (esc) {
-            case '"': out.push_back('"'); break;
-            case '\\': out.push_back('\\'); break;
-            case '/': out.push_back('/'); break;
-            case 'b': out.push_back('\b'); break;
-            case 'f': out.push_back('\f'); break;
-            case 'n': out.push_back('\n'); break;
-            case 'r': out.push_back('\r'); break;
-            case 't': out.push_back('\t'); break;
-            case 'u': {
-                /* The ledger writer never emits \u escapes; accept and
-                 * substitute so a foreign file still loads. */
-                if (pos_ + 4 > text_.size())
-                    return false;
-                pos_ += 4;
-                out.push_back('?');
-                break;
-            }
-            default: return false;
-            }
-        }
-        return false;
-    }
-
-    bool array(JsonValue &out)
-    {
-        out.kind = JsonValue::Array;
-        ++pos_; /* '[' */
-        skipSpace();
-        if (pos_ < text_.size() && text_[pos_] == ']') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            JsonValue item;
-            if (!value(item))
-                return false;
-            out.items.push_back(std::move(item));
-            skipSpace();
-            if (pos_ >= text_.size())
-                return false;
-            char c = text_[pos_++];
-            if (c == ']')
-                return true;
-            if (c != ',')
-                return false;
-        }
-    }
-
-    bool object(JsonValue &out)
-    {
-        out.kind = JsonValue::Object;
-        ++pos_; /* '{' */
-        skipSpace();
-        if (pos_ < text_.size() && text_[pos_] == '}') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipSpace();
-            std::string key;
-            if (pos_ >= text_.size() || !string(key))
-                return false;
-            skipSpace();
-            if (pos_ >= text_.size() || text_[pos_++] != ':')
-                return false;
-            JsonValue item;
-            if (!value(item))
-                return false;
-            out.fields.emplace_back(std::move(key), std::move(item));
-            skipSpace();
-            if (pos_ >= text_.size())
-                return false;
-            char c = text_[pos_++];
-            if (c == '}')
-                return true;
-            if (c != ',')
-                return false;
-        }
-    }
-
-    const std::string &text_;
-    size_t pos_ = 0;
-};
+using geo::util::JsonValue;
+using geo::util::jsonEscape;
 
 /* ------------------------------------------------------------------ */
 /* Ledger loading                                                      */
@@ -286,7 +64,8 @@ loadLedger(const std::string &path, Ledger &out, std::string &error)
         if (line.empty())
             continue;
         JsonValue row;
-        if (!JsonParser(line).parse(row) || row.kind != JsonValue::Object) {
+        if (!geo::util::parseJson(line, row) ||
+            row.kind != JsonValue::Object) {
             error = path + ":" + std::to_string(lineNo) + ": malformed JSON";
             return false;
         }
@@ -326,18 +105,6 @@ fmt(double v, int precision = 4)
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.*f", precision, v);
     return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
 }
 
 struct ErrorStat
@@ -748,14 +515,17 @@ main(int argc, char **argv)
     switch (mode) {
     case Why: {
         size_t at = whySpec.find('@');
-        if (at == std::string::npos) {
+        uint64_t file = 0;
+        uint64_t cycle = 0;
+        if (at == std::string::npos ||
+            !geo::util::parseU64(whySpec.substr(0, at), file) ||
+            !geo::util::parseU64(whySpec.substr(at + 1), cycle)) {
             std::fprintf(stderr,
-                         "geomancy_explain: --why wants FILE@CYCLE\n");
+                         "geomancy_explain: --why wants FILE@CYCLE, got "
+                         "'%s'\n",
+                         whySpec.c_str());
             return 1;
         }
-        uint64_t file = std::strtoull(whySpec.c_str(), nullptr, 10);
-        uint64_t cycle =
-            std::strtoull(whySpec.c_str() + at + 1, nullptr, 10);
         return runWhy(ledger, file, cycle, json);
     }
     case PredictionError:
