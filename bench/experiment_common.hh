@@ -95,7 +95,6 @@ benchGeomancyConfig()
 {
     core::GeomancyConfig config;
     config.drl.epochs = knob("GEO_DRL_EPOCHS", 20, 60);
-    config.daemon.windowPerDevice = knob("GEO_DRL_WINDOW", 2000, 2000);
     config.minHistory = 500;
     return config;
 }

@@ -87,8 +87,8 @@ runScale(const ScaleConfig &sc)
     ccfg.shardCount = sc.shards;
     ccfg.base.drl.epochs = sc.epochs;
     // Fleet-sized telemetry budget: the monolith pulls the full
-    // window every cycle; scaleBudgets divides it across shards so the
-    // fleet-wide budget stays constant.
+    // window every cycle; the coordinator divides it across shards so
+    // the fleet-wide budget stays constant.
     ccfg.base.daemon.windowPerDevice = 2000;
     ccfg.base.minHistory = 400;
     ccfg.base.sanityWindow = 4000;

@@ -182,7 +182,7 @@ main()
         // mean. A policy whose files are stranded on the dead mount
         // never gets back there.
         std::vector<double> smoothed =
-            scenario.result.smoothedSeries(config.seriesWindow);
+            scenario.result.smoothedSeries(500);
         scenario.recoverAccesses = SIZE_MAX;
         for (size_t i = kill_at; i < smoothed.size(); ++i) {
             if (smoothed[i] >= 0.9 * scenario.healthyMean) {

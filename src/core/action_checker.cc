@@ -65,8 +65,7 @@ ActionChecker::validDevices(
             vetoCapacityMetric_->inc();
             continue;
         }
-        if (!dev.available() ||
-            dev.healthFactor() < config_.minHealthFactor) {
+        if (!dev.available() || dev.healthFactor() < kMinHealthFactor) {
             vetoUnhealthyMetric_->inc();
             continue; // offline or too degraded to take new data
         }
@@ -78,18 +77,13 @@ ActionChecker::validDevices(
 std::optional<CheckedMove>
 ActionChecker::selectMove(storage::FileId file,
                           const std::vector<CandidateScore> &scores,
-                          Rng &rng, bool lower_is_better,
-                          MoveVeto *veto) const
+                          Rng &rng, MoveVeto *veto) const
 {
     auto verdict = [veto](MoveVeto v) {
         if (veto)
             *veto = v;
     };
     verdict(MoveVeto::None);
-    // Orient comparisons so "better" is always larger.
-    auto better = [lower_is_better](double a, double b) {
-        return lower_is_better ? a < b : a > b;
-    };
     storage::DeviceId current = system_.location(file);
     if (!system_.device(current).available()) {
         verdict(MoveVeto::Unreachable);
@@ -126,8 +120,7 @@ ActionChecker::selectMove(storage::FileId file,
         // callers may enumerate candidates in any order, and shard
         // digest comparison needs the argmax to be a pure function of
         // the scores.
-        if (!best ||
-            better(s.predictedThroughput, best->predictedThroughput) ||
+        if (!best || s.predictedThroughput > best->predictedThroughput ||
             (s.predictedThroughput == best->predictedThroughput &&
              s.device < best->device))
             best = &s;
@@ -151,11 +144,7 @@ ActionChecker::selectMove(storage::FileId file,
     move.predictedThroughput = best->predictedThroughput;
     if (have_stay && stay_predicted > 0.0) {
         move.predictedGain =
-            lower_is_better
-                ? (stay_predicted - best->predictedThroughput) /
-                      stay_predicted
-                : (best->predictedThroughput - stay_predicted) /
-                      stay_predicted;
+            (best->predictedThroughput - stay_predicted) / stay_predicted;
         if (move.predictedGain < config_.minRelativeGain) {
             belowMinGainMetric_->inc();
             verdict(MoveVeto::BelowMinGain);
@@ -206,8 +195,7 @@ ActionChecker::randomMove(storage::FileId file, Rng &rng) const
         if (id == f.location)
             continue;
         const storage::StorageDevice &dev = system_.device(id);
-        if (!dev.available() ||
-            dev.healthFactor() < config_.minHealthFactor)
+        if (!dev.available() || dev.healthFactor() < kMinHealthFactor)
             continue;
         if (dev.writable() && dev.freeBytes() >= f.sizeBytes)
             options.push_back(id);

@@ -25,6 +25,10 @@
 namespace geo {
 namespace core {
 
+/** Devices degraded below this health factor are invalid move targets
+ *  (offline devices always are), for Geomancy and the baselines alike. */
+constexpr double kMinHealthFactor = 0.5;
+
 /** Action Checker configuration. */
 struct CheckerConfig
 {
@@ -41,9 +45,6 @@ struct CheckerConfig
      *  configuration over time", which this cap enforces (its future
      *  work proposes a full movement scheduler). */
     size_t maxMovesPerTarget = 3;
-    /** Devices degraded below this health factor are invalid as move
-     *  targets (offline devices are always invalid). */
-    double minHealthFactor = 0.5;
 };
 
 /** Why selectMove() declined (or degraded) a candidate file. */
@@ -94,8 +95,6 @@ class ActionChecker
      * @param scores engine predictions per candidate device (must
      *        include the current location).
      * @param rng used for the all-invalid random fallback.
-     * @param lower_is_better true for latency models (smaller
-     *        predicted target wins).
      * @param veto when non-null, receives why the file was declined
      *        (or RandomFallback/None when a move came back) — the
      *        decision ledger's audit trail.
@@ -104,8 +103,7 @@ class ActionChecker
      */
     std::optional<CheckedMove> selectMove(
         storage::FileId file, const std::vector<CandidateScore> &scores,
-        Rng &rng, bool lower_is_better = false,
-        MoveVeto *veto = nullptr) const;
+        Rng &rng, MoveVeto *veto = nullptr) const;
 
     /**
      * Order proposed moves by predicted gain and truncate to

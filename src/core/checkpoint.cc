@@ -20,6 +20,8 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr const char *kMagic = "geo-ckpt-1";
+/** Snapshot file names are `ckpt-<cycle>.geo`. */
+constexpr const char *kFileStem = "ckpt-";
 
 } // namespace
 
@@ -37,7 +39,7 @@ std::string
 CheckpointManager::pathFor(uint64_t cycle) const
 {
     std::ostringstream os;
-    os << config_.dir << '/' << config_.prefix << '-' << cycle << ".geo";
+    os << config_.dir << '/' << kFileStem << cycle << ".geo";
     return os.str();
 }
 
@@ -106,7 +108,7 @@ CheckpointManager::availableCycles() const
     fs::directory_iterator it(config_.dir, ec);
     if (ec)
         return cycles;
-    std::string stem = config_.prefix + "-";
+    const std::string stem = kFileStem;
     for (const fs::directory_entry &entry : it) {
         std::string name = entry.path().filename().string();
         if (name.size() <= stem.size() + 4 ||

@@ -40,8 +40,6 @@ struct CheckpointManagerConfig
     std::string dir = "checkpoints";
     /** Newest snapshots retained; older ones are pruned on write. */
     size_t keep = 2;
-    /** File name stem: `<prefix>-<cycle>.geo`. */
-    std::string prefix = "ckpt";
 };
 
 /** Parsed checkpoint header. */

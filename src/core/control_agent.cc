@@ -9,6 +9,13 @@
 namespace geo {
 namespace core {
 
+namespace {
+
+/** Chunk size of the agent's incremental transfers. */
+constexpr uint64_t kMoveChunkBytes = 64ULL << 20;
+
+} // namespace
+
 ControlAgent::ControlAgent(storage::StorageSystem &system, ReplayDb *db,
                            ControlAgentConfig config)
     : system_(system), db_(db), config_(config), rng_(config.seed)
@@ -68,10 +75,7 @@ ControlAgent::attemptMove(const MoveRequest &req, size_t prior_attempts,
         retriesMetric_->inc();
     storage::DeviceId from = system_.location(req.file);
     storage::MoveResult result =
-        config_.chunkBytes > 0
-            ? system_.moveFileChunked(req.file, req.target,
-                                      config_.chunkBytes)
-            : system_.moveFile(req.file, req.target);
+        system_.moveFileChunked(req.file, req.target, kMoveChunkBytes);
 
     AppliedMove fate;
     fate.file = req.file;

@@ -54,8 +54,6 @@ struct RetryConfig
 /** Control-agent configuration. */
 struct ControlAgentConfig
 {
-    /** Chunk size for incremental transfers; 0 = single-shot moves. */
-    uint64_t chunkBytes = 64ULL << 20;
     RetryConfig retry;
     /** Seed for backoff jitter. */
     uint64_t seed = 17;

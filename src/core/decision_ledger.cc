@@ -1,10 +1,9 @@
 #include "core/decision_ledger.hh"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "util/fs_atomic.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace geo {
@@ -12,22 +11,10 @@ namespace core {
 
 namespace {
 
-/** Shortest decimal form that round-trips the exact double: ledger
- *  numbers must reproduce the in-process values bit-for-bit when a
- *  tool reads them back (the Table 3 consistency check depends on it). */
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "0"; // JSON has no Inf/NaN; should not happen upstream
-    char buf[40];
-    for (int prec = 15; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
-    return buf;
-}
+// Ledger numbers must reproduce the in-process values bit-for-bit
+// when a tool reads them back (the Table 3 consistency check depends
+// on it).
+using util::jsonNumber;
 
 const char *
 jsonBool(bool v)

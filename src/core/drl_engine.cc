@@ -26,7 +26,6 @@ DrlEngine::DrlEngine(const DrlConfig &config)
     trainStepsMetric_ = &registry.counter("drl.train_steps");
     divergedMetric_ = &registry.counter("drl.diverged");
     trainDivergedMetric_ = &registry.counter("drl.train.diverged");
-    trainCancelledMetric_ = &registry.counter("drl.train.cancelled");
     rollbackMetric_ = &registry.counter("drl.train.rollbacks");
     trainMsMetric_ = &registry.histogram("drl.train_ms");
     trainRowsMetric_ = &registry.histogram("drl.train_rows");
@@ -46,40 +45,16 @@ DrlEngine::retrain(const TrainingBatch &batch)
         return stats;
 
     batch_ = batch;
-    targetKind_ = batch.target;
     nn::DataSplit split = nn::chronologicalSplit(
         batch.dataset, config_.trainFraction, config_.valFraction);
 
     nn::TrainOptions options;
     options.epochs = config_.epochs;
     options.batchSize = config_.batchSize;
-    options.cancel = cancelToken_;
     nn::TrainResult result =
         model_.train(split.train, split.validation, optimizer_, options);
     stats.trained = true;
     stats.seconds = result.seconds;
-    if (result.cancelled) {
-        // The watchdog cut training short: a half-trained model is not
-        // trustworthy, so roll back exactly like a divergence and let
-        // the next healthy cycle retrain from the last good weights.
-        stats.cancelled = true;
-        trainCancelledMetric_->inc();
-        util::FlightRecorder::global().record(
-            util::FlightKind::TrainCancelled, 0.0, config_.epochs);
-        ready_ = false;
-        if (!lastGoodWeights_.empty()) {
-            std::istringstream is(lastGoodWeights_);
-            if (nn::loadWeights(model_, is)) {
-                rollbackMetric_->inc();
-                warn("DrlEngine: retrain cancelled by the watchdog; "
-                     "rolled weights back to the last good cycle");
-                return stats;
-            }
-        }
-        warn("DrlEngine: retrain cancelled by the watchdog; predictions "
-             "disabled until a successful cycle");
-        return stats;
-    }
     // Guard against numerical poison: a non-finite loss, a probe set
     // the model mangles, or NaN/Inf in the weights themselves.
     stats.diverged = result.diverged ||
@@ -233,7 +208,9 @@ DrlEngine::saveState(util::StateWriter &w)
     w.boolean("drl.ready", ready_);
     w.f64("drl.mae_fraction", maeFraction_);
     w.f64("drl.adjust_sign", adjustSign_);
-    w.u64("drl.target", static_cast<uint64_t>(targetKind_));
+    // geo-ckpt-1 still carries the retired model-target key; 0 is
+    // throughput, the only target.
+    w.u64("drl.target", 0);
     w.str("drl.last_good", lastGoodWeights_);
     // Batch scalers only: the dataset itself is transient retrain
     // input, but predictions between retrains need the normalizers.
@@ -255,7 +232,7 @@ DrlEngine::loadState(util::StateReader &r)
     bool ready = r.boolean("drl.ready");
     double mae = r.f64("drl.mae_fraction");
     double sign = r.f64("drl.adjust_sign");
-    auto target = static_cast<ModelTarget>(r.u64("drl.target"));
+    uint64_t target = r.u64("drl.target");
     std::string last_good = r.str("drl.last_good");
     std::vector<double> feat_mins = r.f64Vec("drl.feat_mins");
     std::vector<double> feat_maxs = r.f64Vec("drl.feat_maxs");
@@ -263,6 +240,11 @@ DrlEngine::loadState(util::StateReader &r)
     std::vector<double> target_maxs = r.f64Vec("drl.target_maxs");
     if (!r.ok())
         return;
+    if (target != 0) {
+        r.fail("drl: checkpoint models target " + std::to_string(target) +
+               "; only throughput (0) is supported");
+        return;
+    }
     {
         std::istringstream is(weights);
         if (!nn::loadWeights(model_, is)) {
@@ -283,10 +265,8 @@ DrlEngine::loadState(util::StateReader &r)
     ready_ = ready;
     maeFraction_ = mae;
     adjustSign_ = sign;
-    targetKind_ = target;
     lastGoodWeights_ = last_good;
     batch_ = TrainingBatch{};
-    batch_.target = target;
     batch_.featureNorm.restore(std::move(feat_mins),
                                std::move(feat_maxs));
     batch_.targetNorm.restore(std::move(target_mins),

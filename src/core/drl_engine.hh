@@ -48,20 +48,21 @@ struct RetrainStats
 {
     bool trained = false;       ///< false when the batch was too small
     bool diverged = false;
-    bool cancelled = false;     ///< cut short by the watchdog
+    /** Always false: retraining is never cut short. Kept because the
+     *  perf harness counts it as a failed decision and the
+     *  geo-ledger-1 cycle row carries it as `cancelled`. */
+    bool cancelled = false;
     double seconds = 0.0;       ///< wall-clock training time
     double meanAbsRelError = 0.0; ///< % on the validation set
     double signedRelError = 0.0;  ///< % (sign drives the adjustment)
     size_t samples = 0;
 };
 
-/** Predicted target value of a file at one candidate location. */
+/** Predicted throughput of a file at one candidate location. */
 struct CandidateScore
 {
     storage::DeviceId device = 0;
-    /** Denormalized predicted target: bytes/s for throughput models,
-     *  seconds for latency models. */
-    double predictedThroughput = 0.0;
+    double predictedThroughput = 0.0; ///< denormalized, bytes/s
 };
 
 /**
@@ -82,17 +83,6 @@ class DrlEngine
     bool ready() const { return ready_; }
 
     /**
-     * Cooperative cancellation for retrain(): the token is checked at
-     * every epoch boundary; a fired token aborts training, rolls the
-     * weights back to the last good cycle (like a divergence) and sets
-     * RetrainStats::cancelled. Null disables (the default).
-     */
-    void setCancelToken(const util::CancelToken *token)
-    {
-        cancelToken_ = token;
-    }
-
-    /**
      * Section V-C scoring, batched: one feature matrix with
      * records.size() * devices.size() rows — a row per (file,
      * candidate) pair, cloning the file's latest access with only the
@@ -108,15 +98,6 @@ class DrlEngine
 
     /** Millisecond cost of the last prediction batch (wall clock). */
     double lastPredictionMillis() const { return lastPredictMs_; }
-
-    /** What the engine currently models (from the latest batch). */
-    ModelTarget targetKind() const { return targetKind_; }
-
-    /** True when smaller predictions are better (latency models). */
-    bool lowerIsBetter() const
-    {
-        return targetKind_ == ModelTarget::Latency;
-    }
 
     /** Validation MAE as a fraction of the target (Sec. V-G). */
     double maeFraction() const { return maeFraction_; }
@@ -149,12 +130,10 @@ class DrlEngine
     bool ready_ = false;
     double maeFraction_ = 0.0;  ///< validation MAE as fraction of target
     double adjustSign_ = 0.0;   ///< +1 raise, -1 lower, 0 no adjustment
-    ModelTarget targetKind_ = ModelTarget::Throughput;
     double lastPredictMs_ = 0.0;
     /** Weights after the last non-diverged retrain (serialized text);
      *  the rollback target when training poisons the model. */
     std::string lastGoodWeights_;
-    const util::CancelToken *cancelToken_ = nullptr;
 
     // Preallocated batch buffers, reused across prediction calls.
     nn::Matrix featureScratch_; ///< (F * D) x Z normalized batch
@@ -164,7 +143,6 @@ class DrlEngine
     util::Counter *trainStepsMetric_;
     util::Counter *divergedMetric_;
     util::Counter *trainDivergedMetric_;
-    util::Counter *trainCancelledMetric_;
     util::Counter *rollbackMetric_;
     util::Histogram *trainMsMetric_;
     util::Histogram *trainRowsMetric_;

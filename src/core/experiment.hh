@@ -34,8 +34,6 @@ struct ExperimentConfig
     size_t warmupRuns = 4;      ///< runs before the policy first acts
     size_t measuredRuns = 40;   ///< runs in the measured phase
     size_t cadence = 5;         ///< rebalance every N runs (paper: 5)
-    /** Window (accesses) for the plotted moving-average series. */
-    size_t seriesWindow = 500;
     uint64_t seed = 31;
 };
 

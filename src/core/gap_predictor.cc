@@ -7,6 +7,13 @@
 namespace geo {
 namespace core {
 
+namespace {
+
+/** Observed gaps needed before predicting. */
+constexpr size_t kMinGapSamples = 4;
+
+} // namespace
+
 GapPredictor::GapPredictor(const ReplayDb &db,
                            const GapPredictorConfig &config)
     : db_(db), config_(config)
@@ -48,7 +55,7 @@ GapPredictor::predict(storage::FileId file) const
         }
         ++prediction.samples;
     }
-    if (prediction.samples < config_.minSamples)
+    if (prediction.samples < kMinGapSamples)
         return std::nullopt;
     prediction.expectedGapSeconds = ewma;
     return prediction;

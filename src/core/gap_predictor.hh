@@ -30,8 +30,6 @@ struct GapPredictorConfig
     size_t historyPerFile = 64;
     /** EWMA smoothing factor over successive gaps (newest weighted). */
     double alpha = 0.3;
-    /** Minimum number of observed gaps before predicting. */
-    size_t minSamples = 4;
 };
 
 /** A predicted access gap for one file. */
@@ -55,7 +53,7 @@ class GapPredictor
      * Predict the next idle gap of `file`.
      *
      * @return nullopt when the file has too little history (fewer than
-     *         minSamples gaps) to say anything.
+     *         four gaps) to say anything.
      */
     std::optional<GapPrediction> predict(storage::FileId file) const;
 

@@ -10,6 +10,13 @@
 namespace geo {
 namespace core {
 
+namespace {
+
+/** Files moved in one exploration cycle. */
+constexpr size_t kExplorationMoves = 2;
+
+} // namespace
+
 Geomancy::Geomancy(storage::StorageSystem &system,
                    std::vector<storage::FileId> managed_files,
                    const GeomancyConfig &config, const std::string &db_path)
@@ -30,9 +37,8 @@ Geomancy::Geomancy(storage::StorageSystem &system,
         std::make_unique<ControlAgent>(system_, db_.get(), control_cfg);
     guardrails_ =
         std::make_unique<Guardrails>(config_.guardrails, system_.clock());
-    // Deadline enforcement is cooperative: training checks the token
-    // at epoch boundaries, migration polls before every attempt.
-    engine_->setCancelToken(&guardrails_->watchdog().token());
+    // The migrate deadline is cooperative: the control agent polls
+    // the watchdog before every attempt.
     control_->setWatchdog(&guardrails_->watchdog());
     if (config_.useScheduler) {
         scheduler_ = std::make_unique<MovementScheduler>(
@@ -43,11 +49,9 @@ Geomancy::Geomancy(storage::StorageSystem &system,
     // the paper; serialized here but architecturally identical).
     for (storage::DeviceId id : system_.deviceIds()) {
         agents_.push_back(std::make_unique<MonitoringAgent>(
-            id,
-            [this](const std::vector<PerfRecord> &batch) {
+            id, [this](const std::vector<PerfRecord> &batch) {
                 daemon_->receiveBatch(batch);
-            },
-            config_.agentBatchSize));
+            }));
         agents_.back()->setGuardrails(guardrails_.get());
     }
     // Telemetry faults mangle what the agents *see*, never what the
@@ -176,7 +180,6 @@ Geomancy::proposeMoves()
     if (!latests.empty())
         all_scores = engine_->scoreLocations(latests, devices);
 
-    const bool lower_better = engine_->lowerIsBetter();
     // Ledger: per-device mean of every candidate prediction this
     // cycle, pinned to the accesses watermark so the realized window
     // starts exactly where the prediction was made.
@@ -199,7 +202,7 @@ Geomancy::proposeMoves()
         storage::FileId file = scorable[i];
         MoveVeto veto = MoveVeto::None;
         std::optional<CheckedMove> move = checker_->selectMove(
-            file, all_scores[i], rng_, lower_better, &veto);
+            file, all_scores[i], rng_, &veto);
         const char *verdict = moveVetoName(veto);
         bool kept = move.has_value();
         if (move && !move->random && config_.sanityWindow > 0) {
@@ -216,15 +219,14 @@ Geomancy::proposeMoves()
             }
         }
         if (ledger_) {
-            // Orientation-aware ranks over this file's scores.
+            // Rank 1 is the highest prediction over this file's scores.
             std::vector<LedgerScore> ranked;
             ranked.reserve(all_scores[i].size());
             for (const CandidateScore &s : all_scores[i])
                 ranked.push_back({s.device, s.predictedThroughput, 1});
             for (LedgerScore &a : ranked)
                 for (const LedgerScore &b : ranked)
-                    if (lower_better ? b.predicted < a.predicted
-                                     : b.predicted > a.predicted)
+                    if (b.predicted > a.predicted)
                         ++a.rank;
             ledger_->recordCandidate(
                 file, system_.location(file), latests[i].features(),
@@ -254,7 +256,7 @@ Geomancy::explorationMoves()
     rng_.shuffle(shuffled);
     std::vector<CheckedMove> moves;
     for (storage::FileId file : shuffled) {
-        if (moves.size() >= config_.explorationMoves)
+        if (moves.size() >= kExplorationMoves)
             break;
         std::optional<CheckedMove> move = checker_->randomMove(file, rng_);
         if (move) {
@@ -297,10 +299,8 @@ Geomancy::runCycle()
     evidence.probe = probe;
     evidence.overrun = guardrails_->cycleOverrun();
     evidence.flood = guardrails_->quarantineFlood();
-    evidence.diverged =
-        report.retrain.diverged || report.retrain.cancelled;
-    evidence.trained = report.retrain.trained && !report.retrain.diverged &&
-                       !report.retrain.cancelled;
+    evidence.diverged = report.retrain.diverged;
+    evidence.trained = report.retrain.trained && !report.retrain.diverged;
     evidence.held = report.held;
     GuardrailTransition transition = guardrails_->observeCycle(evidence);
     if (transition == GuardrailTransition::Entered) {
@@ -383,8 +383,7 @@ Geomancy::runCycleBody(CycleReport &report, bool probe,
     }
     if (injector)
         injector->maybeCrash(storage::CrashPoint::AfterTrain);
-    if (!report.retrain.trained || report.retrain.diverged ||
-        report.retrain.cancelled) {
+    if (!report.retrain.trained || report.retrain.diverged) {
         report.skipped = true;
         cyclesSkippedMetric_->inc();
         return;

@@ -45,8 +45,6 @@ struct GeomancyConfig
      *  decisions on 10% of *runs*; with a decision every 5 runs that
      *  is P(any of 5 runs explores) = 1 - 0.9^5 ~ 0.41 per cycle. */
     double explorationRate = 0.41;
-    /** Files moved in one exploration cycle. */
-    size_t explorationMoves = 2;
     /** Minimum ReplayDB samples before the engine starts acting. */
     size_t minHistory = 500;
     /** Recent-sample window for the measured-throughput sanity check:
@@ -57,14 +55,12 @@ struct GeomancyConfig
      *  "last sanity check" role (Section V-H). */
     size_t sanityWindow = 4000;
     uint64_t seed = 77;
-    /** Monitoring-agent batch size. */
-    size_t agentBatchSize = 32;
     /** Enable the movement scheduler (per-file cooldown + gap check,
      *  the paper's future-work extension). Off by default to match
      *  the published system. */
     bool useScheduler = false;
     SchedulerConfig scheduler;
-    /** Control-agent chunking and retry policy. */
+    /** Control-agent retry policy. */
     ControlAgentConfig control;
     /** Only feed accesses to *managed* files into the monitoring
      *  agents. Off by default (a monolithic optimizer observes the
@@ -72,8 +68,8 @@ struct GeomancyConfig
      *  shard coordinator turns it on so co-tenant shards don't train
      *  on each other's traffic. */
     bool observeOnlyManaged = false;
-    /** Telemetry quarantine, decision deadlines and safe mode. With
-     *  the default knobs (budgets disabled) this is recording-only:
+    /** Telemetry quarantine, the migrate deadline and safe mode. With
+     *  the default knobs (no migrate budget) this is recording-only:
      *  clean runs are byte-identical to a guardrail-free build. */
     GuardrailsConfig guardrails;
 };

@@ -84,8 +84,8 @@ Guardrails::checkOnly(const PerfRecord &rec, const PerfRecord *prev,
         reason = QuarantineReason::BadDuration;
         return true;
     }
-    if (rec.throughput > config_.maxThroughput ||
-        rec.rb > config_.maxAccessBytes || rec.wb > config_.maxAccessBytes) {
+    if (rec.throughput > kMaxThroughput || rec.rb > kMaxAccessBytes ||
+        rec.wb > kMaxAccessBytes) {
         reason = QuarantineReason::OutOfRange;
         return true;
     }
@@ -168,10 +168,9 @@ Guardrails::quarantineFlood() const
 double
 Guardrails::phaseBudget(Phase phase) const
 {
-    const double budgets[] = {
-        config_.monitorBudgetSeconds, config_.trainBudgetSeconds,
-        config_.proposeBudgetSeconds, config_.migrateBudgetSeconds};
-    return config_.enabled ? budgets[static_cast<size_t>(phase)] : 0.0;
+    return config_.enabled && phase == Phase::Migrate
+               ? config_.migrateBudgetSeconds
+               : 0.0;
 }
 
 void
@@ -197,13 +196,13 @@ Guardrails::probeDue(uint64_t cycle) const
 uint64_t
 Guardrails::probeBackoffCycles() const
 {
-    uint64_t wait = config_.probeBackoffBase;
+    uint64_t wait = kProbeBackoffBase;
     for (uint64_t i = 0; i < backoffLevel_; ++i) {
-        wait *= config_.probeBackoffMultiplier;
-        if (wait >= config_.probeBackoffMax)
-            return config_.probeBackoffMax;
+        wait *= kProbeBackoffMultiplier;
+        if (wait >= kProbeBackoffMax)
+            return kProbeBackoffMax;
     }
-    return wait < config_.probeBackoffMax ? wait : config_.probeBackoffMax;
+    return wait;
 }
 
 void
@@ -277,9 +276,9 @@ Guardrails::observeCycle(const CycleEvidence &evidence)
         overrunStreak_ = evidence.overrun ? overrunStreak_ + 1 : 0;
         floodStreak_ = evidence.flood ? floodStreak_ + 1 : 0;
         divergenceStreak_ = evidence.diverged ? divergenceStreak_ + 1 : 0;
-        if (overrunStreak_ >= config_.overrunTripThreshold ||
-            floodStreak_ >= config_.floodTripThreshold ||
-            divergenceStreak_ >= config_.divergenceTripThreshold) {
+        if (overrunStreak_ >= kOverrunTripThreshold ||
+            floodStreak_ >= kFloodTripThreshold ||
+            divergenceStreak_ >= kDivergenceTripThreshold) {
             enterSafeMode(evidence.cycle);
             return GuardrailTransition::Entered;
         }

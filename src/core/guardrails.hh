@@ -12,17 +12,17 @@
  *     enter a training batch; rejects land in a bounded quarantine
  *     ring with per-reason counters. A cycle that admits too few
  *     records while quarantining any degrades to "hold the layout".
- *  2. Decision deadlines — each cycle phase (monitor, train, propose,
- *     migrate) gets a SimClock budget watched by a util::Watchdog;
- *     overruns cancel the phase cooperatively (training stops at the
- *     next epoch, migration defers the rest of the batch).
+ *  2. Migrate deadline — the migrate phase, the only one that
+ *     advances the SimClock, gets a budget watched by a
+ *     util::Watchdog; an overrun makes the control agent defer the
+ *     rest of the batch.
  *  3. Safe mode — consecutive overruns, quarantine floods or DRL
  *     divergence trip a frozen-layout mode: migrations stop, pending
  *     retries are abandoned, and only periodic probe cycles (with
  *     exponential backoff) may demonstrate health and exit.
  *
  * Everything here is recording-only on clean runs: admit() consumes
- * no randomness, budgets default to disabled, and the decision
+ * no randomness, the budget defaults to disabled, and the decision
  * trajectory with guardrails enabled is byte-identical to one without
  * them unless a fault actually fires (pinned by
  * tests/core/test_guardrails.cc).
@@ -66,6 +66,23 @@ enum class Phase { Monitor, Train, Propose, Migrate };
 /** Stable lowercase name ("monitor", ... — ledger rows, trace spans). */
 const char *phaseName(Phase phase);
 
+/** Throughput above this is physically implausible (bytes/s). */
+constexpr double kMaxThroughput = 1e12;
+/** Byte counts above this are corrupt (per access). */
+constexpr uint64_t kMaxAccessBytes = 1ULL << 50;
+/** Consecutive deadline-overrun cycles that trip safe mode. */
+constexpr size_t kOverrunTripThreshold = 3;
+/** Consecutive quarantine-flood cycles that trip safe mode. */
+constexpr size_t kFloodTripThreshold = 2;
+/** Consecutive diverged-retrain cycles that trip safe mode. */
+constexpr size_t kDivergenceTripThreshold = 2;
+/** Probe schedule: the first probe comes kProbeBackoffBase cycles after
+ *  entry, each failed probe multiplies the wait by
+ *  kProbeBackoffMultiplier, capped at kProbeBackoffMax. */
+constexpr uint64_t kProbeBackoffBase = 2;
+constexpr uint64_t kProbeBackoffMultiplier = 2;
+constexpr uint64_t kProbeBackoffMax = 32;
+
 /** One quarantined record, kept for diagnosis. */
 struct QuarantinedRecord
 {
@@ -87,37 +104,19 @@ struct GuardrailsConfig
      *  (concurrent accesses observe end = start + duration without
      *  advancing the clock), plus injected clock skew beyond it. */
     double maxFutureSkewSeconds = 3600.0;
-    /** Throughput above this is physically implausible (bytes/s). */
-    double maxThroughput = 1e12;
-    /** Byte counts above this are corrupt (per access). */
-    uint64_t maxAccessBytes = 1ULL << 50;
     /** Quarantined records retained for diagnosis (ring buffer). */
     size_t quarantineCapacity = 256;
     /** A cycle admitting fewer records than this while quarantining
      *  at least one holds the layout instead of acting. */
     size_t minAdmittedPerCycle = 8;
 
-    // --- Decision deadlines (SimClock seconds; 0 = disabled) ------
-    double monitorBudgetSeconds = 0.0;
-    double trainBudgetSeconds = 0.0;
-    double proposeBudgetSeconds = 0.0;
+    // --- Migrate deadline (SimClock seconds; 0 = disabled) --------
     double migrateBudgetSeconds = 0.0;
 
     // --- Safe mode -------------------------------------------------
-    /** Consecutive deadline-overrun cycles that trip safe mode. */
-    size_t overrunTripThreshold = 3;
-    /** Consecutive quarantine-flood cycles that trip safe mode. */
-    size_t floodTripThreshold = 2;
-    /** Consecutive diverged-retrain cycles that trip safe mode. */
-    size_t divergenceTripThreshold = 2;
     /** A cycle is a flood when quarantined > admitted and at least
      *  this many records were quarantined. */
     size_t floodMinQuarantined = 16;
-    /** Probe schedule: first probe after probeBackoffBase cycles,
-     *  each failed probe multiplies the wait (cap probeBackoffMax). */
-    uint64_t probeBackoffBase = 2;
-    uint64_t probeBackoffMultiplier = 2;
-    uint64_t probeBackoffMax = 32;
 };
 
 /** What one decision cycle looked like, fed to observeCycle(). */
@@ -199,7 +198,8 @@ class Guardrails
 
     // --- Decision deadlines ---------------------------------------
 
-    /** SimClock budget of a phase (0 = none, always 0 when disabled). */
+    /** SimClock budget of a phase: migrateBudgetSeconds for Migrate,
+     *  0 (none) for every other phase and whenever disabled. */
     double phaseBudget(Phase phase) const;
 
     /** Arm the watchdog for a phase; a zero budget leaves it disarmed. */

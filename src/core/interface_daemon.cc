@@ -46,7 +46,7 @@ InterfaceDaemon::receiveBatch(const std::vector<PerfRecord> &records)
     if (records.empty())
         return;
     db_.insertAccesses(records);
-    transferOverhead_ += config_.batchTransferSeconds;
+    transferOverhead_ += kBatchTransferSeconds;
     ++batchesReceived_;
 }
 
@@ -86,7 +86,6 @@ InterfaceDaemon::buildTrainingBatch(
               });
 
     TrainingBatch batch;
-    batch.target = config_.target;
     if (merged.empty())
         return batch;
 
@@ -99,17 +98,8 @@ InterfaceDaemon::buildTrainingBatch(
 
     std::vector<double> tp;
     tp.reserve(merged.size());
-    for (const PerfRecord &rec : merged) {
-        if (config_.target == ModelTarget::Latency) {
-            double open_time = static_cast<double>(rec.ots) +
-                               static_cast<double>(rec.otms) / 1000.0;
-            double close_time = static_cast<double>(rec.cts) +
-                                static_cast<double>(rec.ctms) / 1000.0;
-            tp.push_back(std::max(0.0, close_time - open_time));
-        } else {
-            tp.push_back(rec.throughput);
-        }
-    }
+    for (const PerfRecord &rec : merged)
+        tp.push_back(rec.throughput);
     if (config_.smoothingWindow > 1)
         tp = movingAverage(tp, config_.smoothingWindow);
     nn::Matrix targets(merged.size(), 1);

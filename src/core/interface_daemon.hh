@@ -23,12 +23,9 @@
 namespace geo {
 namespace core {
 
-/** What the DRL engine models (paper Section V-C: throughput now,
- *  latency planned for latency-sensitive workloads). */
-enum class ModelTarget {
-    Throughput, ///< bytes/s of each access (higher is better)
-    Latency,    ///< access duration in seconds (lower is better)
-};
+/** Simulated transfer latency charged per forwarded batch (seconds);
+ *  the paper measures ~3 ms on average. */
+constexpr double kBatchTransferSeconds = 0.003;
 
 /** Interface Daemon configuration. */
 struct DaemonConfig
@@ -37,11 +34,6 @@ struct DaemonConfig
     size_t windowPerDevice = 2000;
     /** Moving-average window for target smoothing (Section V-E). */
     size_t smoothingWindow = 8;
-    /** Simulated transfer latency per forwarded batch (seconds);
-     *  the paper measures ~3 ms on average. */
-    double batchTransferSeconds = 0.003;
-    /** The quantity the engine is trained to predict. */
-    ModelTarget target = ModelTarget::Throughput;
 };
 
 /** A normalized training view plus the scalers to invert it. */
@@ -50,7 +42,6 @@ struct TrainingBatch
     nn::Dataset dataset;
     trace::MinMaxNormalizer featureNorm;
     trace::MinMaxNormalizer targetNorm;
-    ModelTarget target = ModelTarget::Throughput;
 
     /**
      * Normalize a raw Z-feature row with this batch's scalers, writing

@@ -20,7 +20,7 @@ usageOf(const PolicyContext &context, storage::FileId file)
 /**
  * Devices a baseline may target right now, mirroring the Action
  * Checker's validity rules for Geomancy: offline, read-only or
- * degraded below half health are skipped (per-file capacity stays
+ * degraded below kMinHealthFactor are skipped (per-file capacity stays
  * with moveFile itself). Without this the fastest-first grouping
  * keeps assigning files to a mount the fault injector took down,
  * wasting every one of those moves.
@@ -34,7 +34,7 @@ usableDevices(const PolicyContext &context,
     for (storage::DeviceId id : devices) {
         const storage::StorageDevice &dev = context.system.device(id);
         if (!dev.available() || !dev.writable() ||
-            dev.healthFactor() < 0.5)
+            dev.healthFactor() < kMinHealthFactor)
             continue;
         usable.push_back(id);
     }
@@ -56,30 +56,13 @@ GroupedHeuristicPolicy::rebalance(PolicyContext &context)
         return 0; // every device offline/degraded: hold the layout
     orderFiles(files, devices, context);
 
-    // Group boundaries: even split by default (files that do not
-    // divide evenly land on the slowest device, as in the paper's
-    // setup), or proportional to device capacity when requested.
+    // Even group boundaries: files that do not divide evenly land on
+    // the slowest device, as in the paper's setup.
     std::vector<size_t> group_end(devices.size(), 0);
-    if (capacityWeighted_) {
-        double total_capacity = 0.0;
-        for (storage::DeviceId id : devices)
-            total_capacity += static_cast<double>(
-                context.system.device(id).capacityBytes());
-        double cumulative = 0.0;
-        for (size_t g = 0; g < devices.size(); ++g) {
-            cumulative += static_cast<double>(
-                context.system.device(devices[g]).capacityBytes());
-            group_end[g] = static_cast<size_t>(
-                cumulative / total_capacity *
-                static_cast<double>(files.size()));
-        }
-        group_end.back() = files.size();
-    } else {
-        size_t group_size = files.size() / devices.size();
-        for (size_t g = 0; g < devices.size(); ++g)
-            group_end[g] = group_size == 0 ? 0 : (g + 1) * group_size;
-        group_end.back() = files.size();
-    }
+    size_t group_size = files.size() / devices.size();
+    for (size_t g = 0; g < devices.size(); ++g)
+        group_end[g] = group_size == 0 ? 0 : (g + 1) * group_size;
+    group_end.back() = files.size();
 
     size_t moved = 0;
     size_t group = 0;

@@ -78,23 +78,9 @@ class PlacementPolicy
 class GroupedHeuristicPolicy : public PlacementPolicy
 {
   public:
-    /**
-     * @param capacity_weighted size each device's group proportionally
-     *        to its capacity instead of evenly (the variant the paper
-     *        mentions as an alternative in Section VI).
-     */
-    explicit GroupedHeuristicPolicy(bool capacity_weighted = false)
-        : capacityWeighted_(capacity_weighted)
-    {
-    }
-
     size_t rebalance(PolicyContext &context) override;
 
-    bool capacityWeighted() const { return capacityWeighted_; }
-
   protected:
-    bool capacityWeighted_;
-
     /**
      * Sort `files` into placement order: the first group lands on the
      * first device of `devices` (which this hook may reorder).
@@ -108,8 +94,6 @@ class GroupedHeuristicPolicy : public PlacementPolicy
 class LruPolicy : public GroupedHeuristicPolicy
 {
   public:
-    using GroupedHeuristicPolicy::GroupedHeuristicPolicy;
-
     std::string name() const override { return "LRU"; }
 
   protected:
@@ -122,8 +106,6 @@ class LruPolicy : public GroupedHeuristicPolicy
 class MruPolicy : public GroupedHeuristicPolicy
 {
   public:
-    using GroupedHeuristicPolicy::GroupedHeuristicPolicy;
-
     std::string name() const override { return "MRU"; }
 
   protected:
@@ -136,8 +118,6 @@ class MruPolicy : public GroupedHeuristicPolicy
 class LfuPolicy : public GroupedHeuristicPolicy
 {
   public:
-    using GroupedHeuristicPolicy::GroupedHeuristicPolicy;
-
     std::string name() const override { return "LFU"; }
 
   protected:

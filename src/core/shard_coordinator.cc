@@ -25,7 +25,7 @@ shardConfig(const ShardCoordinatorConfig &coord, size_t shard,
     cfg.seed = coord.base.seed + shard * kSeedStride;
     cfg.drl.seed = coord.base.drl.seed + shard * kSeedStride;
     cfg.observeOnlyManaged = shard_count > 1;
-    if (coord.scaleBudgets && shard_count > 1) {
+    if (shard_count > 1) {
         // Constant fleet-wide budget: each shard trains on ~1/N of
         // the telemetry a monolithic optimizer would pull, with
         // floors so tiny fleets still learn.
@@ -238,7 +238,7 @@ ShardCoordinator::runRound()
             reports.push_back(shards_[i]->runCycle());
         }
         bool safe = shards_[i]->guardrails().safeMode();
-        if (safe && !wasSafe_[i] && config_.safeModeFanOut)
+        if (safe && !wasSafe_[i])
             fanOutSafeMode(i);
         wasSafe_[i] = safe;
     }

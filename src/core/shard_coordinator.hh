@@ -63,13 +63,11 @@ struct ShardCoordinatorConfig
     size_t shardCount = 1;
 
     /** Template for every shard's Geomancy; per-shard seed, observe
-     *  filter and (optionally) telemetry windows are derived from it. */
+     *  filter and telemetry windows are derived from it (with N > 1
+     *  shards, windowPerDevice / minHistory / sanityWindow are divided
+     *  by N, with floors, so the fleet-wide telemetry and training
+     *  budget stays constant as shards are added). */
     GeomancyConfig base;
-
-    /** Divide windowPerDevice / minHistory / sanityWindow by the shard
-     *  count (with floors) so the fleet-wide telemetry and training
-     *  budget stays constant as shards are added. */
-    bool scaleBudgets = true;
 
     /** Per-device migration budget per coordinator round: at most this
      *  many admitted moves may touch one device (as source or target).
@@ -79,9 +77,6 @@ struct ShardCoordinatorConfig
     /** Per-device bytes-in-flight budget per round (charged to both
      *  endpoints). 0 = unlimited. */
     uint64_t maxBytesInFlightPerDevice = 0;
-
-    /** Propagate one shard's organic safe-mode entry to all others. */
-    bool safeModeFanOut = true;
 };
 
 /** One round's admission accounting for one device. */

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <string_view>
 
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -155,36 +153,9 @@ enum class GemmOp
  *        small outputs never amortize the two passes: needs 4+ rows,
  *        4+ cols and m*n >= 64 output elements)
  */
-/**
- * Calibration override: GEO_GEMM_FORCE=plain|packed pins every shape
- * to one kernel. This is how the crossover table above is measured —
- * time the same workload under both settings in the shipping binary —
- * and it is a production escape hatch if a host routes a shape badly.
- */
-int
-forcedKernel()
-{
-    static const int force = [] {
-        const char *env = std::getenv("GEO_GEMM_FORCE");
-        if (env == nullptr)
-            return 0;
-        if (std::string_view(env) == "plain")
-            return 1;
-        if (std::string_view(env) == "packed")
-            return 2;
-        return 0;
-    }();
-    return force;
-}
-
 bool
 usePackedKernel(GemmOp op, size_t m, size_t k, size_t n)
 {
-    const int force = forcedKernel();
-    if (force == 1)
-        return false;
-    if (force == 2)
-        return true;
     switch (op) {
       case GemmOp::AB:
         // k*n >= 64 keeps tile setup from dominating tiny products;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <numeric>
 
 #include "nn/loss.hh"
@@ -178,14 +177,7 @@ Sequential::train(const Dataset &train_data, const Dataset &validation,
     std::iota(order.begin(), order.end(), 0);
     Rng shuffle_rng(options.shuffleSeed);
 
-    double best_val = std::numeric_limits<double>::infinity();
-    size_t stale = 0;
-
     for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
-        if (options.cancel && options.cancel->cancelled()) {
-            result.cancelled = true;
-            break;
-        }
         if (options.shuffle)
             shuffle_rng.shuffle(order);
 
@@ -222,14 +214,6 @@ Sequential::train(const Dataset &train_data, const Dataset &validation,
             if (!std::isfinite(val)) {
                 result.diverged = true;
                 break;
-            }
-            if (options.earlyStopPatience > 0) {
-                if (val < best_val - options.earlyStopMinDelta) {
-                    best_val = val;
-                    stale = 0;
-                } else if (++stale >= options.earlyStopPatience) {
-                    break;
-                }
             }
         }
     }

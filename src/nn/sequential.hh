@@ -18,7 +18,6 @@
 #include "nn/dataset.hh"
 #include "nn/layer.hh"
 #include "nn/optimizer.hh"
-#include "util/watchdog.hh"
 
 namespace geo {
 namespace nn {
@@ -29,7 +28,6 @@ struct TrainResult
     std::vector<double> trainLoss;      ///< per-epoch training loss
     std::vector<double> validationLoss; ///< per-epoch validation loss
     bool diverged = false;              ///< non-finite loss encountered
-    bool cancelled = false;             ///< cut short by a cancel token
     double seconds = 0.0;               ///< wall-clock training time
 };
 
@@ -40,16 +38,6 @@ struct TrainOptions
     size_t batchSize = 32;
     bool shuffle = false;  ///< chronological batches by default
     uint64_t shuffleSeed = 1;
-    /** Stop early when validation loss has not improved for N epochs
-     *  (0 disables). */
-    size_t earlyStopPatience = 0;
-    /** Minimum absolute validation-loss improvement that counts as
-     *  progress for early stopping. */
-    double earlyStopMinDelta = 0.0;
-    /** Cooperative cancellation: checked at every epoch boundary; a
-     *  fired token stops training and sets TrainResult::cancelled
-     *  (null = never cancel). */
-    const util::CancelToken *cancel = nullptr;
 };
 
 /**

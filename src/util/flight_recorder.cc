@@ -37,8 +37,6 @@ flightKindName(FlightKind kind)
         return "crash_point";
       case FlightKind::TrainDiverged:
         return "train_diverged";
-      case FlightKind::TrainCancelled:
-        return "train_cancelled";
       case FlightKind::MovesAbandoned:
         return "moves_abandoned";
       case FlightKind::Restore:

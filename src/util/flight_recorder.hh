@@ -34,7 +34,6 @@
  *   checkpoint_write          a0=cycle a1=payload bytes
  *   crash_point               a0=CrashPoint a1=cycle
  *   train_diverged            a0=epochs run
- *   train_cancelled           a0=epochs run
  *   moves_abandoned           a0=moves
  *   restore                   a0=cycle
  */
@@ -63,12 +62,11 @@ enum class FlightKind : uint8_t {
     CheckpointWrite,
     CrashPoint,
     TrainDiverged,
-    TrainCancelled,
     MovesAbandoned,
     Restore,
 };
 
-constexpr size_t kFlightKindCount = 13;
+constexpr size_t kFlightKindCount = 12;
 
 /** Stable lowercase name used in the dump ("phase_begin", ...). */
 const char *flightKindName(FlightKind kind);

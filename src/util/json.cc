@@ -1,5 +1,7 @@
 #include "util/json.hh"
 
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -291,6 +293,20 @@ jsonEscape(const std::string &s)
         out.push_back(c);
     }
     return out;
+}
+
+std::string
+jsonNumber(double v)
+{
+    if (!std::isfinite(v))
+        return "0";
+    char buf[40];
+    for (int prec = 15; prec <= 17; ++prec) {
+        std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+        if (std::strtod(buf, nullptr) == v)
+            break;
+    }
+    return buf;
 }
 
 } // namespace util

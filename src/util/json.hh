@@ -11,7 +11,7 @@
  * control characters and use only the standard escapes, nothing may
  * follow the document, and nesting deeper than kJsonMaxDepth is
  * rejected instead of exhausting the stack. Numbers are converted with
- * strtod, so a `%.17g` writer round-trips bit-exactly.
+ * strtod, so jsonNumber's output round-trips bit-exactly.
  */
 
 #ifndef GEO_UTIL_JSON_HH
@@ -62,6 +62,13 @@ bool parseJson(const std::string &text, JsonValue &out);
 
 /** Escape `"` and `\` for embedding `s` in a JSON string literal. */
 std::string jsonEscape(const std::string &s);
+
+/**
+ * `v` as a JSON number: the shortest of `%.15g`, `%.16g` and `%.17g`
+ * that strtod reads back as exactly `v`, so a reader reproduces the
+ * writer's value bit for bit. JSON has no NaN or Inf; those print "0".
+ */
+std::string jsonNumber(double v);
 
 } // namespace util
 } // namespace geo

@@ -45,22 +45,6 @@ atomicMax(std::atomic<double> &target, double value)
         ;
 }
 
-/** Print a double so it JSON-round-trips (shortest exact form). */
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "0";
-    std::string out = strprintf("%.17g", v);
-    // Try shorter representations that still parse back exactly.
-    for (int precision = 1; precision < 17; ++precision) {
-        std::string candidate = strprintf("%.*g", precision, v);
-        if (std::stod(candidate) == v)
-            return candidate;
-    }
-    return out;
-}
-
 /** Prometheus metric name: dots/dashes to underscores, geo_ prefix. */
 std::string
 promName(const std::string &name)

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace geo {
 namespace util {
@@ -152,8 +153,8 @@ ThreadPool::global()
 {
     static ThreadPool pool([]() -> size_t {
         if (const char *env = std::getenv("GEO_THREADS")) {
-            long parsed = std::strtol(env, nullptr, 10);
-            if (parsed >= 1)
+            uint64_t parsed = 0;
+            if (parseU64(env, parsed) && parsed >= 1)
                 return static_cast<size_t>(parsed);
             warn("GEO_THREADS=%s is not a positive integer; using "
                  "hardware concurrency", env);

@@ -20,7 +20,6 @@ Watchdog::beginPhase(const char *phase, double now, double budget_seconds)
     budget_ = budget_seconds;
     active_ = true;
     fired_ = false;
-    token_.reset();
 }
 
 bool
@@ -35,7 +34,6 @@ Watchdog::poll(double now)
     fired_ = true;
     ++overruns_;
     overrunMetric_->inc();
-    token_.cancel();
     warn("watchdog: phase '%s' overran its %.3fs budget "
          "(%.3fs elapsed), cancelling", phase_, budget_, now - start_);
     GEO_TRACE_INSTANT("guardrails", "deadline_exceeded",

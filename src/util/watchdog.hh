@@ -1,50 +1,27 @@
 /**
  * @file
- * Cooperative phase watchdog for the decision cycle.
+ * Phase watchdog for the decision cycle.
  *
- * Each pipeline phase (monitor, train, propose, migrate) can be given
- * a SimClock budget. The watchdog does not preempt anything: long
- * loops poll() it at natural yield points (between migration attempts,
- * at training epoch boundaries, inside thread-pool tasks) and bail out
- * when the budget is blown. The first overrun of a phase fires the
- * shared CancelToken, bumps the `guardrails.deadline_exceeded` counter
- * and drops a trace instant; later polls of the same phase just keep
- * reporting "cancelled".
+ * Each pipeline phase can be given a SimClock budget. The watchdog
+ * does not preempt anything: the control agent polls it between
+ * migration attempts and stops starting new ones once the budget is
+ * blown. The first overrun of a phase bumps the
+ * `guardrails.deadline_exceeded` counter and drops a trace instant;
+ * later polls of the same phase just keep reporting the overrun.
  *
  * Threading: beginPhase()/poll()/endPhase() belong to the cycle's
- * owning thread. Worker tasks may only read token().cancelled(), which
- * is a relaxed atomic load — cheap enough for inner loops.
+ * owning thread.
  */
 
 #ifndef GEO_UTIL_WATCHDOG_HH
 #define GEO_UTIL_WATCHDOG_HH
 
-#include <atomic>
 #include <cstdint>
 
 #include "util/metrics.hh"
 
 namespace geo {
 namespace util {
-
-/**
- * Shared cancellation flag: set once by the watchdog, read by any
- * number of worker threads.
- */
-class CancelToken
-{
-  public:
-    void cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-    void reset() { cancelled_.store(false, std::memory_order_relaxed); }
-
-    bool cancelled() const
-    {
-        return cancelled_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<bool> cancelled_{false};
-};
 
 /**
  * Deadline monitor for one phase at a time.
@@ -57,24 +34,20 @@ class Watchdog
     /**
      * Arm the watchdog for a phase starting at sim time `now` with
      * `budget_seconds` of sim time to spend (<= 0 disables the
-     * deadline). Resets the cancel token.
+     * deadline).
      */
     void beginPhase(const char *phase, double now, double budget_seconds);
 
     /**
      * Check the deadline at sim time `now`. Returns true once the
      * phase has overrun (and keeps returning true until the next
-     * beginPhase). The first overrun cancels the token and records
-     * the metric + trace instant.
+     * beginPhase). The first overrun records the metric + trace
+     * instant.
      */
     bool poll(double now);
 
     /** Close the phase; the overrun count survives, the arm does not. */
     void endPhase();
-
-    /** The shared cancellation flag workers watch. */
-    CancelToken &token() { return token_; }
-    const CancelToken &token() const { return token_; }
 
     /** True when the currently armed phase has fired. */
     bool firedThisPhase() const { return fired_; }
@@ -88,7 +61,6 @@ class Watchdog
     const char *phase() const { return phase_; }
 
   private:
-    CancelToken token_;
     const char *phase_ = "";
     double start_ = 0.0;
     double budget_ = 0.0;

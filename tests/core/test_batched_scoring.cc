@@ -4,13 +4,11 @@
  * assembles one feature matrix per decision cycle, but every predicted
  * value must equal a plain one-row reference bitwise — normalize with
  * the training batch's scalers, model().predict, denormalize, apply
- * the Sec. V-G adjustment, clamp — for both model orientations
- * (throughput and latency targets).
+ * the Sec. V-G adjustment, clamp.
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "core/drl_engine.hh"
@@ -38,23 +36,6 @@ throughputRecord(storage::FileId file, storage::DeviceId device,
     return rec;
 }
 
-PerfRecord
-latencyRecord(storage::FileId file, storage::DeviceId device,
-              double duration, int64_t at)
-{
-    PerfRecord rec;
-    rec.file = file;
-    rec.device = device;
-    rec.rb = 1000000;
-    rec.ots = at;
-    rec.otms = 0;
-    rec.cts = at + static_cast<int64_t>(duration);
-    rec.ctms =
-        static_cast<int64_t>((duration - std::floor(duration)) * 1000.0);
-    rec.throughput = 1e6 / duration;
-    return rec;
-}
-
 /** Train an engine on synthetic telemetry with real variance. */
 struct TrainedEngine
 {
@@ -63,10 +44,9 @@ struct TrainedEngine
     DrlEngine engine;
     std::vector<PerfRecord> latest;
 
-    static DaemonConfig daemonConfig(ModelTarget target)
+    static DaemonConfig daemonConfig()
     {
         DaemonConfig config;
-        config.target = target;
         config.smoothingWindow = 1;
         return config;
     }
@@ -78,8 +58,7 @@ struct TrainedEngine
         return config;
     }
 
-    explicit TrainedEngine(ModelTarget target)
-        : daemon(db, daemonConfig(target)), engine(engineConfig())
+    TrainedEngine() : daemon(db, daemonConfig()), engine(engineConfig())
     {
         Rng rng(17);
         std::vector<PerfRecord> records;
@@ -87,19 +66,10 @@ struct TrainedEngine
             storage::FileId file = i % 10;
             storage::DeviceId device =
                 static_cast<storage::DeviceId>(i % 4);
-            if (target == ModelTarget::Latency) {
-                double duration = 1.0 +
-                                  0.6 * static_cast<double>(i % 3) +
-                                  rng.uniform(0.0, 0.2);
-                records.push_back(
-                    latencyRecord(file, device, duration, i * 5));
-            } else {
-                double throughput = 4e5 +
-                                    2e5 * static_cast<double>(i % 4) +
-                                    rng.uniform(0.0, 1e5);
-                records.push_back(
-                    throughputRecord(file, device, throughput, i * 5));
-            }
+            double throughput = 4e5 + 2e5 * static_cast<double>(i % 4) +
+                                rng.uniform(0.0, 1e5);
+            records.push_back(
+                throughputRecord(file, device, throughput, i * 5));
         }
         daemon.receiveBatch(records);
         RetrainStats stats =
@@ -156,20 +126,13 @@ expectBatchedMatchesScalar(TrainedEngine &fixture)
 
 TEST(BatchedScoring, MatchesScalarThroughputTarget)
 {
-    TrainedEngine fixture(ModelTarget::Throughput);
-    expectBatchedMatchesScalar(fixture);
-}
-
-TEST(BatchedScoring, MatchesScalarLatencyTarget)
-{
-    TrainedEngine fixture(ModelTarget::Latency);
-    EXPECT_TRUE(fixture.engine.lowerIsBetter());
+    TrainedEngine fixture;
     expectBatchedMatchesScalar(fixture);
 }
 
 TEST(BatchedScoring, EmptyInputsYieldEmptyOutputs)
 {
-    TrainedEngine fixture(ModelTarget::Throughput);
+    TrainedEngine fixture;
     EXPECT_TRUE(fixture.engine
                     .scoreLocations(std::vector<PerfRecord>{}, {0, 1})
                     .empty());

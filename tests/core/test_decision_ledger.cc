@@ -126,8 +126,9 @@ TEST(DecisionLedger, RecordingOnlyIdentity)
 
 /** Every cycle's phase rows come in cycle order — a prefix of monitor,
  *  train, propose, migrate, as far as the cycle got — and carry the
- *  phase's guardrail budget: the configured seconds with guardrails
- *  on, 0 with them off. */
+ *  phase's guardrail budget: the configured migrate seconds on the
+ *  migrate row with guardrails on, 0 on every other row and with
+ *  guardrails off. */
 TEST(DecisionLedger, PhaseRowsInCycleOrderWithBudgets)
 {
     TempDir dir("ledger_phases");
@@ -146,10 +147,6 @@ TEST(DecisionLedger, PhaseRowsInCycleOrderWithBudgets)
         config.minHistory = 200;
         config.explorationRate = 1.0; // every acting cycle migrates
         config.guardrails.enabled = enabled;
-        // Budgets 1000, 2000, 3000, 4000 s in cycle order.
-        config.guardrails.monitorBudgetSeconds = 1000.0;
-        config.guardrails.trainBudgetSeconds = 2000.0;
-        config.guardrails.proposeBudgetSeconds = 3000.0;
         config.guardrails.migrateBudgetSeconds = 4000.0;
         Geomancy geomancy(*system, workload.files(), config);
         geomancy.attachLedger(path);
@@ -170,7 +167,7 @@ TEST(DecisionLedger, PhaseRowsInCycleOrderWithBudgets)
             EXPECT_EQ(row[2], order[index]) << row[0];
             double budget = -1.0;
             ASSERT_TRUE(util::parseDouble(row[3], budget)) << row[0];
-            EXPECT_EQ(budget, enabled ? 1000.0 * (index + 1) : 0.0)
+            EXPECT_EQ(budget, enabled && row[2] == "migrate" ? 4000.0 : 0.0)
                 << row[0];
             migrated = migrated || row[2] == "migrate";
             ++index;

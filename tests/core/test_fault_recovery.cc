@@ -229,7 +229,7 @@ TEST(FaultRecovery, CheckerSkipsDegradedTargets)
     ev.kind = storage::FaultKind::Degradation;
     ev.start = 0.0;
     ev.duration = 0.0;
-    ev.magnitude = 0.3; // below the default minHealthFactor of 0.5
+    ev.magnitude = 0.3; // below kMinHealthFactor (0.5)
     fx.injector.addEvent(ev);
     fx.injector.advanceTo(1.0);
     ActionChecker checker(*fx.system);

@@ -41,7 +41,7 @@ TEST(GapPredictor, NoHistoryNoPrediction)
 TEST(GapPredictor, TooFewSamplesNoPrediction)
 {
     ReplayDb db;
-    insertPeriodic(db, 1, 3, 10.0, 1.0); // only 2 gaps < minSamples 4
+    insertPeriodic(db, 1, 3, 10.0, 1.0); // only 2 gaps, 4 needed
     GapPredictor predictor(db);
     EXPECT_FALSE(predictor.predict(1).has_value());
 }

@@ -2,7 +2,8 @@
  * @file
  * Tests for the guardrail subsystem: every quarantine reject reason,
  * the hold-layout floor, the safe-mode trip/probe/backoff state
- * machine, checkpoint round-trips, and the recording-only guarantee —
+ * machine, checkpoint round-trips, recovery from a migrate overrun,
+ * and the recording-only guarantee —
  * a clean run with guardrails enabled is byte-identical to one with
  * them disabled.
  */
@@ -106,10 +107,10 @@ TEST(GuardrailsAdmit, RejectsOutOfRangeFields)
     fx.clock.advance(100.0);
     Guardrails guard = fx.make();
     PerfRecord rec = cleanRecord();
-    rec.throughput = 1e13; // above maxThroughput
+    rec.throughput = 1e13; // above kMaxThroughput
     EXPECT_FALSE(guard.admit(rec, nullptr));
     rec = cleanRecord();
-    rec.rb = 1ULL << 60; // above maxAccessBytes
+    rec.rb = 1ULL << 60; // above kMaxAccessBytes
     EXPECT_FALSE(guard.admit(rec, nullptr));
     rec = cleanRecord();
     rec.wb = 1ULL << 60;
@@ -248,7 +249,7 @@ TEST(GuardrailsSafeMode, TripsOnConsecutiveOverruns)
     fx.clock.advance(1.0);
     Guardrails guard = fx.make();
     uint64_t cycle = 1;
-    for (size_t i = 0; i + 1 < fx.config.overrunTripThreshold; ++i) {
+    for (size_t i = 0; i + 1 < kOverrunTripThreshold; ++i) {
         CycleEvidence ev = evidence(cycle++);
         ev.overrun = true;
         EXPECT_EQ(guard.observeCycle(ev), GuardrailTransition::None);
@@ -256,7 +257,7 @@ TEST(GuardrailsSafeMode, TripsOnConsecutiveOverruns)
     // A clean cycle resets the streak.
     EXPECT_EQ(guard.observeCycle(evidence(cycle++)),
               GuardrailTransition::None);
-    for (size_t i = 0; i + 1 < fx.config.overrunTripThreshold; ++i) {
+    for (size_t i = 0; i + 1 < kOverrunTripThreshold; ++i) {
         CycleEvidence ev = evidence(cycle++);
         ev.overrun = true;
         EXPECT_EQ(guard.observeCycle(ev), GuardrailTransition::None);
@@ -267,7 +268,7 @@ TEST(GuardrailsSafeMode, TripsOnConsecutiveOverruns)
     EXPECT_EQ(guard.observeCycle(ev), GuardrailTransition::Entered);
     EXPECT_TRUE(guard.safeMode());
     EXPECT_EQ(guard.safeModeEntries(), 1u);
-    EXPECT_EQ(guard.nextProbeCycle(), cycle + fx.config.probeBackoffBase);
+    EXPECT_EQ(guard.nextProbeCycle(), cycle + kProbeBackoffBase);
 }
 
 TEST(GuardrailsSafeMode, TripsOnFloodAndOnDivergence)
@@ -280,7 +281,7 @@ TEST(GuardrailsSafeMode, TripsOnFloodAndOnDivergence)
             CycleEvidence ev = evidence(c);
             ev.flood = true;
             GuardrailTransition t = guard.observeCycle(ev);
-            if (c < fx.config.floodTripThreshold) {
+            if (c < kFloodTripThreshold) {
                 EXPECT_EQ(t, GuardrailTransition::None);
             } else {
                 EXPECT_EQ(t, GuardrailTransition::Entered);
@@ -295,7 +296,7 @@ TEST(GuardrailsSafeMode, TripsOnFloodAndOnDivergence)
             CycleEvidence ev = evidence(c, /*trained=*/false);
             ev.diverged = true;
             GuardrailTransition t = guard.observeCycle(ev);
-            if (c < fx.config.divergenceTripThreshold) {
+            if (c < kDivergenceTripThreshold) {
                 EXPECT_EQ(t, GuardrailTransition::None);
             } else {
                 EXPECT_EQ(t, GuardrailTransition::Entered);
@@ -318,7 +319,7 @@ TEST(GuardrailsSafeMode, ProbeScheduleBacksOffExponentially)
     ASSERT_EQ(guard.observeCycle(trip), GuardrailTransition::Entered);
     ASSERT_TRUE(guard.safeMode());
     uint64_t probe_at = guard.nextProbeCycle();
-    EXPECT_EQ(probe_at, 11u + fx.config.probeBackoffBase);
+    EXPECT_EQ(probe_at, 11u + kProbeBackoffBase);
 
     // Non-probe safe-mode cycles change nothing.
     EXPECT_FALSE(guard.probeDue(probe_at - 1));
@@ -327,7 +328,7 @@ TEST(GuardrailsSafeMode, ProbeScheduleBacksOffExponentially)
     EXPECT_EQ(guard.nextProbeCycle(), probe_at);
 
     // Failed probes double the wait, up to the cap.
-    uint64_t expected_wait = fx.config.probeBackoffBase;
+    uint64_t expected_wait = kProbeBackoffBase;
     for (int i = 0; i < 6; ++i) {
         uint64_t due = guard.nextProbeCycle();
         EXPECT_TRUE(guard.probeDue(due));
@@ -335,8 +336,8 @@ TEST(GuardrailsSafeMode, ProbeScheduleBacksOffExponentially)
         probe.probe = true;
         EXPECT_EQ(guard.observeCycle(probe), GuardrailTransition::None);
         expected_wait =
-            std::min(expected_wait * fx.config.probeBackoffMultiplier,
-                     fx.config.probeBackoffMax);
+            std::min(expected_wait * kProbeBackoffMultiplier,
+                     kProbeBackoffMax);
         EXPECT_EQ(guard.nextProbeCycle(), due + expected_wait);
         EXPECT_EQ(guard.backoffLevel(), static_cast<uint64_t>(i + 1));
     }
@@ -453,6 +454,37 @@ TEST(GuardrailsState, RejectsTruncatedState)
     restored.loadState(r);
     EXPECT_FALSE(r.ok());
     EXPECT_FALSE(restored.safeMode());
+}
+
+// A migrate overrun must not leak into a later retrain: with
+// foreground moves a 1 ms migrate budget overruns on the first
+// migration, and the out-of-cycle predictLayout() that follows still
+// trains a usable model and proposes moves.
+TEST(GuardrailsDeadline, PredictLayoutWorksAfterMigrateOverrun)
+{
+    storage::SystemConfig scfg;
+    scfg.backgroundMoves = false;
+    storage::StorageSystem system(scfg);
+    for (const storage::DeviceConfig &dc : storage::blueskyDeviceConfigs())
+        system.addDevice(dc);
+    workload::Belle2Workload workload(system);
+    GeomancyConfig config;
+    config.drl.epochs = 4;
+    config.minHistory = 200;
+    config.explorationRate = 1.0; // every acting cycle migrates
+    config.guardrails.migrateBudgetSeconds = 0.001;
+    Geomancy geomancy(system, workload.files(), config);
+    for (int cycle = 0;
+         cycle < 10 && geomancy.guardrails().watchdog().overruns() == 0;
+         ++cycle) {
+        workload.executeRun();
+        geomancy.runCycle();
+    }
+    ASSERT_GT(geomancy.guardrails().watchdog().overruns(), 0u);
+
+    std::vector<MoveRequest> moves = geomancy.predictLayout();
+    EXPECT_TRUE(geomancy.engine().ready());
+    EXPECT_FALSE(moves.empty());
 }
 
 // The recording-only guarantee (the fig5a standard): a clean run with

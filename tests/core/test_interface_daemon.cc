@@ -36,12 +36,11 @@ TEST(InterfaceDaemon, PersistsBatches)
 TEST(InterfaceDaemon, ChargesTransferOverhead)
 {
     ReplayDb db;
-    DaemonConfig config;
-    config.batchTransferSeconds = 0.003;
-    InterfaceDaemon daemon(db, config);
+    InterfaceDaemon daemon(db);
     daemon.receiveBatch({record(1, 0, 10.0)});
     daemon.receiveBatch({record(2, 0, 10.0)});
-    EXPECT_NEAR(daemon.transferOverheadSeconds(), 0.006, 1e-12);
+    EXPECT_NEAR(daemon.transferOverheadSeconds(),
+                2 * kBatchTransferSeconds, 1e-12);
 }
 
 TEST(InterfaceDaemon, EmptyBatchIgnored)

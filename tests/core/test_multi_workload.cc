@@ -1,8 +1,7 @@
 /**
  * @file
  * Multi-workload management: one Geomancy instance managing the files
- * of two workloads at once (the paper's scale-out direction), and the
- * live latency-target loop end to end.
+ * of two workloads at once (the paper's scale-out direction).
  */
 
 #include <gtest/gtest.h>
@@ -52,31 +51,6 @@ TEST(MultiWorkload, GeomancyManagesTwoWorkloads)
     for (const MovementRecord &move : moves) {
         EXPECT_TRUE(std::find(managed.begin(), managed.end(),
                               move.file) != managed.end());
-    }
-}
-
-TEST(MultiWorkload, LiveLatencyTargetLoop)
-{
-    // Full live loop with the latency model target: the engine flips
-    // to lower-is-better and cycles still act sanely.
-    auto system = storage::makeBlueskySystem();
-    workload::Belle2Workload workload(*system);
-    GeomancyConfig config;
-    config.drl.epochs = 8;
-    config.minHistory = 300;
-    config.daemon.target = ModelTarget::Latency;
-    Geomancy geomancy(*system, workload.files(), config);
-
-    for (int run = 0; run < 4; ++run)
-        workload.executeRun();
-    CycleReport report = geomancy.runCycle();
-    EXPECT_FALSE(report.skipped);
-    EXPECT_TRUE(geomancy.engine().lowerIsBetter());
-
-    // Subsequent cycles keep working (moves optional, no crashes).
-    for (int cycle = 0; cycle < 3; ++cycle) {
-        workload.executeRun();
-        EXPECT_NO_FATAL_FAILURE(geomancy.runCycle());
     }
 }
 

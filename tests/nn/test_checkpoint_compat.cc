@@ -57,6 +57,27 @@ TEST(CheckpointCompat, GoldenDrlEngineStateRoundTripsByteExact)
            "engine state unchanged";
 }
 
+// Throughput is the only model target: a snapshot claiming any other
+// `drl.target` must not load as if it were one.
+TEST(CheckpointCompat, RejectsNonThroughputTarget)
+{
+    std::string state = readFixture("golden_drl.state");
+    const std::string key = "\ndrl.target 0\n";
+    size_t at = state.find(key);
+    ASSERT_NE(at, std::string::npos);
+    state.replace(at, key.size(), "\ndrl.target 1\n");
+
+    core::DrlConfig config;
+    config.epochs = 8;
+    core::DrlEngine engine(config);
+    std::istringstream is(state);
+    util::StateReader r(is);
+    engine.loadState(r);
+    EXPECT_FALSE(r.ok());
+    EXPECT_NE(r.error().find("target"), std::string::npos) << r.error();
+    EXPECT_FALSE(engine.ready());
+}
+
 } // namespace
 } // namespace nn
 } // namespace geo

@@ -111,25 +111,6 @@ TEST(Sequential, TrainLossDecreasesMonotonicallyOnAverage)
     EXPECT_LT(last_third, first_third);
 }
 
-TEST(Sequential, EarlyStoppingHalts)
-{
-    Rng rng(76);
-    Sequential model = makeMlp(rng, 2, 8, Activation::Tanh);
-    Dataset train = linearDataset(rng, 100);
-    // Unlearnable validation targets: pure noise, so validation loss
-    // plateaus and the patience counter must fire.
-    Dataset val = linearDataset(rng, 50);
-    for (size_t i = 0; i < val.size(); ++i)
-        val.targets.at(i, 0) = rng.uniform(-1.0, 1.0);
-    SgdOptimizer opt(0.05);
-    TrainOptions options;
-    options.epochs = 500;
-    options.earlyStopPatience = 5;
-    options.earlyStopMinDelta = 1e-6;
-    TrainResult result = model.train(train, val, opt, options);
-    EXPECT_LT(result.trainLoss.size(), 500u);
-}
-
 TEST(Sequential, ShuffledTrainingStillLearns)
 {
     Rng rng(77);

@@ -122,8 +122,9 @@ TEST(Json, MalformedStructureRejected)
 
 TEST(Json, SeventeenDigitNumbersRoundTripBitExact)
 {
-    // The ledger and metrics writers print doubles with up to 17
-    // significant digits; reading them back must give the same bits.
+    // jsonNumber prints doubles with up to 17 significant digits;
+    // reading them back, or any other 17-digit form, must give the
+    // same bits.
     Rng rng(2024);
     std::string text = "[";
     std::vector<double> values = {
@@ -153,6 +154,24 @@ TEST(Json, SeventeenDigitNumbersRoundTripBitExact)
         ASSERT_EQ(std::bit_cast<uint64_t>(doc.items[i].number),
                   std::bit_cast<uint64_t>(values[i]))
             << i;
+    for (double v : values) {
+        const std::string written = jsonNumber(v);
+        ASSERT_TRUE(parseJson(written, doc)) << written;
+        ASSERT_EQ(std::bit_cast<uint64_t>(doc.number),
+                  std::bit_cast<uint64_t>(v))
+            << written;
+    }
+}
+
+TEST(Json, NumberWriterPrintsShortestExactForm)
+{
+    EXPECT_EQ(jsonNumber(100.0), "100");
+    EXPECT_EQ(jsonNumber(0.1), "0.1");
+    EXPECT_EQ(jsonNumber(0.1 + 0.2), "0.30000000000000004"); // 17 digits
+    // JSON cannot express NaN or Inf.
+    EXPECT_EQ(jsonNumber(std::numeric_limits<double>::quiet_NaN()), "0");
+    EXPECT_EQ(jsonNumber(std::numeric_limits<double>::infinity()), "0");
+    EXPECT_EQ(jsonNumber(-std::numeric_limits<double>::infinity()), "0");
 }
 
 TEST(Json, EscapeRoundTrips)

@@ -4,7 +4,12 @@
  * estimation, snapshot export round-trips and concurrent recording.
  */
 
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <map>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -12,6 +17,7 @@
 
 #include "util/json.hh"
 #include "util/metrics.hh"
+#include "util/parse.hh"
 
 namespace geo {
 namespace {
@@ -219,6 +225,47 @@ TEST(MetricRegistry, EmptyRegistryIsValidJson)
     MetricRegistry registry;
     JsonValue doc;
     EXPECT_TRUE(util::parseJson(registry.toJson(), doc));
+}
+
+// Values whose short forms overflow or underflow must still export,
+// and read back as the very same doubles, in both formats.
+TEST(MetricRegistry, ExtremeGaugesExportBitExact)
+{
+    const std::vector<std::pair<std::string, double>> gauges = {
+        {"extreme.max", std::numeric_limits<double>::max()},
+        {"extreme.lowest", std::numeric_limits<double>::lowest()},
+        {"extreme.subnormal", std::numeric_limits<double>::denorm_min()},
+    };
+    MetricRegistry registry;
+    for (const auto &[name, value] : gauges)
+        registry.gauge(name).set(value);
+
+    JsonValue doc;
+    const std::string json = registry.toJson();
+    ASSERT_TRUE(util::parseJson(json, doc)) << json;
+    const JsonValue *exported = doc.get("gauges");
+    ASSERT_NE(exported, nullptr) << json;
+    std::map<std::string, double> prom;
+    std::istringstream lines(registry.toPrometheus());
+    for (std::string line; std::getline(lines, line);) {
+        size_t space = line.find(' ');
+        double value = 0.0;
+        if (line[0] != '#' && space != std::string::npos &&
+            util::parseDouble(line.substr(space + 1), value))
+            prom[line.substr(0, space)] = value;
+    }
+    for (const auto &[name, value] : gauges) {
+        const JsonValue *g = exported->get(name.c_str());
+        ASSERT_TRUE(g && g->kind == JsonValue::Number) << name;
+        EXPECT_EQ(std::bit_cast<uint64_t>(g->number),
+                  std::bit_cast<uint64_t>(value))
+            << name;
+        const std::string prom_name = "geo_extreme_" + name.substr(8);
+        ASSERT_EQ(prom.count(prom_name), 1u) << prom_name;
+        EXPECT_EQ(std::bit_cast<uint64_t>(prom[prom_name]),
+                  std::bit_cast<uint64_t>(value))
+            << prom_name;
+    }
 }
 
 TEST(MetricRegistry, PrometheusExposition)

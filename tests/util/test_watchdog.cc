@@ -1,35 +1,17 @@
 /**
  * @file
- * Tests for the cooperative phase watchdog: deadline arithmetic,
- * one-shot firing per phase, token behavior across phases, and
- * worker-thread visibility of the cancel flag under ThreadPool load.
+ * Tests for the phase watchdog: deadline arithmetic, one-shot firing
+ * per phase and the latch across phases.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <future>
-#include <vector>
-
 #include "util/metrics.hh"
-#include "util/thread_pool.hh"
 #include "util/watchdog.hh"
 
 namespace geo {
 namespace util {
 namespace {
-
-TEST(CancelToken, StartsClearAndLatchesUntilReset)
-{
-    CancelToken token;
-    EXPECT_FALSE(token.cancelled());
-    token.cancel();
-    EXPECT_TRUE(token.cancelled());
-    token.cancel(); // idempotent
-    EXPECT_TRUE(token.cancelled());
-    token.reset();
-    EXPECT_FALSE(token.cancelled());
-}
 
 TEST(Watchdog, DoesNotFireWithinBudget)
 {
@@ -38,7 +20,6 @@ TEST(Watchdog, DoesNotFireWithinBudget)
     EXPECT_FALSE(dog.poll(100.0));
     EXPECT_FALSE(dog.poll(109.9));
     EXPECT_FALSE(dog.poll(110.0)); // boundary is inclusive
-    EXPECT_FALSE(dog.token().cancelled());
     EXPECT_EQ(dog.overruns(), 0u);
     dog.endPhase();
 }
@@ -50,7 +31,6 @@ TEST(Watchdog, FiresOnceAndLatchesForThePhase)
     EXPECT_FALSE(dog.poll(5.0));
     EXPECT_TRUE(dog.poll(5.1));
     EXPECT_TRUE(dog.firedThisPhase());
-    EXPECT_TRUE(dog.token().cancelled());
     EXPECT_EQ(dog.overruns(), 1u);
     // Later polls keep reporting the overrun without re-counting it.
     EXPECT_TRUE(dog.poll(100.0));
@@ -64,12 +44,11 @@ TEST(Watchdog, ZeroBudgetDisablesTheDeadline)
     Watchdog dog;
     dog.beginPhase("propose", 0.0, 0.0);
     EXPECT_FALSE(dog.poll(1e12));
-    EXPECT_FALSE(dog.token().cancelled());
     dog.endPhase();
     EXPECT_EQ(dog.overruns(), 0u);
 }
 
-TEST(Watchdog, BeginPhaseResetsTheTokenAndTheLatch)
+TEST(Watchdog, BeginPhaseResetsTheLatch)
 {
     Watchdog dog;
     dog.beginPhase("migrate", 0.0, 1.0);
@@ -78,7 +57,6 @@ TEST(Watchdog, BeginPhaseResetsTheTokenAndTheLatch)
 
     dog.beginPhase("migrate", 10.0, 1.0);
     EXPECT_FALSE(dog.firedThisPhase());
-    EXPECT_FALSE(dog.token().cancelled());
     EXPECT_FALSE(dog.poll(10.5));
     dog.endPhase();
     EXPECT_EQ(dog.overruns(), 1u);
@@ -114,41 +92,6 @@ TEST(Watchdog, RecordsDeadlineExceededMetric)
     EXPECT_TRUE(dog.poll(5.0));
     dog.endPhase();
     EXPECT_EQ(metric.value(), before + 1);
-}
-
-// Worker tasks spin on token().cancelled() while the owning thread
-// drives poll(): every task must observe the cancellation and bail.
-TEST(Watchdog, CancellationIsVisibleToThreadPoolWorkers)
-{
-    ThreadPool pool(4);
-    Watchdog dog;
-    dog.beginPhase("train", 0.0, 10.0);
-
-    std::atomic<int> started{0};
-    std::atomic<int> bailed{0};
-    std::vector<std::future<void>> futures;
-    const int kTasks = 16;
-    futures.reserve(kTasks);
-    for (int i = 0; i < kTasks; ++i) {
-        futures.push_back(pool.submit([&dog, &started, &bailed]() {
-            started.fetch_add(1);
-            // Cooperative loop: do "work" until the watchdog cancels.
-            while (!dog.token().cancelled()) {
-            }
-            bailed.fetch_add(1);
-        }));
-    }
-    // Let the sim clock blow the budget once the first wave of tasks
-    // is spinning (only `workers` tasks run at a time; the queued rest
-    // observe the cancellation as soon as they start).
-    while (started.load() == 0) {
-    }
-    EXPECT_TRUE(dog.poll(10.1));
-    for (auto &f : futures)
-        f.get();
-    dog.endPhase();
-    EXPECT_EQ(bailed.load(), kTasks);
-    EXPECT_EQ(dog.overruns(), 1u);
 }
 
 } // namespace

@@ -115,9 +115,9 @@ rm -rf "${audit}"
 echo "== check.sh: ledger drill clean under address;undefined =="
 
 # ThreadSanitizer phase: a dedicated build tree with TSan, running the
-# concurrency-sensitive subset of the suite (thread pool, watchdog
-# cancellation visibility, metric registry, logging, tracing, parallel
-# GEMM/scoring and the guardrail integration tests). TSan cannot be
+# concurrency-sensitive subset of the suite (thread pool, watchdog,
+# metric registry, logging, tracing, parallel GEMM/scoring and the
+# guardrail integration tests). TSan cannot be
 # combined with ASan, hence the separate tree and targeted -R filter.
 tsan_dir="${repo_root}/build-tsan"
 echo "== configuring ThreadSanitizer build in ${tsan_dir} =="
@@ -131,7 +131,7 @@ cmake --build "${tsan_dir}" -j "${jobs}"
 echo "== running the concurrency subset under TSan =="
 export TSAN_OPTIONS="halt_on_error=1"
 ctest --test-dir "${tsan_dir}" --output-on-failure -j "${jobs}" \
-    -R 'ThreadPool|Watchdog|CancelToken|Metric|Trace|Logging|Parallel|Concurrent|Batched|Guardrails|Flight|ShardCoordinator'
+    -R 'ThreadPool|Watchdog|Metric|Trace|Logging|Parallel|Concurrent|Batched|Guardrails|Flight|ShardCoordinator'
 
 echo "== check.sh: concurrency subset clean under thread sanitizer =="
 

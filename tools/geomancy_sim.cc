@@ -67,6 +67,7 @@
 #include "util/state_io.hh"
 #include "util/supervise.hh"
 #include "util/table.hh"
+#include "util/thread_pool.hh"
 #include "util/trace_event.hh"
 #include "workload/belle2.hh"
 
@@ -256,6 +257,10 @@ runOnce(const Options &options, int attempt, bool resume)
 {
     if (options.quiet)
         setLogLevel(LogLevel::Quiet);
+    // Build the worker pool now, in this process (a supervised child
+    // must not inherit a forked pool), so a bad GEO_THREADS is
+    // reported even by a run too short to train.
+    util::ThreadPool::global();
 
     // Start from a clean registry so the exported snapshot describes
     // exactly this run; arm the tracer before any instrumented code.

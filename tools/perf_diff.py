@@ -44,7 +44,7 @@ class Diff:
         self.regressions = []
         self.skipped = []
 
-    def compare(self, name, base, cur, lower_is_better=True,
+    def compare(self, name, base, cur, lower_wins=True,
                 scale_to_ms=1.0):
         """Diff one metric.  `scale_to_ms` converts the metric's unit
         to milliseconds (ns -> 1e-6, s -> 1e3); a time-like metric
@@ -60,7 +60,7 @@ class Diff:
             self.skipped.append(name)
             return
         delta = (cur - base) / base
-        worse = delta > self.threshold if lower_is_better \
+        worse = delta > self.threshold if lower_wins \
             else delta < -self.threshold
         gated = scale_to_ms is None or base * scale_to_ms >= self.floor_ms
         if worse and gated:
@@ -122,7 +122,7 @@ def main():
                      cur_gemm[key].get("fast_ms"))
         diff.compare(label + ".speedup", base_gemm[key].get("speedup"),
                      cur_gemm[key].get("speedup"),
-                     lower_is_better=False, scale_to_ms=None)
+                     lower_wins=False, scale_to_ms=None)
 
     # Metric primitives: per-op ns, comparable across modes.
     base_ovh = section(base, "metrics_overhead")
@@ -135,7 +135,7 @@ def main():
     diff.compare("candidate_scoring.speedup",
                  section(base, "candidate_scoring").get("speedup"),
                  section(cur, "candidate_scoring").get("speedup"),
-                 lower_is_better=False, scale_to_ms=None)
+                 lower_wins=False, scale_to_ms=None)
 
     # Mode-dependent wall times: only when the modes match.
     if same_mode:
