@@ -44,7 +44,8 @@ DrlEngine::retrain(const TrainingBatch &batch)
     if (batch.dataset.size() < 16)
         return stats;
 
-    batch_ = batch;
+    scalers_.featureNorm = batch.featureNorm;
+    scalers_.targetNorm = batch.targetNorm;
     nn::DataSplit split = nn::chronologicalSplit(
         batch.dataset, config_.trainFraction, config_.valFraction);
 
@@ -94,9 +95,9 @@ DrlEngine::retrain(const TrainingBatch &batch)
     target_raw.reserve(probe.size());
     for (size_t r = 0; r < probe.size(); ++r) {
         pred_raw.push_back(
-            batch_.denormalizeTarget(predictions.at(r, 0)));
+            scalers_.denormalizeTarget(predictions.at(r, 0)));
         target_raw.push_back(
-            batch_.denormalizeTarget(probe.targets.at(r, 0)));
+            scalers_.denormalizeTarget(probe.targets.at(r, 0)));
     }
     stats.meanAbsRelError =
         meanAbsoluteRelativeError(pred_raw, target_raw);
@@ -147,7 +148,7 @@ DrlEngine::scoreLocations(const std::vector<PerfRecord> &records,
     for (const PerfRecord &rec : records) {
         for (storage::DeviceId device : devices) {
             const auto raw = rec.featuresAt(device);
-            batch_.normalizeFeaturesInto(
+            scalers_.normalizeFeaturesInto(
                 raw.data(), raw.size(),
                 featureScratch_.data().data() + row * z);
             ++row;
@@ -161,7 +162,7 @@ DrlEngine::scoreLocations(const std::vector<PerfRecord> &records,
         scores.reserve(devices.size());
         for (storage::DeviceId device : devices) {
             double value =
-                batch_.denormalizeTarget(outputScratch_.at(row++, 0));
+                scalers_.denormalizeTarget(outputScratch_.at(row++, 0));
             if (adjustSign_ != 0.0)
                 value += adjustSign_ * maeFraction_ * value;
             scores.push_back({device, value < 0.0 ? 0.0 : value});
@@ -215,10 +216,10 @@ DrlEngine::saveState(util::StateWriter &w)
     // Batch scalers only: the dataset itself is transient retrain
     // input, but predictions between retrains need the normalizers.
     std::vector<double> mins, maxs;
-    normalizerRanges(batch_.featureNorm, mins, maxs);
+    normalizerRanges(scalers_.featureNorm, mins, maxs);
     w.f64Vec("drl.feat_mins", mins);
     w.f64Vec("drl.feat_maxs", maxs);
-    normalizerRanges(batch_.targetNorm, mins, maxs);
+    normalizerRanges(scalers_.targetNorm, mins, maxs);
     w.f64Vec("drl.target_mins", mins);
     w.f64Vec("drl.target_maxs", maxs);
 }
@@ -266,11 +267,11 @@ DrlEngine::loadState(util::StateReader &r)
     maeFraction_ = mae;
     adjustSign_ = sign;
     lastGoodWeights_ = last_good;
-    batch_ = TrainingBatch{};
-    batch_.featureNorm.restore(std::move(feat_mins),
-                               std::move(feat_maxs));
-    batch_.targetNorm.restore(std::move(target_mins),
-                              std::move(target_maxs));
+    scalers_ = TrainingBatch{};
+    scalers_.featureNorm.restore(std::move(feat_mins),
+                                 std::move(feat_maxs));
+    scalers_.targetNorm.restore(std::move(target_mins),
+                                std::move(target_maxs));
 }
 
 } // namespace core

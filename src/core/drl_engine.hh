@@ -126,7 +126,9 @@ class DrlEngine
     Rng rng_;
     nn::Sequential model_;
     nn::SgdOptimizer optimizer_;
-    TrainingBatch batch_; ///< scalers of the latest retrain
+    /** The latest retrain's feature and target scalers; its dataset
+     *  stays empty (predictions and snapshots read only the scalers). */
+    TrainingBatch scalers_;
     bool ready_ = false;
     double maeFraction_ = 0.0;  ///< validation MAE as fraction of target
     double adjustSign_ = 0.0;   ///< +1 raise, -1 lower, 0 no adjustment

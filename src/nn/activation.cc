@@ -139,13 +139,13 @@ activationDerivative(Activation act, const Matrix &pre_activation)
 }
 
 void
-activationDerivativeInto(Activation act, const Matrix &pre_activation,
-                         Matrix &out)
+activationDerivativeFromOutput(Activation act, const Matrix &output,
+                               Matrix &out)
 {
-    out.reshape(pre_activation.rows(), pre_activation.cols());
+    out.reshape(output.rows(), output.cols());
     double *dst = out.data().data();
-    const double *src = pre_activation.data().data();
-    const size_t n = pre_activation.size();
+    const double *src = output.data().data();
+    const size_t n = output.size();
     switch (act) {
       case Activation::Linear:
         for (size_t i = 0; i < n; ++i)
@@ -155,16 +155,12 @@ activationDerivativeInto(Activation act, const Matrix &pre_activation,
         reluMaskInto(src, dst, n);
         return;
       case Activation::Sigmoid:
-        for (size_t i = 0; i < n; ++i) {
-            const double s = 1.0 / (1.0 + std::exp(-src[i]));
-            dst[i] = s * (1.0 - s);
-        }
+        for (size_t i = 0; i < n; ++i)
+            dst[i] = src[i] * (1.0 - src[i]);
         return;
       case Activation::Tanh:
-        for (size_t i = 0; i < n; ++i) {
-            const double t = std::tanh(src[i]);
-            dst[i] = 1.0 - t * t;
-        }
+        for (size_t i = 0; i < n; ++i)
+            dst[i] = 1.0 - src[i] * src[i];
         return;
     }
     panic("unknown activation %d", static_cast<int>(act));

@@ -39,10 +39,17 @@ void applyActivationInPlace(Activation act, Matrix &values);
  */
 Matrix activationDerivative(Activation act, const Matrix &pre_activation);
 
-/** activationDerivative computed into `out` (reshaped first) — the
- *  allocation-free variant used by the training hot path. */
-void activationDerivativeInto(Activation act, const Matrix &pre_activation,
-                              Matrix &out);
+/**
+ * activationDerivative computed into `out` (reshaped first) from the
+ * activation's *output* — the allocation-free variant the dense
+ * layer's backward pass uses, so it needs no copy of the
+ * pre-activations. Bitwise equal to activationDerivative of the
+ * pre-activations for all four functions: ReLU's output is > 0
+ * exactly where its input is, and sigmoid and tanh derive from the
+ * very value the forward expression produced.
+ */
+void activationDerivativeFromOutput(Activation act, const Matrix &output,
+                                    Matrix &out);
 
 /** Scalar forms (used by the streaming predictors and tests). */
 double activate(Activation act, double x);

@@ -24,9 +24,16 @@ DenseLayer::DenseLayer(size_t input_size, size_t output_size, Activation act,
 Matrix
 DenseLayer::forward(const Matrix &input, bool training)
 {
-    Matrix out;
-    forwardInto(input, training, out);
-    return out;
+    if (!training) {
+        Matrix out;
+        forwardInto(input, false, out);
+        return out;
+    }
+    // backward() reads the input and output after this returns, and
+    // `input` may be a temporary: park copies in the layer.
+    parkedInput_ = input;
+    forwardInto(parkedInput_, true, parkedOutput_);
+    return parkedOutput_;
 }
 
 Matrix
@@ -47,27 +54,39 @@ DenseLayer::forwardInto(const Matrix &input, bool training, Matrix &out)
     // materializing intermediates; `out` is caller-owned scratch.
     input.matmulInto(weights_, out);
     out.addRowBroadcastInPlace(bias_);
-    if (training) {
-        cachedInput_ = input;
-        cachedPreAct_ = out;
-    }
     applyActivationInPlace(act_, out);
+    if (training) {
+        input_ = &input;
+        output_ = &out;
+    }
 }
 
 void
-DenseLayer::backwardInto(const Matrix &grad_output, Matrix &grad_input)
+DenseLayer::accumulateGradients(const Matrix &grad_output)
 {
-    if (cachedInput_.empty())
+    if (!input_)
         panic("DenseLayer::backward without a training forward pass");
-    activationDerivativeInto(act_, cachedPreAct_, gradPreScratch_);
+    activationDerivativeFromOutput(act_, *output_, gradPreScratch_);
     gradPreScratch_.hadamardInPlace(grad_output);
-    cachedInput_.transposedMatmulInto(gradPreScratch_, gradScratch_);
+    input_->transposedMatmulInto(gradPreScratch_, gradScratch_);
     gradWeights_ += gradScratch_;
     // Sum fully into scratch, then add once — accumulating directly
     // into gradBias_ would change the rounding sequence.
     gradPreScratch_.columnSumsInto(biasScratch_);
     gradBias_ += biasScratch_;
+}
+
+void
+DenseLayer::backwardInto(const Matrix &grad_output, Matrix &grad_input)
+{
+    accumulateGradients(grad_output);
     gradPreScratch_.matmulTransposedInto(weights_, grad_input);
+}
+
+void
+DenseLayer::backwardParams(const Matrix &grad_output, Matrix &)
+{
+    accumulateGradients(grad_output);
 }
 
 std::vector<Matrix *>

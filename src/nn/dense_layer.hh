@@ -35,11 +35,13 @@ class DenseLayer : public Layer
 
     // Allocation-free hot-path variants (Sequential's scratch arena
     // owns `out` / `grad_input`; all intermediates live in member
-    // scratch buffers sized on first use).
+    // scratch buffers sized on first use). A training forwardInto
+    // keeps pointers to its input and output (see Layer).
     void forwardInto(const Matrix &input, bool training,
                      Matrix &out) override;
     void backwardInto(const Matrix &grad_output,
                       Matrix &grad_input) override;
+    void backwardParams(const Matrix &grad_output, Matrix &) override;
 
     std::vector<Matrix *> parameters() override;
     std::vector<Matrix *> gradients() override;
@@ -62,9 +64,17 @@ class DenseLayer : public Layer
     Matrix gradBias_;
     Activation act_;
 
-    // forward() caches for backward().
-    Matrix cachedInput_;
-    Matrix cachedPreAct_;
+    /** Accumulate the weight and bias gradients into gradWeights_ /
+     *  gradBias_, leaving the pre-activation gradient in
+     *  gradPreScratch_. */
+    void accumulateGradients(const Matrix &grad_output);
+
+    // The last training forward's input and (post-activation) output.
+    const Matrix *input_ = nullptr;
+    const Matrix *output_ = nullptr;
+    // Where the copying forward(x, true) parks them.
+    Matrix parkedInput_;
+    Matrix parkedOutput_;
 
     // Reused backward-pass scratch (kills per-batch allocations).
     Matrix gradScratch_;    ///< weight-gradient accumulator input

@@ -2,8 +2,8 @@
  * @file
  * Abstract layer interface for the Sequential model.
  *
- * A layer owns its parameters and their gradient buffers. forward()
- * caches whatever intermediate state backward() needs, so the usual call
+ * A layer owns its parameters and their gradient buffers. A training
+ * forward keeps whatever state backward() needs, so the usual call
  * pattern is forward -> backward -> (optimizer step) -> zeroGrad.
  */
 
@@ -52,6 +52,11 @@ class Layer
      * layer). Layers on the training hot path override this to avoid
      * per-call allocations; the default delegates to forward() and
      * moves the result, so overriding is optional.
+     *
+     * A training call (training == true) may keep pointers to `input`
+     * and `out` instead of copies: both must stay alive and unmodified
+     * until the matching backwardInto(). forward(input, true) may be
+     * passed a temporary, so there a layer keeps copies.
      */
     virtual void
     forwardInto(const Matrix &input, bool training, Matrix &out)
@@ -65,6 +70,19 @@ class Layer
     backwardInto(const Matrix &grad_output, Matrix &grad_input)
     {
         grad_input = backward(grad_output);
+    }
+
+    /**
+     * backwardInto() for a caller that discards the input gradient, as
+     * Sequential does for its first layer: only the parameter
+     * gradients have to be accumulated. Layers that can skip forming
+     * the input gradient override this; the default forms it into
+     * `scratch`.
+     */
+    virtual void
+    backwardParams(const Matrix &grad_output, Matrix &scratch)
+    {
+        backwardInto(grad_output, scratch);
     }
 
     /** Flattened list of parameter tensors (paired with gradients()). */

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
 
+#include "nn/packed_gemm.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 #include "util/thread_pool.hh"
@@ -72,14 +76,17 @@ Matrix::panicOutOfRange(size_t r, size_t c) const
 
 namespace {
 
+using detail::GemmOp;
+
 /**
  * Micro-tile width: output columns (one packed B panel). The tile is
- * one output row by sixteen columns — eight two-lane vector
- * accumulators, which is half the SSE register file and leaves room
- * for the broadcast and panel loads. Taller tiles (4 x 8 doubles =
- * all sixteen xmm registers) spill the accumulators to the stack and
- * every update round-trips through memory — measured ~1.45x slower
- * at the training shapes.
+ * one output row by sixteen columns, its accumulators held in vector
+ * registers: four 4-lane ymm registers on AVX2 hosts, eight 2-lane xmm
+ * registers otherwise, which leaves room for the broadcast and the
+ * panel loads. The tile is one row high because the zero-lhs skip is
+ * a per-row list of nonzero depth indices (see packedRows): a taller
+ * tile would walk the union of its rows' lists and need the
+ * per-element branch back.
  */
 constexpr size_t kMicroCols = 16;
 
@@ -95,63 +102,32 @@ panelStride(size_t w)
 /** Flops (2*m*k*n) below which parallel dispatch is not worth it. */
 constexpr double kParallelMinFlops = 8e6;
 
-/** Which product a kernel plan is being asked about. */
-enum class GemmOp
-{
-    AB,  ///< matmul:            out(m,n) = A(m,k) * B(k,n)
-    ABt, ///< matmulTransposed:  out(m,n) = A(m,k) * B(n,k)^T
-    AtB, ///< transposedMatmul:  out(m,n) = A(k,m)^T * B(k,n)
-};
-
 /**
  * Shape-dependent kernel selection — the single source of truth.
  *
- * The packed register-blocked kernel pays one pass over B (and, for
- * AtB, one over A) to lay panels out contiguously, then writes each
- * output element exactly once from a register accumulator. The plain
- * loops skip that toll but re-walk the output (AB, AtB) or serialize
- * on a dot-product chain (ABt), so they win only while everything
- * fits in cache and the packing pass cannot be amortized.
+ * The packed kernel pays one pass over B (and, for AtB, one over A) to
+ * lay panels out contiguously, and one pass per output row to list
+ * its nonzero depth indices; then it writes each output element
+ * exactly once from a register accumulator. The plain loops skip
+ * those tolls but re-walk the output (AB, AtB) or serialize on a
+ * dot-product chain (ABt), and branch on every lhs element, so they
+ * win only while the packing cannot be amortized. Shapes are
+ * m x k x n of the *output-shaped* product: out is m x n and k is the
+ * depth axis. What stays plain:
  *
- * Crossovers measured on the 1-core container (GCC, -O2, best-of-25
- * per shape, packing cost charged to the packed side; speedup =
- * plain_ms / packed_ms). Shapes are m x k x n of the *output-shaped*
- * product, i.e. out is m x n and k is the depth axis. With the
- * register-resident vector tiles the packed kernel wins nearly
- * everywhere; only degenerate shapes still favor the plain loops:
+ *   AB   a single output column; fewer than 4 rows; k*n < 64, where
+ *        tile setup dominates; and 4..15 rows once B leaves L2
+ *        (k*n > 16K doubles).
+ *   ABt  n = 1, where the panel is padded 1 -> 8 wide; and n = 2-3
+ *        unless the lhs traffic m*k dwarfs the pack pass.
+ *   AtB  fewer than 4 output rows or columns, or under 64 output
+ *        elements: both operands are packed, so small outputs never
+ *        amortize the two passes.
  *
- *   AB   16x16x16  2.70x   48x48x48  3.85x   256x256x256  3.19x
- *        512x64x512  2.76x   64x6x338  3.05x   8x64x64  2.73x
- *        8x8x8  1.26x   64x1x64  2.82x   64x64x6  2.12x
- *        -- losers --
- *        1x64x64  0.65x   1x338x338  0.34x  (single output row
- *        cannot amortize the pack pass over B)
- *        2x338x338  0.61x   2x128x256  0.77x   3x16x4  0.56x
- *        (2-3 rows amortize packing only in a narrow band; routed
- *        plain below 4 rows, and 4..15 rows only while B stays
- *        L2-resident at k*n <= 16K doubles: 3x338x338 is 0.76x)
- *        64x64x1  0.98x   4x4x4  0.53x  (k*n < 64: tile setup
- *        dominates the whole product)
- *   ABt  1x64x64  1.28x   2x8x8  1.36x   2x64x64  2.37x
- *        64x96x4  2.77x   64x96x6  3.72x   64x1x64  5.58x
- *        48x48x48  6.67x   256x256x256  5.70x   64x338x6  3.30x
- *        (even one output row wins: the plain loop serializes on a
- *        dot-product chain per element and strides B)
- *        -- losers --
- *        64x96x1  0.62x   1x338x1  0.37x  (panel padded 1 -> 8
- *        wide, 8x pack bandwidth wasted)
- *        2x2x2  0.33x   4x16x2  0.66x   2x256x2  0.98x
- *        (n = 2-3 pays only when the a-side traffic m*k dominates
- *        the pack: 64x96x2 is 1.27x, 8x338x2 is 1.02x)
- *   AtB  4x64x96  1.72x   6x64x96  1.98x   6x2x96  1.82x
- *        24x64x4  1.47x   48x64x6  2.12x   16x16x16  2.21x
- *        256x256x256  2.78x
- *        -- losers --
- *        1x64x96  0.54x   2x64x4  0.45x   3x4x5  0.43x
- *        16x64x2  0.80x   24x64x1  0.61x   4x338x8  0.99x
- *        2x2x96 (depth 2)  0.94x  (both operands are packed, so
- *        small outputs never amortize the two passes: needs 4+ rows,
- *        4+ cols and m*n >= 64 output elements)
+ * These thresholds were fitted to 1-core timings of the earlier
+ * branching two-lane tiles, which did not list nonzeros; they have
+ * not been re-fitted since. Routing never changes a result: both
+ * kernels are bitwise equal to matmulNaive.
  */
 bool
 usePackedKernel(GemmOp op, size_t m, size_t k, size_t n)
@@ -185,9 +161,11 @@ packedPanelDoubles(size_t K, size_t N)
 }
 
 /**
- * Per-thread panel scratch. Two independent buffers because AtB packs
- * both operands; capacity persists across calls, so steady-state
- * training loops never allocate here.
+ * Per-thread kernel scratch: two panel buffers (AtB packs both
+ * operands) and the current lhs row's nonzero depth indices, which
+ * every pool worker keeps for the rows of its own chunk. Capacity
+ * persists across calls, so steady-state training loops never
+ * allocate here.
  */
 std::vector<double> &
 packScratchA()
@@ -200,6 +178,13 @@ std::vector<double> &
 packScratchB()
 {
     static thread_local std::vector<double> buf;
+    return buf;
+}
+
+std::vector<uint32_t> &
+nonzeroScratch()
+{
+    static thread_local std::vector<uint32_t> buf;
     return buf;
 }
 
@@ -265,143 +250,114 @@ packTransposedLhs(const double *__restrict a, size_t rows, size_t K,
 }
 
 /**
- * Two-lane vector helpers for the micro-tiles. A scalar accumulator
- * array (`double acc[16]`) does not survive the zero-skip branch: the
- * compiler keeps the array in memory and every update round-trips
- * through the stack. Named vector locals force register allocation.
- * Lane arithmetic is the same IEEE double multiply/add the scalar
- * loop performs, in the same ascending-k order with the same zero-lhs
- * skip, so results stay bit-identical to matmulNaive (which also
- * starts from a zeroed accumulator and stores each element once).
+ * One output row x Cols tile (Cols = kMicroCols, or 8 over a
+ * zero-padded narrow tail panel) with Cols / Lanes vector
+ * accumulators, walking the row's nonzero depth indices nz[0, count).
+ * Per lane this is matmulNaive's loop exactly: ascending k, zero lhs
+ * skipped, a multiply and then a separate add (the build uses
+ * -ffp-contract=off, so no width fuses them into an FMA), one store
+ * per element from a zeroed accumulator. All Cols lanes are stored:
+ * for a partial panel the caller passes a scratch tile and copies the
+ * live columns out, so pad lanes (lhs * 0.0) never reach the output.
+ * With no data-dependent branch in the loop and an unconditional
+ * store, GCC keeps the accumulator array in registers. always_inline:
+ * the 4-lane copy has to be compiled inside its AVX2 wrapper.
  */
-typedef double v2df __attribute__((vector_size(16), may_alias));
-
-inline v2df
-loadu2(const double *p)
+template <size_t Lanes, size_t Cols>
+__attribute__((always_inline)) inline void
+microTile(const double *__restrict a, const uint32_t *__restrict nz,
+          size_t count, const double *__restrict panel,
+          double *__restrict out)
 {
-    v2df v;
-    __builtin_memcpy(&v, p, sizeof(v));
-    return v;
-}
-
-inline void
-storeu2(double *p, v2df v)
-{
-    __builtin_memcpy(p, &v, sizeof(v));
-}
-
-/** 1 x kMicroCols tile with register-resident accumulators. */
-inline void
-microTileFull(const double *__restrict a, size_t K,
-              const double *__restrict panel, double *__restrict out)
-{
-    static_assert(kMicroCols == 16, "accumulator count is hand-unrolled");
-    v2df c0{}, c1{}, c2{}, c3{}, c4{}, c5{}, c6{}, c7{};
-    for (size_t k = 0; k < K; ++k) {
+    typedef double vec
+        __attribute__((vector_size(Lanes * sizeof(double))));
+    constexpr size_t kAcc = Cols / Lanes;
+    vec acc[kAcc] = {};
+    for (size_t t = 0; t < count; ++t) {
+        const size_t k = nz[t];
         const double lhs = a[k];
-        if (lhs == 0.0)
-            continue;
-        const v2df l = {lhs, lhs};
-        const double *__restrict bp = panel + k * kMicroCols;
-        c0 += l * loadu2(bp);
-        c1 += l * loadu2(bp + 2);
-        c2 += l * loadu2(bp + 4);
-        c3 += l * loadu2(bp + 6);
-        c4 += l * loadu2(bp + 8);
-        c5 += l * loadu2(bp + 10);
-        c6 += l * loadu2(bp + 12);
-        c7 += l * loadu2(bp + 14);
+        const double *__restrict bp = panel + k * Cols;
+#pragma GCC unroll 8
+        for (size_t v = 0; v < kAcc; ++v) {
+            vec b;
+            __builtin_memcpy(&b, bp + v * Lanes, sizeof(b));
+            acc[v] += lhs * b;
+        }
     }
-    storeu2(out, c0);
-    storeu2(out + 2, c1);
-    storeu2(out + 4, c2);
-    storeu2(out + 6, c3);
-    storeu2(out + 8, c4);
-    storeu2(out + 10, c5);
-    storeu2(out + 12, c6);
-    storeu2(out + 14, c7);
-}
-
-/** 1 x 8 tile over a stride-8 (padded) panel; stores w <= 8 columns.
- * Pad lanes accumulate lhs * 0.0 in their own register lane and are
- * never stored, so live columns are untouched by the padding. */
-inline void
-microTileHalf(const double *__restrict a, size_t K,
-              const double *__restrict panel, double *__restrict out,
-              size_t w)
-{
-    v2df c0{}, c1{}, c2{}, c3{};
-    for (size_t k = 0; k < K; ++k) {
-        const double lhs = a[k];
-        if (lhs == 0.0)
-            continue;
-        const v2df l = {lhs, lhs};
-        const double *__restrict bp = panel + k * 8;
-        c0 += l * loadu2(bp);
-        c1 += l * loadu2(bp + 2);
-        c2 += l * loadu2(bp + 4);
-        c3 += l * loadu2(bp + 6);
-    }
-    if (w == 8) {
-        storeu2(out, c0);
-        storeu2(out + 2, c1);
-        storeu2(out + 4, c2);
-        storeu2(out + 6, c3);
-        return;
-    }
-    double t[8];
-    storeu2(t, c0);
-    storeu2(t + 2, c1);
-    storeu2(t + 4, c2);
-    storeu2(t + 6, c3);
-    for (size_t j = 0; j < w; ++j)
-        out[j] = t[j];
-}
-
-/** Full-width register tile with a partial store for 8 < w < 16. */
-inline void
-microTileFullPartial(const double *__restrict a, size_t K,
-                     const double *__restrict panel,
-                     double *__restrict out, size_t w)
-{
-    double t[kMicroCols];
-    microTileFull(a, K, panel, t);
-    for (size_t j = 0; j < w; ++j)
-        out[j] = t[j];
+#pragma GCC unroll 8
+    for (size_t v = 0; v < kAcc; ++v)
+        __builtin_memcpy(out + v * Lanes, &acc[v], sizeof(vec));
 }
 
 /**
  * Register-blocked product over pre-packed column panels for output
  * rows [row_begin, row_end). `a` is the (possibly packed-transposed)
- * lhs with row stride K; `packed` holds ceil(N / W) panels from
- * packColumnPanels / packTransposedPanels. Panels are visited
- * left-to-right and rows top-down, but each output element's depth
- * walk is the full ascending 0..K-1, so ordering across tiles cannot
- * change any value.
+ * lhs with row stride K; `packed` holds ceil(N / kMicroCols) panels
+ * from packColumnPanels / packTransposedPanels; `nz` has room for K
+ * indices. Each row first lists its nonzero depth indices, once and
+ * without a branch on the data, and every panel of the row then walks
+ * that list. A per-element `lhs == 0` branch mispredicts on ReLU
+ * activations, which are about half zeros in a new pattern every
+ * batch. Each output element still sees the full ascending walk, so
+ * the order of rows and panels cannot change any value.
  */
-// noinline: keeps the __restrict qualification from being discarded
-// when inlined into the dispatching member functions.
-__attribute__((noinline)) void
-gemmPackedRows(const double *__restrict a, const double *__restrict packed,
-               double *__restrict out, size_t row_begin, size_t row_end,
-               size_t K, size_t N)
+template <size_t Lanes>
+__attribute__((always_inline)) inline void
+packedRows(const double *__restrict a, const double *__restrict packed,
+           double *__restrict out, size_t row_begin, size_t row_end,
+           size_t K, size_t N, uint32_t *__restrict nz)
 {
-    for (size_t j0 = 0, p = 0; j0 < N; j0 += kMicroCols, ++p) {
-        const size_t w = std::min(kMicroCols, N - j0);
-        const double *panel = packed + p * K * kMicroCols;
-        if (w == kMicroCols) {
-            for (size_t i = row_begin; i < row_end; ++i)
-                microTileFull(a + i * K, K, panel, out + i * N + j0);
-        } else if (w > 8) {
-            for (size_t i = row_begin; i < row_end; ++i)
-                microTileFullPartial(a + i * K, K, panel,
-                                     out + i * N + j0, w);
-        } else {
-            for (size_t i = row_begin; i < row_end; ++i)
-                microTileHalf(a + i * K, K, panel, out + i * N + j0, w);
+    for (size_t i = row_begin; i < row_end; ++i) {
+        const double *__restrict row = a + i * K;
+        size_t count = 0;
+        for (size_t k = 0; k < K; ++k) {
+            nz[count] = static_cast<uint32_t>(k);
+            count += row[k] != 0.0;
+        }
+        double *__restrict out_row = out + i * N;
+        for (size_t j0 = 0, p = 0; j0 < N; j0 += kMicroCols, ++p) {
+            const size_t w = std::min(kMicroCols, N - j0);
+            const double *__restrict panel = packed + p * K * kMicroCols;
+            // A panel whose live columns fill its stride (16, or 8 for
+            // a tail) stores straight into the output; a partial one
+            // goes through a scratch tile.
+            double tile[kMicroCols];
+            double *dst = w == panelStride(w) ? out_row + j0 : tile;
+            if (w > 8)
+                microTile<Lanes, kMicroCols>(row, nz, count, panel, dst);
+            else
+                microTile<Lanes, 8>(row, nz, count, panel, dst);
+            if (dst == tile)
+                std::copy_n(tile, w, out_row + j0);
         }
     }
 }
+
+using PackedRowsFn = void (*)(const double *, const double *, double *,
+                              size_t, size_t, size_t, size_t, uint32_t *);
+
+/** Two lanes: baseline x86-64, the only width on hosts without AVX2. */
+// noinline: keeps the __restrict qualification from being discarded
+// when inlined into the dispatching lambda.
+__attribute__((noinline)) void
+packedRows2(const double *__restrict a, const double *__restrict packed,
+            double *__restrict out, size_t row_begin, size_t row_end,
+            size_t K, size_t N, uint32_t *__restrict nz)
+{
+    packedRows<2>(a, packed, out, row_begin, row_end, K, N, nz);
+}
+
+#if defined(__x86_64__)
+/** Four lanes, compiled for AVX2 only; packedLanes() picks it at run
+ *  time on hosts that have it. */
+__attribute__((noinline, target("avx2"))) void
+packedRows4(const double *__restrict a, const double *__restrict packed,
+            double *__restrict out, size_t row_begin, size_t row_end,
+            size_t K, size_t N, uint32_t *__restrict nz)
+{
+    packedRows<4>(a, packed, out, row_begin, row_end, K, N, nz);
+}
+#endif
 
 /**
  * Plain ikj kernel over output rows [row_begin, row_end) — the
@@ -452,6 +408,93 @@ dispatchRows(size_t rows, size_t K, size_t N, const RowKernel &kernel)
 
 } // namespace
 
+namespace detail {
+
+// Reads CPUID and XCR0 itself: __builtin_cpu_supports would link
+// libgcc's cpu-model constructor, 4.5 KB of start-up code that the
+// linker places ahead of every binary's own code, moving all of its
+// loops (perfbench's speed probe among them, ROADMAP item 6).
+size_t
+packedLanes()
+{
+#if defined(__x86_64__)
+    static const size_t lanes = [] {
+        // AVX2 needs the CPU feature and an OS that saves ymm state.
+        unsigned eax, ebx, ecx, edx;
+        if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx) ||
+            !(ecx & bit_OSXSAVE) || !(ecx & bit_AVX))
+            return size_t{2};
+        unsigned xcr0, xcr0_high;
+        asm("xgetbv" : "=a"(xcr0), "=d"(xcr0_high) : "c"(0));
+        if ((xcr0 & 0x6) != 0x6) // XMM and YMM state enabled
+            return size_t{2};
+        if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx))
+            return size_t{2};
+        return ebx & bit_AVX2 ? size_t{4} : size_t{2};
+    }();
+    return lanes;
+#else
+    return 2;
+#endif
+}
+
+void
+packedGemmInto(GemmOp op, const Matrix &a, const Matrix &b, Matrix &out,
+               size_t lanes)
+{
+    // The product in output orientation: m x K times K x N.
+    const bool lhs_transposed = op == GemmOp::AtB;
+    const size_t m = lhs_transposed ? a.cols() : a.rows();
+    const size_t K = lhs_transposed ? a.rows() : a.cols();
+    const size_t N = op == GemmOp::ABt ? b.rows() : b.cols();
+    const size_t b_depth = op == GemmOp::ABt ? b.cols() : b.rows();
+    if (b_depth != K || out.rows() != m || out.cols() != N)
+        panic("packedGemmInto: %zux%zu and %zux%zu into %zux%zu", a.rows(),
+              a.cols(), b.rows(), b.cols(), out.rows(), out.cols());
+    PackedRowsFn kernel = nullptr;
+    if (lanes == 2)
+        kernel = packedRows2;
+#if defined(__x86_64__)
+    else if (lanes == 4 && packedLanes() == 4)
+        kernel = packedRows4;
+#endif
+    if (!kernel)
+        panic("packedGemmInto: no %zu-lane kernel on this host", lanes);
+    if (m == 0 || N == 0)
+        return;
+
+    // Pack once on the caller thread; row workers share the panels.
+    const double *lhs = a.data().data();
+    std::vector<double> &pack = packScratchB();
+    pack.resize(packedPanelDoubles(K, N));
+    if (op == GemmOp::ABt) {
+        // Packing B^T into column panels turns the strided dot-product
+        // walk into the same contiguous panel sweep as matmul.
+        packTransposedPanels(b.data().data(), K, N, pack.data());
+    } else {
+        packColumnPanels(b.data().data(), N, K, N, pack.data());
+    }
+    if (lhs_transposed) {
+        // The micro-tile reads lhs rows contiguously, so A^T is packed
+        // explicitly; the shared row index still ascends per output
+        // element exactly as in transposed().matmulNaive(b).
+        std::vector<double> &at = packScratchA();
+        at.resize(K * m);
+        packTransposedLhs(lhs, K, m, at.data());
+        lhs = at.data();
+    }
+    const double *pk = pack.data();
+    double *o = out.data().data();
+    dispatchRows(m, K, N, [&](size_t begin, size_t end) {
+        std::vector<uint32_t> &nz = nonzeroScratch();
+        if (nz.size() < K)
+            nz.resize(K);
+        kernel(lhs, pk, o, begin, end, K, N, nz.data());
+    });
+}
+
+} // namespace detail
+
 Matrix
 Matrix::matmul(const Matrix &other) const
 {
@@ -471,25 +514,18 @@ Matrix::matmulInto(const Matrix &other, Matrix &out) const
     out.reshape(rows_, other.cols_);
     if (rows_ == 0 || other.cols_ == 0)
         return;
+    const size_t K = cols_, N = other.cols_;
+    if (K > 0 && usePackedKernel(GemmOp::AB, rows_, K, N)) {
+        detail::packedGemmInto(GemmOp::AB, *this, other, out,
+                               detail::packedLanes());
+        return;
+    }
     const double *a = data_.data();
     const double *b = other.data_.data();
     double *o = out.data_.data();
-    const size_t K = cols_, N = other.cols_;
-
-    if (K > 0 && usePackedKernel(GemmOp::AB, rows_, K, N)) {
-        // Pack once on the caller thread; row workers share the panels.
-        std::vector<double> &pack = packScratchB();
-        pack.resize(packedPanelDoubles(K, N));
-        packColumnPanels(b, N, K, N, pack.data());
-        const double *pk = pack.data();
-        dispatchRows(rows_, K, N, [&](size_t begin, size_t end) {
-            gemmPackedRows(a, pk, o, begin, end, K, N);
-        });
-    } else {
-        dispatchRows(rows_, K, N, [&](size_t begin, size_t end) {
-            matmulRows(a, b, o, begin, end, K, N);
-        });
-    }
+    dispatchRows(rows_, K, N, [&](size_t begin, size_t end) {
+        matmulRows(a, b, o, begin, end, K, N);
+    });
 }
 
 Matrix
@@ -536,26 +572,17 @@ Matrix::matmulTransposedInto(const Matrix &other, Matrix &out) const
     if (rows_ == 0 || other.rows_ == 0)
         return;
     const size_t K = cols_, N = other.rows_;
-    const double *__restrict a = data_.data();
-    const double *__restrict b = other.data_.data();
-    double *__restrict o = out.data_.data();
-
     if (K > 0 && usePackedKernel(GemmOp::ABt, rows_, K, N)) {
-        // Packing B^T into column panels turns the strided dot-product
-        // walk into the same contiguous panel sweep as matmul; the
-        // per-element k order (and zero-lhs skip) is unchanged.
-        std::vector<double> &pack = packScratchB();
-        pack.resize(packedPanelDoubles(K, N));
-        packTransposedPanels(b, K, N, pack.data());
-        const double *pk = pack.data();
-        dispatchRows(rows_, K, N, [&](size_t begin, size_t end) {
-            gemmPackedRows(a, pk, o, begin, end, K, N);
-        });
+        detail::packedGemmInto(GemmOp::ABt, *this, other, out,
+                               detail::packedLanes());
         return;
     }
     // Row-by-row dot products: both operands are read contiguously and
     // k ascends per element, matching a.matmulNaive(b.transposed())
     // bit-for-bit (including its zero-lhs skip).
+    const double *__restrict a = data_.data();
+    const double *__restrict b = other.data_.data();
+    double *__restrict o = out.data_.data();
     for (size_t i = 0; i < rows_; ++i) {
         const double *a_row = &a[i * K];
         double *out_row = &o[i * N];
@@ -593,32 +620,17 @@ Matrix::transposedMatmulInto(const Matrix &other, Matrix &out) const
     if (cols_ == 0 || other.cols_ == 0)
         return;
     const size_t K = cols_, N = other.cols_;
-    const double *__restrict a = data_.data();
-    const double *__restrict b = other.data_.data();
-    double *__restrict o = out.data_.data();
-
     if (rows_ > 0 && usePackedKernel(GemmOp::AtB, cols_, rows_, N)) {
-        // Pack A^T explicitly (lhs rows must be contiguous for the
-        // micro-kernel) and B into column panels; the shared row index
-        // still ascends per output element exactly as in
-        // transposed().matmulNaive(other), zero-lhs skip included.
-        std::vector<double> &at = packScratchA();
-        at.resize(rows_ * cols_);
-        packTransposedLhs(a, rows_, cols_, at.data());
-        std::vector<double> &pack = packScratchB();
-        pack.resize(packedPanelDoubles(rows_, N));
-        packColumnPanels(b, N, rows_, N, pack.data());
-        const double *atp = at.data();
-        const double *pk = pack.data();
-        const size_t depth = rows_;
-        dispatchRows(cols_, depth, N, [&](size_t begin, size_t end) {
-            gemmPackedRows(atp, pk, o, begin, end, depth, N);
-        });
+        detail::packedGemmInto(GemmOp::AtB, *this, other, out,
+                               detail::packedLanes());
         return;
     }
     // Accumulate rank-1 updates in ascending row order: per output
     // element the shared row index ascends exactly as in
     // transposed().matmulNaive(other).
+    const double *__restrict a = data_.data();
+    const double *__restrict b = other.data_.data();
+    double *__restrict o = out.data_.data();
     for (size_t i = 0; i < rows_; ++i) {
         const double *a_row = &a[i * K];
         const double *b_row = &b[i * N];

@@ -24,6 +24,7 @@ Sequential::add(std::unique_ptr<Layer> layer)
               layer->inputSize(), layers_.back()->outputSize());
     }
     layers_.push_back(std::move(layer));
+    outputs_.resize(layers_.size());
     paramCache_.clear();
     gradCache_.clear();
 }
@@ -48,26 +49,26 @@ const Matrix &
 Sequential::runForward(const Matrix &inputs, bool training)
 {
     const Matrix *cur = &inputs;
-    Matrix *next = &fwdA_;
-    for (auto &layer : layers_) {
-        layer->forwardInto(*cur, training, *next);
-        cur = next;
-        next = (next == &fwdA_) ? &fwdB_ : &fwdA_;
+    for (size_t i = 0; i < layers_.size(); ++i) {
+        layers_[i]->forwardInto(*cur, training, outputs_[i]);
+        cur = &outputs_[i];
     }
     return *cur;
 }
 
-const Matrix &
+void
 Sequential::runBackward(const Matrix &grad_output)
 {
+    if (layers_.empty())
+        return;
     const Matrix *cur = &grad_output;
     Matrix *next = &bwdA_;
-    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-        (*it)->backwardInto(*cur, *next);
+    for (size_t i = layers_.size() - 1; i > 0; --i) {
+        layers_[i]->backwardInto(*cur, *next);
         cur = next;
         next = (next == &bwdA_) ? &bwdB_ : &bwdA_;
     }
-    return *cur;
+    layers_.front()->backwardParams(*cur, *next);
 }
 
 Matrix
@@ -82,18 +83,6 @@ void
 Sequential::predictInto(const Matrix &inputs, Matrix &out)
 {
     out = runForward(inputs, /*training=*/false);
-}
-
-Matrix
-Sequential::forward(const Matrix &inputs)
-{
-    return runForward(inputs, /*training=*/true);
-}
-
-Matrix
-Sequential::backward(const Matrix &grad_output)
-{
-    return runBackward(grad_output);
 }
 
 const std::vector<Matrix *> &

@@ -71,12 +71,6 @@ class Sequential
      *  allocations once the arena is sized (inference hot path). */
     void predictInto(const Matrix &inputs, Matrix &out);
 
-    /** Forward pass caching state for backward(). */
-    Matrix forward(const Matrix &inputs);
-
-    /** Backward pass; returns gradient w.r.t. the inputs. */
-    Matrix backward(const Matrix &grad_output);
-
     /** All parameters across layers. */
     std::vector<Matrix *> parameters();
 
@@ -116,14 +110,16 @@ class Sequential
     bool looksDiverged(const Dataset &probe);
 
   private:
-    /** Arena-backed forward pass ping-ponging fwdA_/fwdB_ (the Into
-     *  kernels forbid operand/output aliasing, so layer i always reads
-     *  one buffer and writes the other). Returns the final
-     *  activations, which live in an arena buffer. */
+    /** Arena-backed forward pass: layer i writes outputs_[i], so after
+     *  a training pass every layer's input and output are still there
+     *  for its backward (the layers keep pointers, not copies). Returns
+     *  the final activations, which live in the arena. */
     const Matrix &runForward(const Matrix &inputs, bool training);
 
-    /** Arena-backed backward pass (bwdA_/bwdB_ ping-pong). */
-    const Matrix &runBackward(const Matrix &grad_output);
+    /** Arena-backed backward pass (bwdA_/bwdB_ ping-pong) that
+     *  accumulates every layer's parameter gradients. The first
+     *  layer's input gradient is never formed: nothing reads it. */
+    void runBackward(const Matrix &grad_output);
 
     /** parameters()/gradients() pointer lists, built once per model
      *  topology (add() invalidates) so the step loop stops
@@ -137,7 +133,7 @@ class Sequential
     // first epoch, reused (capacity is never released) afterwards —
     // steady-state epochs allocate nothing (pinned by
     // tests/nn/test_alloc_regression.cc).
-    Matrix fwdA_, fwdB_;       ///< forward activation ping-pong
+    std::vector<Matrix> outputs_; ///< one output buffer per layer
     Matrix bwdA_, bwdB_;       ///< backward gradient ping-pong
     Matrix lossGrad_;          ///< MSE gradient buffer
     Matrix batchIn_, batchTgt_; ///< staged mini-batch rows

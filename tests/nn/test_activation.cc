@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "nn/activation.hh"
 
@@ -76,6 +78,33 @@ TEST_P(ActivationDerivativeTest, MatrixDerivativeMatchesScalar)
     Matrix d = activationDerivative(act, m);
     for (size_t c = 0; c < m.cols(); ++c)
         EXPECT_DOUBLE_EQ(d.at(0, c), activateDerivative(act, m.at(0, c)));
+}
+
+TEST_P(ActivationDerivativeTest, FromOutputIsBitwiseFromPreActivation)
+{
+    // The dense layer's backward pass derives from the layer output,
+    // not a copy of the pre-activations; every bit has to agree,
+    // including at the edges (signed zeros, infinities, NaN).
+    Activation act = GetParam();
+    const double inf = std::numeric_limits<double>::infinity();
+    Matrix pre = Matrix::fromRows(
+        {{-2.0, -0.5, -0.0, 0.0, 1e-310, -1e-310, 0.5, 2.0, 19.0, -40.0,
+          800.0, -800.0, inf, -inf,
+          std::numeric_limits<double>::quiet_NaN()}});
+    Matrix post = pre;
+    applyActivationInPlace(act, post);
+    Matrix from_output;
+    activationDerivativeFromOutput(act, post, from_output);
+    Matrix from_pre = activationDerivative(act, pre);
+    ASSERT_EQ(from_output.cols(), from_pre.cols());
+    for (size_t c = 0; c < pre.cols(); ++c) {
+        const double x = from_output.at(0, c), y = from_pre.at(0, c);
+        if (std::isnan(x) && std::isnan(y))
+            continue;
+        EXPECT_EQ(0, std::memcmp(&x, &y, sizeof(x)))
+            << activationName(act) << " at pre = " << pre.at(0, c)
+            << ": " << x << " vs " << y;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllActivations, ActivationDerivativeTest,

@@ -58,6 +58,66 @@ TEST(DenseLayer, BatchRowsIndependent)
         EXPECT_DOUBLE_EQ(both.at(0, c), first.at(0, c));
 }
 
+TEST(DenseLayer, CopyingForwardParksATemporaryInputForBackward)
+{
+    // forward(x, true) may be handed a temporary. backward() runs after
+    // it is gone, so it must read the layer's own copies: the gradients
+    // have to equal those of forwardInto/backwardInto over buffers that
+    // stay alive. A freed block reused by `clobber` would show here,
+    // and under ASan any read of the temporary is a use-after-free.
+    for (Activation act : {Activation::Linear, Activation::ReLU,
+                           Activation::Sigmoid, Activation::Tanh}) {
+        SCOPED_TRACE(activationName(act));
+        Rng init_parked(59), init_live(59);
+        DenseLayer parked(5, 7, act, init_parked);
+        DenseLayer live(5, 7, act, init_live);
+        Rng data(60);
+        Matrix x(9, 5);
+        x.fillNormal(data, 1.0);
+        Matrix grad(9, 7);
+        grad.fillNormal(data, 1.0);
+
+        Matrix y = parked.forward(Matrix(x), true);
+        Matrix clobber(9, 5, 1e300);
+        Matrix dx = parked.backward(grad);
+
+        Matrix y_live, dx_live;
+        live.forwardInto(x, true, y_live);
+        live.backwardInto(grad, dx_live);
+
+        EXPECT_EQ(y, y_live);
+        EXPECT_EQ(dx, dx_live);
+        EXPECT_EQ(parked.weights(), live.weights());
+        EXPECT_EQ(*parked.gradients()[0], *live.gradients()[0]);
+        EXPECT_EQ(*parked.gradients()[1], *live.gradients()[1]);
+        EXPECT_EQ(clobber.at(0, 0), 1e300);
+    }
+}
+
+TEST(DenseLayer, BackwardParamsAccumulatesWhatBackwardIntoDoes)
+{
+    // Sequential skips its first layer's input gradient; the parameter
+    // gradients must not notice.
+    Rng init_a(61), init_b(61);
+    DenseLayer full(4, 6, Activation::ReLU, init_a);
+    DenseLayer params_only(4, 6, Activation::ReLU, init_b);
+    Rng data(62);
+    Matrix x(8, 4);
+    x.fillNormal(data, 1.0);
+    Matrix grad(8, 6);
+    grad.fillNormal(data, 1.0);
+
+    Matrix y_full, y_params, dx, unused;
+    full.forwardInto(x, true, y_full);
+    full.backwardInto(grad, dx);
+    params_only.forwardInto(x, true, y_params);
+    params_only.backwardParams(grad, unused);
+
+    EXPECT_EQ(*full.gradients()[0], *params_only.gradients()[0]);
+    EXPECT_EQ(*full.gradients()[1], *params_only.gradients()[1]);
+    EXPECT_TRUE(unused.empty());
+}
+
 TEST(DenseLayerDeathTest, WrongInputWidth)
 {
     Rng rng(55);

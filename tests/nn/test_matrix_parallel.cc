@@ -91,6 +91,30 @@ TEST(MatrixParallel, LargeMatmulAboveParallelThreshold)
     expectBitwiseEqual(a.matmul(b), a.matmulNaive(b), "large matmul");
 }
 
+TEST(MatrixParallel, ReluSparseProductsAboveParallelThreshold)
+{
+    // A ReLU-sparse lhs (about half exact zeros, in no fixed pattern)
+    // at 11.5M flops for every product: the pool splits the output
+    // rows, and each worker lists its rows' nonzero depth indices in
+    // its own thread-local scratch while the others do the same.
+    Rng rng(4321);
+    auto relu = [&rng](size_t rows, size_t cols) {
+        Matrix m = randomMatrix(rows, cols, rng);
+        for (double &v : m.data())
+            v = v > 0.0 ? v : 0.0;
+        return m;
+    };
+    Matrix a = relu(160, 200);
+    Matrix b = randomMatrix(200, 180, rng);
+    expectBitwiseEqual(a.matmul(b), a.matmulNaive(b), "sparse AB");
+    Matrix bt = randomMatrix(180, 200, rng); // b transposed: 180 x 200
+    expectBitwiseEqual(a.matmulTransposed(bt),
+                       a.matmulNaive(bt.transposed()), "sparse ABt");
+    Matrix at = relu(200, 160); // a transposed: depth 200 x 160
+    expectBitwiseEqual(at.transposedMatmul(b),
+                       at.transposed().matmulNaive(b), "sparse AtB");
+}
+
 TEST(MatrixParallel, MatmulIntoReusesOutput)
 {
     Rng rng(8);
