@@ -1,19 +1,20 @@
 /**
  * @file
- * Fleet scale-out experiment (beyond the paper, "Fig. 10"): aggregate
- * optimizer throughput and decision-cycle latency of the shard
- * coordinator at 1/2/4(/8) shards over one shared substrate, against
+ * Fleet scale-out experiment (beyond the paper, "Fig. 10"): the wall
+ * time of one coordinator round, and the files it decides per
+ * wall-second, at 1/2/4(/8) shards over one shared substrate, against
  * the monolithic single-optimizer baseline.
  *
  * The workload is the BELLE II suite multiplied by a tenant count
  * (independent per-tenant seeds), partitioned over the shards by
  * stable hash. The 1-shard coordinator *is* the monolith — same code
  * path, no observe filter, no window scaling — so the comparison is
- * apples to apples. With N shards each decision cycle trains on ~1/N
- * of the fleet-wide telemetry window and scores ~1/N of the files, so
- * aggregate optimizer throughput (decision cycles completed per second
- * of optimizer wall time, workload execution excluded) should approach
- * N times the monolith's. The gate requires >= 2x at 4 shards.
+ * apples to apples. A round decides every managed file once whatever
+ * the shard count; with N shards each shard's retrain covers ~1/N of
+ * the fleet-wide telemetry window, and the N retrains run at once on
+ * the global thread pool. The gate requires the 4-shard round to take
+ * at most kRoundWallGate of the monolith's round wall time; it is
+ * enforced only on a pool of at least 4 workers (reported otherwise).
  *
  * Invariants checked every round:
  *  - the cross-shard admission budget holds: no device is ever touched
@@ -25,8 +26,8 @@
  *
  * GEO_FIG10_ROUNDS / GEO_FIG10_TENANTS override the scale (defaults
  * 6 rounds x 8 tenants reduced, 10 x 24 at GEO_BENCH_FULL=1).
- * Exits nonzero if the speedup gate, the budget invariant or the twin
- * digest check fails.
+ * Exits nonzero if the round-wall gate, the budget invariant or the
+ * twin digest check fails.
  */
 
 #include <chrono>
@@ -44,6 +45,7 @@
 #include "util/logging.hh"
 #include "util/state_io.hh"
 #include "util/table.hh"
+#include "util/thread_pool.hh"
 #include "workload/belle2.hh"
 
 namespace {
@@ -54,19 +56,31 @@ struct ScaleConfig
 {
     size_t shards = 1;
     size_t tenants = 8;
-    size_t rounds = 6;
     size_t cadence = 2; ///< workload runs between coordinator rounds
     uint64_t seed = 7;
     size_t epochs = 3;
 };
 
+/**
+ * Gate: the 4-shard round's wall time over the monolith's, midway
+ * between the two designs. With the scenarios interleaved, 11 runs
+ * each on a 4-core Xeon, at the reduced scale and at bench_smoke's
+ * 3 rounds x 4 tenants: shards that ran their whole cycles one after
+ * another read 0.92-1.30; shards that retrain at once read 0.37-0.59.
+ */
+constexpr double kRoundWallGate = 0.75;
+
+/** Pool size below which the gate only reports. */
+constexpr size_t kGateWorkers = 4;
+
 struct ScaleResult
 {
     size_t shards = 0;
-    size_t cycles = 0;          ///< decision cycles completed
-    double optimizerSeconds = 0.0;
-    double cyclesPerSec = 0.0;
-    double meanCycleMs = 0.0;
+    size_t rounds = 0;
+    double optimizerSeconds = 0.0; ///< wall time inside runRound()
+    double meanRoundMs = 0.0;
+    size_t filesDecided = 0; ///< managed files of deciding cycles
+    double filesPerSec = 0.0; ///< filesDecided per optimizer second
     size_t applied = 0;
     uint64_t denied = 0;
     size_t peakDeviceMoves = 0;
@@ -75,56 +89,79 @@ struct ScaleResult
     uint32_t finalCrc = 0;      ///< CRC of the final checkpoint payload
 };
 
-ScaleResult
-runScale(const ScaleConfig &sc)
+/** A cycle decided its shard's files when it reached propose. */
+bool
+decided(const core::CycleReport &report)
 {
-    auto system = storage::makeBlueskySystem(sc.seed);
-    workload::Belle2Config wcfg;
-    wcfg.tenantCount = sc.tenants;
-    workload::Belle2Workload workload(*system, wcfg);
+    return !report.skipped && !report.probe && !report.safeMode;
+}
 
-    core::ShardCoordinatorConfig ccfg;
-    ccfg.shardCount = sc.shards;
-    ccfg.base.drl.epochs = sc.epochs;
-    // Fleet-sized telemetry budget: the monolith pulls the full
-    // window every cycle; the coordinator divides it across shards so
-    // the fleet-wide budget stays constant.
-    ccfg.base.daemon.windowPerDevice = 2000;
-    ccfg.base.minHistory = 400;
-    ccfg.base.sanityWindow = 4000;
-    ccfg.maxMovesPerDevicePerRound = 4;
-    core::ShardCoordinator coordinator(*system, workload.files(), ccfg);
+/**
+ * One shard count's fleet, advanced a round at a time so that main()
+ * can interleave the scenarios' rounds: on a shared host every shard
+ * count then runs under the same background load, and the round-wall
+ * ratio compares like with like.
+ */
+class Fleet
+{
+  public:
+    explicit Fleet(const ScaleConfig &sc)
+        : sc_(sc), system_(storage::makeBlueskySystem(sc.seed))
+    {
+        workload::Belle2Config wcfg;
+        wcfg.tenantCount = sc.tenants;
+        workload_ =
+            std::make_unique<workload::Belle2Workload>(*system_, wcfg);
 
-    // Run-up so the first round already has telemetry to train on.
-    for (size_t i = 0; i < 2; ++i)
-        workload.executeRun();
+        core::ShardCoordinatorConfig ccfg;
+        ccfg.shardCount = sc.shards;
+        ccfg.base.drl.epochs = sc.epochs;
+        // Fleet-sized telemetry budget: the monolith pulls the full
+        // window every cycle; the coordinator divides it across shards
+        // so the fleet-wide budget stays constant.
+        ccfg.base.daemon.windowPerDevice = 2000;
+        ccfg.base.minHistory = 400;
+        ccfg.base.sanityWindow = 4000;
+        ccfg.maxMovesPerDevicePerRound = kMovesPerDevice;
+        coordinator_ = std::make_unique<core::ShardCoordinator>(
+            *system_, workload_->files(), ccfg);
 
-    ScaleResult res;
-    res.shards = sc.shards;
-    for (size_t round = 1; round <= sc.rounds; ++round) {
-        for (size_t r = 0; r < sc.cadence; ++r)
-            workload.executeRun();
+        // Run-up so the first round already has telemetry to train on.
+        for (size_t i = 0; i < 2; ++i)
+            workload_->executeRun();
+        res_.shards = sc.shards;
+    }
+
+    /** The workload's cadence runs, then one timed coordinator round
+     *  with its budget check and state digest. */
+    void
+    round()
+    {
+        for (size_t r = 0; r < sc_.cadence; ++r)
+            workload_->executeRun();
 
         auto began = std::chrono::steady_clock::now();
-        std::vector<core::CycleReport> reports = coordinator.runRound();
-        res.optimizerSeconds +=
+        std::vector<core::CycleReport> reports = coordinator_->runRound();
+        res_.optimizerSeconds +=
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - began)
                 .count();
 
-        res.cycles += reports.size();
-        for (const core::CycleReport &report : reports)
-            res.applied += report.moves.applied;
-        for (storage::DeviceId d = 0; d < system->deviceCount(); ++d) {
+        size_t round = ++res_.rounds;
+        for (size_t i = 0; i < reports.size(); ++i) {
+            res_.applied += reports[i].moves.applied;
+            if (decided(reports[i]))
+                res_.filesDecided += coordinator_->shardFiles(i).size();
+        }
+        for (storage::DeviceId d = 0; d < system_->deviceCount(); ++d) {
             const core::DeviceRoundUsage &usage =
-                coordinator.roundUsage(d);
-            if (ccfg.maxMovesPerDevicePerRound > 0 &&
-                usage.moves > ccfg.maxMovesPerDevicePerRound) {
+                coordinator_->roundUsage(d);
+            if (usage.moves > kMovesPerDevice) {
                 warn("fig10[%zu shards, round %zu]: device %u saw %zu "
                      "admitted moves (budget %zu)",
-                     sc.shards, round, (unsigned)d, usage.moves,
-                     ccfg.maxMovesPerDevicePerRound);
-                res.budgetOk = false;
+                     sc_.shards, round, (unsigned)d, usage.moves,
+                     kMovesPerDevice);
+                res_.budgetOk = false;
             }
         }
 
@@ -132,25 +169,57 @@ runScale(const ScaleConfig &sc)
         // engine weights, RNG streams, retry queues, the system).
         std::ostringstream os;
         util::StateWriter w(os);
-        coordinator.saveState(w);
-        std::string payload = os.str();
+        coordinator_->saveState(w);
+        res_.finalCrc = util::crc32(os.str());
         char line[64];
         std::snprintf(line, sizeof line, "%zu %08x\n", round,
-                      util::crc32(payload));
-        res.digestLog += line;
-        if (round == sc.rounds)
-            res.finalCrc = util::crc32(payload);
+                      res_.finalCrc);
+        res_.digestLog += line;
     }
 
-    res.denied = coordinator.movesDenied();
-    res.peakDeviceMoves = coordinator.peakDeviceMoves();
-    if (res.optimizerSeconds > 0.0)
-        res.cyclesPerSec =
-            static_cast<double>(res.cycles) / res.optimizerSeconds;
-    if (res.cycles > 0)
-        res.meanCycleMs = res.optimizerSeconds * 1000.0 /
-                          static_cast<double>(res.cycles);
-    return res;
+    ScaleResult
+    result() const
+    {
+        ScaleResult res = res_;
+        res.denied = coordinator_->movesDenied();
+        res.peakDeviceMoves = coordinator_->peakDeviceMoves();
+        if (res.optimizerSeconds > 0.0)
+            res.filesPerSec = static_cast<double>(res.filesDecided) /
+                              res.optimizerSeconds;
+        if (res.rounds > 0)
+            res.meanRoundMs = res.optimizerSeconds * 1000.0 /
+                              static_cast<double>(res.rounds);
+        return res;
+    }
+
+  private:
+    /** Per-device admitted moves per round. */
+    static constexpr size_t kMovesPerDevice = 4;
+
+    ScaleConfig sc_;
+    std::unique_ptr<storage::StorageSystem> system_;
+    std::unique_ptr<workload::Belle2Workload> workload_;
+    std::unique_ptr<core::ShardCoordinator> coordinator_;
+    ScaleResult res_;
+};
+
+/** Run each config's fleet for `rounds` rounds, interleaved. */
+std::vector<ScaleResult>
+runInterleaved(const std::vector<ScaleConfig> &configs, size_t rounds)
+{
+    std::vector<std::unique_ptr<Fleet>> fleets;
+    for (const ScaleConfig &sc : configs) {
+        inform("fig10: %zu shard%s (%zu tenants, %zu rounds)",
+               sc.shards, sc.shards == 1 ? "" : "s", sc.tenants, rounds);
+        fleets.push_back(std::make_unique<Fleet>(sc));
+    }
+    for (size_t round = 0; round < rounds; ++round)
+        for (auto &fleet : fleets)
+            fleet->round();
+    std::vector<ScaleResult> results;
+    for (const auto &fleet : fleets)
+        results.push_back(fleet->result());
+    return results;
 }
 
 } // namespace
@@ -163,7 +232,7 @@ main()
                   "multi-tenant extension (beyond the paper)");
 
     ScaleConfig base;
-    base.rounds = bench::knob("GEO_FIG10_ROUNDS", 6, 10);
+    size_t rounds = bench::knob("GEO_FIG10_ROUNDS", 6, 10);
     base.tenants = bench::knob("GEO_FIG10_TENANTS", 8, 24);
     base.epochs = bench::knob("GEO_DRL_EPOCHS", 3, 20);
 
@@ -172,21 +241,21 @@ main()
         counts.push_back(8);
 
     auto &registry = util::MetricRegistry::global();
-    std::vector<ScaleResult> results;
+    // Start the pool before any round is timed.
+    size_t workers = util::ThreadPool::global().workerCount();
+    std::vector<ScaleConfig> configs;
     for (size_t shards : counts) {
-        ScaleConfig sc = base;
-        sc.shards = shards;
-        inform("fig10: measuring %zu shard%s (%zu tenants, %zu rounds)",
-               shards, shards == 1 ? "" : "s", sc.tenants, sc.rounds);
-        results.push_back(runScale(sc));
+        configs.push_back(base);
+        configs.back().shards = shards;
     }
+    std::vector<ScaleResult> results = runInterleaved(configs, rounds);
 
     // Same-seed twin of the 4-shard scenario: every round digest and
     // the final checkpoint CRC must reproduce byte-for-byte.
     ScaleConfig twin_cfg = base;
     twin_cfg.shards = 4;
     inform("fig10: same-seed twin of the 4-shard scenario");
-    ScaleResult twin = runScale(twin_cfg);
+    ScaleResult twin = runInterleaved({twin_cfg}, rounds).front();
     const ScaleResult *four = nullptr;
     for (const ScaleResult &r : results)
         if (r.shards == 4)
@@ -197,35 +266,36 @@ main()
                           twin.finalCrc == four->finalCrc;
 
     const ScaleResult &mono = results.front();
-    double speedup4 = mono.cyclesPerSec > 0.0
-                          ? four->cyclesPerSec / mono.cyclesPerSec
-                          : 0.0;
+    double wall4 = mono.meanRoundMs > 0.0
+                       ? four->meanRoundMs / mono.meanRoundMs
+                       : 0.0;
+    bool gated = workers >= kGateWorkers;
     bool budgets_ok = true;
     for (const ScaleResult &r : results)
         budgets_ok = budgets_ok && r.budgetOk;
     budgets_ok = budgets_ok && twin.budgetOk;
 
-    TextTable table("Fig. 10: aggregate optimizer throughput vs shards");
-    table.setHeader({"shards", "cycles", "optimizer s", "cycles/s",
-                     "mean cycle ms", "vs monolith", "applied",
+    TextTable table("Fig. 10: coordinator round wall time vs shards");
+    table.setHeader({"shards", "rounds", "optimizer s", "round ms",
+                     "files/s", "round vs monolith", "applied",
                      "denied", "peak dev moves"});
     for (const ScaleResult &r : results) {
-        double speedup = mono.cyclesPerSec > 0.0
-                             ? r.cyclesPerSec / mono.cyclesPerSec
-                             : 0.0;
+        double ratio = mono.meanRoundMs > 0.0
+                           ? r.meanRoundMs / mono.meanRoundMs
+                           : 0.0;
         table.addRow({std::to_string(r.shards),
-                      std::to_string(r.cycles),
+                      std::to_string(r.rounds),
                       TextTable::num(r.optimizerSeconds, 2),
-                      TextTable::num(r.cyclesPerSec, 2),
-                      TextTable::num(r.meanCycleMs, 1),
-                      TextTable::num(speedup, 2) + "x",
+                      TextTable::num(r.meanRoundMs, 1),
+                      TextTable::num(r.filesPerSec, 0),
+                      TextTable::num(ratio, 2) + "x",
                       std::to_string(r.applied),
                       std::to_string(r.denied),
                       std::to_string(r.peakDeviceMoves)});
         std::string prefix =
             "fig10.shards" + std::to_string(r.shards) + ".";
-        registry.gauge(prefix + "cycles_per_sec").set(r.cyclesPerSec);
-        registry.gauge(prefix + "mean_cycle_ms").set(r.meanCycleMs);
+        registry.gauge(prefix + "round_ms").set(r.meanRoundMs);
+        registry.gauge(prefix + "files_per_sec").set(r.filesPerSec);
         registry.gauge(prefix + "applied")
             .set(static_cast<double>(r.applied));
         registry.gauge(prefix + "denied")
@@ -237,13 +307,17 @@ main()
 
     registry.gauge("fig10.scenarios")
         .set(static_cast<double>(results.size()));
-    registry.gauge("fig10.speedup_4v1").set(speedup4);
+    registry.gauge("fig10.round_wall_4v1").set(wall4);
+    registry.gauge("fig10.round_wall_gate").set(kRoundWallGate);
+    registry.gauge("fig10.pool_workers").set(static_cast<double>(workers));
     registry.gauge("fig10.twin_identical")
         .set(twin_identical ? 1.0 : 0.0);
     registry.gauge("fig10.budget_ok").set(budgets_ok ? 1.0 : 0.0);
 
-    std::printf("\n4-shard aggregate optimizer throughput: %.2fx the "
-                "monolith (gate: >= 2x)\n", speedup4);
+    std::printf("\n4-shard round wall time: %.2fx the monolith's (gate: "
+                "<= %.2fx on >= %zu pool workers; %zu here%s)\n",
+                wall4, kRoundWallGate, kGateWorkers, workers,
+                gated ? "" : ", reported only");
     std::printf("per-device admission budgets: %s\n",
                 budgets_ok ? "never exceeded" : "EXCEEDED");
     std::printf("same-seed twin (4 shards): %s\n",
@@ -251,7 +325,8 @@ main()
                                  "checkpoint CRC"
                                : "DIVERGED");
 
-    bool pass = speedup4 >= 2.0 && budgets_ok && twin_identical;
+    bool pass = (!gated || wall4 <= kRoundWallGate) && budgets_ok &&
+                twin_identical;
     if (!pass)
         std::printf("\nFAIL: scale-out gate not met\n");
     return pass ? 0 : 1;

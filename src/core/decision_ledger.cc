@@ -25,7 +25,8 @@ jsonBool(bool v)
 } // namespace
 
 DecisionLedger::DecisionLedger(std::string path)
-    : path_(std::move(path))
+    : path_(std::move(path)),
+      metricPrefix_(util::MetricRegistry::global().scopePrefix())
 {
     content_ = "{\"t\":\"ledger\",\"schema\":\"geo-ledger-1\"}\n";
 }
@@ -68,6 +69,7 @@ util::Gauge &
 DecisionLedger::deviceGauge(storage::DeviceId device, const char *suffix)
 {
     return util::MetricRegistry::global().gauge(
+        metricPrefix_ +
         strprintf("ledger.dev%llu.%s",
                   static_cast<unsigned long long>(device), suffix));
 }

@@ -104,7 +104,9 @@ class DecisionLedger
      * Create a ledger writing to `path`. The schema header is buffered
      * immediately but nothing touches the disk until the first
      * endCycle() — so attaching a ledger before a checkpoint restore
-     * never clobbers the file the restore will truncate.
+     * never clobbers the file the restore will truncate. The device
+     * gauges, resolved lazily, take the metric scope active here (a
+     * shard's "shard<i>." prefix).
      */
     explicit DecisionLedger(std::string path);
 
@@ -229,6 +231,7 @@ class DecisionLedger
                              const char *suffix);
 
     std::string path_;
+    std::string metricPrefix_; ///< scope captured at construction
     std::string content_;     ///< full ledger text (header included)
     std::string pendingText_; ///< rows of the open cycle
     uint64_t seq_ = 0;

@@ -1,5 +1,6 @@
 #include "core/drl_engine.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <sstream>
@@ -34,6 +35,30 @@ DrlEngine::DrlEngine(const DrlConfig &config)
     valMaeMetric_ = &registry.gauge("drl.val_mae_pct");
 }
 
+namespace {
+
+/** Every parameter of `model`, concatenated in parameters() order. */
+void
+copyWeightsOut(nn::Sequential &model, std::vector<double> &out)
+{
+    out.clear();
+    for (const nn::Matrix *p : model.parameters())
+        out.insert(out.end(), p->data().begin(), p->data().end());
+}
+
+/** Inverse of copyWeightsOut. */
+void
+copyWeightsIn(const std::vector<double> &in, nn::Sequential &model)
+{
+    const double *at = in.data();
+    for (nn::Matrix *p : model.parameters()) {
+        std::copy_n(at, p->size(), p->data().begin());
+        at += p->size();
+    }
+}
+
+} // namespace
+
 RetrainStats
 DrlEngine::retrain(const TrainingBatch &batch)
 {
@@ -46,39 +71,39 @@ DrlEngine::retrain(const TrainingBatch &batch)
 
     scalers_.featureNorm = batch.featureNorm;
     scalers_.targetNorm = batch.targetNorm;
-    nn::DataSplit split = nn::chronologicalSplit(
-        batch.dataset, config_.trainFraction, config_.valFraction);
+    nn::chronologicalSplitInto(batch.dataset, config_.trainFraction,
+                               config_.valFraction, split_);
+    if (hasLastGood_)
+        copyWeightsOut(model_, preRetrainWeights_);
 
     nn::TrainOptions options;
     options.epochs = config_.epochs;
     options.batchSize = config_.batchSize;
     nn::TrainResult result =
-        model_.train(split.train, split.validation, optimizer_, options);
+        model_.train(split_.train, split_.validation, optimizer_, options);
     stats.trained = true;
     stats.seconds = result.seconds;
     // Guard against numerical poison: a non-finite loss, a probe set
     // the model mangles, or NaN/Inf in the weights themselves.
     stats.diverged = result.diverged ||
-                     model_.looksDiverged(split.test) || !weightsFinite();
+                     model_.looksDiverged(split_.test) || !weightsFinite();
     trainStepsMetric_->inc();
     trainMsMetric_->record(result.seconds * 1e3);
-    trainRowsMetric_->record(static_cast<double>(split.train.size()));
+    trainRowsMetric_->record(static_cast<double>(split_.train.size()));
     if (stats.diverged) {
         divergedMetric_->inc();
         trainDivergedMetric_->inc();
         util::FlightRecorder::global().record(
             util::FlightKind::TrainDiverged, 0.0, config_.epochs);
         ready_ = false;
-        if (!lastGoodWeights_.empty()) {
+        if (hasLastGood_) {
             // Roll back to the last finite weights so the poison does
             // not compound across retrains or leak into proposeMoves.
-            std::istringstream is(lastGoodWeights_);
-            if (nn::loadWeights(model_, is)) {
-                rollbackMetric_->inc();
-                warn("DrlEngine: retrain diverged; rolled weights back "
-                     "to the last good cycle");
-                return stats;
-            }
+            copyWeightsIn(preRetrainWeights_, model_);
+            rollbackMetric_->inc();
+            warn("DrlEngine: retrain diverged; rolled weights back to "
+                 "the last good cycle");
+            return stats;
         }
         warn("DrlEngine: model diverged during retrain; predictions "
              "disabled until a successful cycle");
@@ -87,21 +112,21 @@ DrlEngine::retrain(const TrainingBatch &batch)
 
     // Validation relative error drives the Section V-G adjustment.
     const nn::Dataset &probe =
-        split.validation.empty() ? split.train : split.validation;
-    model_.predictInto(probe.inputs, outputScratch_);
-    const nn::Matrix &predictions = outputScratch_;
-    std::vector<double> pred_raw, target_raw;
-    pred_raw.reserve(probe.size());
-    target_raw.reserve(probe.size());
-    for (size_t r = 0; r < probe.size(); ++r) {
-        pred_raw.push_back(
-            scalers_.denormalizeTarget(predictions.at(r, 0)));
-        target_raw.push_back(
-            scalers_.denormalizeTarget(probe.targets.at(r, 0)));
+        split_.validation.empty() ? split_.train : split_.validation;
+    RelativeErrorAccumulator errors;
+    for (size_t begin = 0; begin < probe.size();
+         begin += nn::Sequential::kForwardChunk) {
+        const size_t end =
+            std::min(probe.size(), begin + nn::Sequential::kForwardChunk);
+        const nn::Matrix &predictions =
+            model_.predictRows(probe.inputs, begin, end);
+        for (size_t r = begin; r < end; ++r)
+            errors.add(
+                scalers_.denormalizeTarget(predictions.at(r - begin, 0)),
+                scalers_.denormalizeTarget(probe.targets.at(r, 0)));
     }
-    stats.meanAbsRelError =
-        meanAbsoluteRelativeError(pred_raw, target_raw);
-    stats.signedRelError = meanSignedRelativeError(pred_raw, target_raw);
+    stats.meanAbsRelError = errors.meanAbsolute();
+    stats.signedRelError = errors.meanSigned();
 
     valMaeMetric_->set(stats.meanAbsRelError);
     maeFraction_ = stats.meanAbsRelError / 100.0;
@@ -112,11 +137,7 @@ DrlEngine::retrain(const TrainingBatch &batch)
     } else {
         adjustSign_ = 0.0;
     }
-    {
-        std::ostringstream os;
-        if (nn::saveWeights(model_, os))
-            lastGoodWeights_ = os.str();
-    }
+    hasLastGood_ = true;
     ready_ = true;
     return stats;
 }
@@ -212,7 +233,9 @@ DrlEngine::saveState(util::StateWriter &w)
     // geo-ckpt-1 still carries the retired model-target key; 0 is
     // throughput, the only target.
     w.u64("drl.target", 0);
-    w.str("drl.last_good", lastGoodWeights_);
+    // Last-good weights always equal the current ones (see
+    // hasLastGood_), so the same text goes under both keys.
+    w.str("drl.last_good", hasLastGood_ ? weights.str() : std::string());
     // Batch scalers only: the dataset itself is transient retrain
     // input, but predictions between retrains need the normalizers.
     std::vector<double> mins, maxs;
@@ -246,6 +269,10 @@ DrlEngine::loadState(util::StateReader &r)
                "; only throughput (0) is supported");
         return;
     }
+    if (!last_good.empty() && last_good != weights) {
+        r.fail("drl: last-good weights differ from the weights");
+        return;
+    }
     {
         std::istringstream is(weights);
         if (!nn::loadWeights(model_, is)) {
@@ -266,7 +293,7 @@ DrlEngine::loadState(util::StateReader &r)
     ready_ = ready;
     maeFraction_ = mae;
     adjustSign_ = sign;
-    lastGoodWeights_ = last_good;
+    hasLastGood_ = !last_good.empty();
     scalers_ = TrainingBatch{};
     scalers_.featureNorm.restore(std::move(feat_mins),
                                  std::move(feat_maxs));

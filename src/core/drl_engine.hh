@@ -75,7 +75,8 @@ class DrlEngine
 
     /**
      * Retrain on a normalized training batch (keeps the batch's
-     * scalers for subsequent predictions).
+     * scalers for subsequent predictions). Once the batch shape stops
+     * growing, a retrain acquires no Matrix buffer.
      */
     RetrainStats retrain(const TrainingBatch &batch);
 
@@ -115,7 +116,10 @@ class DrlEngine
      */
     void saveState(util::StateWriter &w);
 
-    /** Restore state saved by an identically-configured engine. */
+    /** Restore state saved by an identically-configured engine. A
+     *  non-empty `drl.last_good` must equal `drl.weights` (saveState
+     *  writes them so); otherwise the reader fails and the engine is
+     *  left untouched. */
     void loadState(util::StateReader &r);
 
   private:
@@ -133,9 +137,17 @@ class DrlEngine
     double maeFraction_ = 0.0;  ///< validation MAE as fraction of target
     double adjustSign_ = 0.0;   ///< +1 raise, -1 lower, 0 no adjustment
     double lastPredictMs_ = 0.0;
-    /** Weights after the last non-diverged retrain (serialized text);
-     *  the rollback target when training poisons the model. */
-    std::string lastGoodWeights_;
+    /** A retrain has succeeded since construction (or the snapshot
+     *  loaded says one had). While set, the weights between retrains
+     *  are the last good ones: a successful retrain keeps what it
+     *  trained, a diverged one rolls back. */
+    bool hasLastGood_ = false;
+    /** Raw copy of the weights a retrain started from, in
+     *  parameters() order: the rollback target when training poisons
+     *  the model. Sized once, reused by every retrain. */
+    std::vector<double> preRetrainWeights_;
+    /** The retrain's chronological split, refilled in place. */
+    nn::DataSplit split_;
 
     // Preallocated batch buffers, reused across prediction calls.
     nn::Matrix featureScratch_; ///< (F * D) x Z normalized batch

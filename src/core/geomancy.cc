@@ -109,46 +109,27 @@ Geomancy::attachLedger(const std::string &path)
     ledger_ = std::make_unique<DecisionLedger>(path);
 }
 
-/**
- * One decision-cycle phase, open for the scope's lifetime: arms the
- * guardrail watchdog with the phase budget, brackets the phase with
- * flight-recorder PhaseBegin/PhaseEnd events, traces it as a "cycle"
- * span and, on close, appends the ledger's phase row.
- */
-class Geomancy::PhaseScope
+Geomancy::PhaseScope::PhaseScope(Geomancy &geo, Phase phase)
+    : geo_(geo), phase_(phase), began_(geo.system_.clock().now()),
+      span_("cycle", phaseName(phase))
 {
-  public:
-    PhaseScope(Geomancy &geo, Phase phase)
-        : geo_(geo), phase_(phase), began_(geo.system_.clock().now()),
-          span_("cycle", phaseName(phase))
-    {
-        geo_.guardrails_->beginPhase(phase_, began_);
-        util::FlightRecorder::global().record(
-            util::FlightKind::PhaseBegin, began_, geo_.cycles_,
-            static_cast<uint64_t>(phase_));
-    }
+    geo_.guardrails_->beginPhase(phase_, began_);
+    util::FlightRecorder::global().record(util::FlightKind::PhaseBegin,
+                                          began_, geo_.cycles_,
+                                          static_cast<uint64_t>(phase_));
+}
 
-    ~PhaseScope()
-    {
-        double now = geo_.system_.clock().now();
-        geo_.guardrails_->endPhase(now);
-        util::FlightRecorder::global().record(
-            util::FlightKind::PhaseEnd, now, geo_.cycles_,
-            static_cast<uint64_t>(phase_));
-        if (geo_.ledger_)
-            geo_.ledger_->recordPhase(phaseName(phase_), now - began_,
-                                      geo_.guardrails_->phaseBudget(phase_));
-    }
-
-    PhaseScope(const PhaseScope &) = delete;
-    PhaseScope &operator=(const PhaseScope &) = delete;
-
-  private:
-    Geomancy &geo_;
-    Phase phase_;
-    double began_;
-    util::ScopedSpan span_;
-};
+Geomancy::PhaseScope::~PhaseScope()
+{
+    double now = geo_.system_.clock().now();
+    geo_.guardrails_->endPhase(now);
+    util::FlightRecorder::global().record(util::FlightKind::PhaseEnd, now,
+                                          geo_.cycles_,
+                                          static_cast<uint64_t>(phase_));
+    if (geo_.ledger_)
+        geo_.ledger_->recordPhase(phaseName(phase_), now - began_,
+                                  geo_.guardrails_->phaseBudget(phase_));
+}
 
 std::vector<CheckedMove>
 Geomancy::proposeMoves()
@@ -273,30 +254,80 @@ CycleReport
 Geomancy::runCycle()
 {
     GEO_SPAN("cycle", "cycle");
+    openCycle();
+    retrainCycle();
+    return closeCycle();
+}
+
+void
+Geomancy::openCycle()
+{
     GEO_TRACE_INSTANT("cycle", "decision_cycle", util::TimeDomain::Sim,
                       system_.clock().now());
-    CycleReport report;
+    open_.report = CycleReport{};
+    open_.retrain = false;
     ++cycles_;
     cyclesMetric_->inc();
-    storage::FaultInjector *injector = system_.faultInjector();
-    if (injector)
-        injector->notifyCycle(cycles_);
+    open_.injector = system_.faultInjector();
+    if (open_.injector)
+        open_.injector->notifyCycle(cycles_);
 
     // The quarantine window for this cycle covers everything observed
-    // since the previous cycle ended; the reset happens below, after
-    // the evidence is captured.
-    bool probe = guardrails_->probeDue(cycles_);
-    report.probe = probe;
-    report.safeMode = guardrails_->safeMode();
+    // since the previous cycle ended; the reset happens in closeCycle,
+    // after the evidence is captured.
+    open_.probe = guardrails_->probeDue(cycles_);
+    open_.report.probe = open_.probe;
+    open_.report.safeMode = guardrails_->safeMode();
     if (ledger_) {
         ledger_->beginCycle(cycles_, system_.clock().now(),
-                            guardrails_->safeMode(), probe);
+                            guardrails_->safeMode(), open_.probe);
     }
-    runCycleBody(report, probe, injector);
+    {
+        PhaseScope scope(*this, Phase::Monitor);
+        flushAgents();
+    }
+    // The freshly flushed window closes the loop on any outstanding
+    // prediction: join realized per-mount throughput against it.
+    if (ledger_)
+        ledger_->resolveRealized(*db_);
+
+    // Safe mode: the layout is frozen. Telemetry keeps flowing (the
+    // flush above) and probe cycles additionally retrain to test
+    // health, but nothing proposes or migrates until a healthy probe
+    // exits the mode. Too little history skips the cycle too.
+    if ((guardrails_->safeMode() && !open_.probe) ||
+        db_->accessCount() < static_cast<int64_t>(config_.minHistory)) {
+        open_.report.skipped = true;
+        cyclesSkippedMetric_->inc();
+        return;
+    }
+
+    open_.train.emplace(*this, Phase::Train);
+    open_.batch = daemon_->buildTrainingBatch(system_.deviceIds());
+    open_.retrain = true;
+}
+
+void
+Geomancy::retrainCycle()
+{
+    if (!open_.retrain)
+        return;
+    open_.report.retrain = engine_->retrain(open_.batch);
+    open_.train.reset();
+}
+
+CycleReport
+Geomancy::closeCycle()
+{
+    CycleReport &report = open_.report;
+    if (open_.retrain) {
+        open_.batch = TrainingBatch{}; // freed on the caller's thread
+        decide(report, open_.injector);
+    }
 
     CycleEvidence evidence;
     evidence.cycle = cycles_;
-    evidence.probe = probe;
+    evidence.probe = open_.probe;
     evidence.overrun = guardrails_->cycleOverrun();
     evidence.flood = guardrails_->quarantineFlood();
     evidence.diverged = report.retrain.diverged;
@@ -346,41 +377,8 @@ Geomancy::runCycle()
 }
 
 void
-Geomancy::runCycleBody(CycleReport &report, bool probe,
-                       storage::FaultInjector *injector)
+Geomancy::decide(CycleReport &report, storage::FaultInjector *injector)
 {
-    {
-        PhaseScope scope(*this, Phase::Monitor);
-        flushAgents();
-    }
-    // The freshly flushed window closes the loop on any outstanding
-    // prediction: join realized per-mount throughput against it.
-    if (ledger_)
-        ledger_->resolveRealized(*db_);
-
-    // Safe mode: the layout is frozen. Telemetry keeps flowing (the
-    // flush above) and probe cycles additionally retrain to test
-    // health, but nothing proposes or migrates until a healthy probe
-    // exits the mode.
-    if (guardrails_->safeMode() && !probe) {
-        report.skipped = true;
-        cyclesSkippedMetric_->inc();
-        return;
-    }
-
-    if (db_->accessCount() <
-        static_cast<int64_t>(config_.minHistory)) {
-        report.skipped = true;
-        cyclesSkippedMetric_->inc();
-        return;
-    }
-
-    {
-        PhaseScope scope(*this, Phase::Train);
-        TrainingBatch batch =
-            daemon_->buildTrainingBatch(system_.deviceIds());
-        report.retrain = engine_->retrain(batch);
-    }
     if (injector)
         injector->maybeCrash(storage::CrashPoint::AfterTrain);
     if (!report.retrain.trained || report.retrain.diverged) {
@@ -389,8 +387,10 @@ Geomancy::runCycleBody(CycleReport &report, bool probe,
         return;
     }
 
+    // A probe cycle (health is judged from the evidence), or a
+    // co-tenant the coordinator tripped since this cycle opened.
     if (guardrails_->safeMode())
-        return; // probe cycle: health is judged from the evidence
+        return;
 
     // Quarantine starvation: some telemetry was rejected and too
     // little survived to trust a decision — hold the current layout.

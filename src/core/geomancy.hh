@@ -16,6 +16,7 @@
 #define GEO_CORE_GEOMANCY_HH
 
 #include <memory>
+#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -31,6 +32,7 @@
 #include "storage/system.hh"
 #include "util/metrics.hh"
 #include "util/random.hh"
+#include "util/trace_event.hh"
 
 namespace geo {
 namespace core {
@@ -109,7 +111,8 @@ class Geomancy
 
     /**
      * One decision cycle: flush agents, retrain, score candidates,
-     * check actions and move files.
+     * check actions and move files (openCycle, retrainCycle and
+     * closeCycle back to back).
      */
     CycleReport runCycle();
 
@@ -167,6 +170,42 @@ class Geomancy
     void loadState(util::StateReader &r);
 
   private:
+    friend class ShardCoordinator; // runs the three cycle steps
+
+    /**
+     * One cycle phase, open for the scope's lifetime: arms the
+     * guardrail watchdog with the phase budget, brackets the phase
+     * with flight-recorder PhaseBegin/PhaseEnd events, traces it as a
+     * "cycle" span and, on close, appends the ledger's phase row.
+     */
+    class PhaseScope
+    {
+      public:
+        PhaseScope(Geomancy &geo, Phase phase);
+        ~PhaseScope();
+        PhaseScope(const PhaseScope &) = delete;
+        PhaseScope &operator=(const PhaseScope &) = delete;
+
+      private:
+        Geomancy &geo_;
+        Phase phase_;
+        double began_;
+        util::ScopedSpan span_;
+    };
+
+    /** What a cycle carries from openCycle() to closeCycle(). */
+    struct OpenCycle
+    {
+        CycleReport report;
+        bool probe = false;
+        storage::FaultInjector *injector = nullptr;
+        bool retrain = false; ///< openCycle() built a training batch
+        TrainingBatch batch;
+        /** The Train phase: opened before the batch build, closed
+         *  when the retrain ends. */
+        std::optional<PhaseScope> train;
+    };
+
     storage::StorageSystem &system_;
     std::vector<storage::FileId> managedFiles_;
     std::unordered_set<storage::FileId> managedSet_; ///< observe filter
@@ -183,6 +222,7 @@ class Geomancy
     std::unique_ptr<DecisionLedger> ledger_;       ///< optional
     std::vector<std::unique_ptr<MonitoringAgent>> agents_;
     size_t cycles_ = 0;
+    OpenCycle open_;
 
     // Registry handles for the decision-cycle counters.
     util::Counter *cyclesMetric_;
@@ -194,16 +234,32 @@ class Geomancy
     /** Flush all agents' pending batches into the ReplayDB. */
     void flushAgents();
 
-    /** The phase sequence of one cycle (early returns allowed; the
-     *  caller always feeds the evidence to the guardrails after). */
-    void runCycleBody(CycleReport &report, bool probe,
-                      storage::FaultInjector *injector);
+    /**
+     * A decision cycle in three steps. runCycle() runs them back to
+     * back; ShardCoordinator::runRound() opens every shard, retrains
+     * them all at once, then closes every shard.
+     *  - openCycle: the prologue, the monitor flush, the realized
+     *    join, the skip checks and the training-batch build, which
+     *    opens the Train phase. Caller thread only: SQLite and the
+     *    daemon never leave it.
+     *  - retrainCycle: the retrain, which closes the Train phase. It
+     *    touches only this pipeline's engine, guardrails and ledger,
+     *    and reads the sim clock, which nothing advances meanwhile;
+     *    so retrains of different pipelines may run concurrently.
+     *  - closeCycle: the rest (decide(), the guardrail evidence and
+     *    the ledger's cycle end). Caller thread only.
+     */
+    void openCycle();
+    void retrainCycle();
+    CycleReport closeCycle();
+
+    /** The phases after a retrain: the AfterTrain crash point, hold,
+     *  propose and migrate (early returns allowed; closeCycle feeds
+     *  the evidence to the guardrails after). */
+    void decide(CycleReport &report, storage::FaultInjector *injector);
 
     /** Propose checked moves from the current model. */
     std::vector<CheckedMove> proposeMoves();
-
-    /** RAII bookkeeping of one cycle phase (see geomancy.cc). */
-    class PhaseScope;
 
     /** Random exploration move set. */
     std::vector<CheckedMove> explorationMoves();

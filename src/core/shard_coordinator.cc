@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "util/logging.hh"
+#include "util/thread_pool.hh"
+#include "util/trace_event.hh"
 
 namespace geo {
 namespace core {
@@ -38,6 +40,14 @@ shardConfig(const ShardCoordinatorConfig &coord, size_t shard,
                 256, coord.base.sanityWindow / shard_count);
     }
     return cfg;
+}
+
+/** The metric name prefix of shard i; the Prometheus exporter renders
+ *  it as a shard="i" label on the shared base name. */
+std::string
+shardScope(size_t shard)
+{
+    return strprintf("shard%zu.", shard);
 }
 
 } // namespace
@@ -108,9 +118,8 @@ ShardCoordinator::build(
     shards_.reserve(assignment.size());
     for (size_t i = 0; i < assignment.size(); ++i) {
         // Everything a shard's constructor resolves lands under the
-        // "shard<i>." prefix — the Prometheus exporter renders it as
-        // a shard="i" label on the shared base name.
-        util::MetricScope scope(registry, strprintf("shard%zu.", i));
+        // shard's prefix.
+        util::MetricScope scope(registry, shardScope(i));
         shards_.push_back(std::make_unique<Geomancy>(
             system_, assignment[i],
             shardConfig(config_, i, assignment.size()),
@@ -160,8 +169,11 @@ ShardCoordinator::build(
 void
 ShardCoordinator::attachLedgers(const std::string &base_path)
 {
-    for (size_t i = 0; i < shards_.size(); ++i)
+    for (size_t i = 0; i < shards_.size(); ++i) {
+        util::MetricScope scope(util::MetricRegistry::global(),
+                                shardScope(i));
         shards_[i]->attachLedger(ledgerPath(base_path, i));
+    }
 }
 
 void
@@ -225,18 +237,23 @@ ShardCoordinator::fanOutSafeMode(size_t origin)
 std::vector<CycleReport>
 ShardCoordinator::runRound()
 {
+    GEO_SPAN("coord", "round");
     beginRound();
-    auto &registry = util::MetricRegistry::global();
+    // SQLite, the daemon and every decision stay on this thread; only
+    // the retrains, which share no data, run side by side (the caller
+    // takes part; a retrain's matrix products run inline on a worker
+    // and are too small to fan out on the caller).
+    for (auto &shard : shards_)
+        shard->openCycle();
+    util::ThreadPool::global().parallelFor(
+        shards_.size(), 1, [this](size_t, size_t begin, size_t end) {
+            for (size_t i = begin; i < end; ++i)
+                shards_[i]->retrainCycle();
+        });
     std::vector<CycleReport> reports;
     reports.reserve(shards_.size());
     for (size_t i = 0; i < shards_.size(); ++i) {
-        {
-            // Scope lazily-resolved metrics (ledger device gauges) to
-            // this shard, same prefix its constructor used.
-            util::MetricScope scope(registry,
-                                    strprintf("shard%zu.", i));
-            reports.push_back(shards_[i]->runCycle());
-        }
+        reports.push_back(shards_[i]->closeCycle());
         bool safe = shards_[i]->guardrails().safeMode();
         if (safe && !wasSafe_[i])
             fanOutSafeMode(i);

@@ -27,17 +27,22 @@
  *    coordinator's own coord.* metrics summarize rounds, denials and
  *    per-device budget peaks.
  *
- * Scaling comes from the partition, not from threads: per-shard
- * telemetry windows, history thresholds and sanity windows are divided
- * by the shard count (constant fleet-wide budget), so each shard's
- * decision cycle touches ~1/N of the telemetry a monolithic optimizer
- * would — that is what bench/fig10_scale_out measures.
+ * Scaling comes from the partition and from retraining the shards at
+ * once. Per-shard telemetry windows, history thresholds and sanity
+ * windows are divided by the shard count (constant fleet-wide budget),
+ * so each shard's decision cycle touches ~1/N of the telemetry a
+ * monolithic optimizer would; and a round opens every shard in index
+ * order, runs the N retrains side by side on the global thread pool
+ * (the shard models share no data), then closes every shard in index
+ * order. bench/fig10_scale_out measures the round's wall time.
  *
- * Determinism: shards run in index order within a round, partitions
- * are stable hashes, per-shard seeds derive from the base seed and
- * the shard index, and admission charges in execution order. Same
- * seed, same round count => byte-identical ledgers and checkpoints
- * (pinned by tests/core/test_shard_coordinator.cc).
+ * Determinism: opens and closes run in index order on the caller's
+ * thread, so propose, migrate and admission charges are serial and
+ * shard j > i proposes on the layout shard i left; a retrain reads
+ * only its own shard's batch and model. Partitions are stable hashes
+ * and per-shard seeds derive from the base seed and the shard index.
+ * Same seed, same round count => byte-identical ledgers and
+ * checkpoints (pinned by tests/core/test_shard_coordinator.cc).
  */
 
 #ifndef GEO_CORE_SHARD_COORDINATOR_HH
@@ -122,10 +127,14 @@ class ShardCoordinator : public MoveAdmission
     static size_t shardForFile(storage::FileId file, size_t shard_count);
 
     /**
-     * One coordinator round: reset the admission budgets, then run one
-     * decision cycle on every shard in index order. A shard entering
-     * safe mode organically fans out to all co-tenants before the next
-     * shard runs. Returns each shard's cycle report, by shard index.
+     * One coordinator round: reset the admission budgets, open every
+     * shard's decision cycle in index order, retrain all shards at once
+     * on the global thread pool, then close every shard in index
+     * order. A shard entering safe mode organically fans out to all
+     * co-tenants before the next shard closes: a co-tenant tripped
+     * that way has already retrained this round, but it neither
+     * proposes nor migrates. Returns each shard's cycle report, by
+     * shard index.
      */
     std::vector<CycleReport> runRound();
 
@@ -159,7 +168,8 @@ class ShardCoordinator : public MoveAdmission
 
     /**
      * Attach one decision ledger per shard: shard i writes NDJSON to
-     * "<base_path>.shard<i>".
+     * "<base_path>.shard<i>", and its device gauges resolve under the
+     * shard's "shard<i>." metric prefix.
      */
     void attachLedgers(const std::string &base_path);
 

@@ -47,6 +47,12 @@ struct DataSplit
 DataSplit chronologicalSplit(const Dataset &data, double train_frac = 0.6,
                              double val_frac = 0.2);
 
+/** chronologicalSplit() into `out`, reusing the capacity of its three
+ *  datasets: a caller that keeps `out` across calls allocates nothing
+ *  once the shapes stop growing (the retrain hot path). */
+void chronologicalSplitInto(const Dataset &data, double train_frac,
+                            double val_frac, DataSplit &out);
+
 } // namespace nn
 } // namespace geo
 

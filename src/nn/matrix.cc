@@ -772,13 +772,26 @@ Matrix::row(size_t r) const
 Matrix
 Matrix::rowRange(size_t begin, size_t end) const
 {
+    Matrix out;
+    rowRangeInto(begin, end, out);
+    return out;
+}
+
+void
+Matrix::rowRangeInto(size_t begin, size_t end, Matrix &out) const
+{
     if (begin > end || end > rows_)
         panic("rowRange [%zu, %zu) out of %zu rows", begin, end, rows_);
-    Matrix out(end - begin, cols_);
-    std::copy(data_.begin() + static_cast<long>(begin * cols_),
-              data_.begin() + static_cast<long>(end * cols_),
-              out.data_.begin());
-    return out;
+    if (&out == this)
+        panic("rowRangeInto: output must not alias the source");
+    // vector::assign reuses the buffer when capacity suffices; only a
+    // genuine regrow counts as an acquisition.
+    if ((end - begin) * cols_ > out.data_.capacity())
+        countAllocation();
+    out.rows_ = end - begin;
+    out.cols_ = cols_;
+    out.data_.assign(data_.begin() + static_cast<long>(begin * cols_),
+                     data_.begin() + static_cast<long>(end * cols_));
 }
 
 Matrix

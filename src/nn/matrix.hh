@@ -159,6 +159,10 @@ class Matrix
     /** Copy rows [begin, end) as an (end-begin) x cols matrix. */
     Matrix rowRange(size_t begin, size_t end) const;
 
+    /** rowRange computed into `out`, reusing its allocation when
+     *  capacity allows. */
+    void rowRangeInto(size_t begin, size_t end, Matrix &out) const;
+
     /** Copy columns [begin, end). */
     Matrix colRange(size_t begin, size_t end) const;
 

@@ -85,8 +85,15 @@ Sequential::predictInto(const Matrix &inputs, Matrix &out)
     out = runForward(inputs, /*training=*/false);
 }
 
+const Matrix &
+Sequential::predictRows(const Matrix &inputs, size_t begin, size_t end)
+{
+    inputs.rowRangeInto(begin, end, batchIn_);
+    return runForward(batchIn_, /*training=*/false);
+}
+
 const std::vector<Matrix *> &
-Sequential::cachedParameters()
+Sequential::parameters()
 {
     if (paramCache_.empty())
         for (auto &layer : layers_)
@@ -96,7 +103,7 @@ Sequential::cachedParameters()
 }
 
 const std::vector<Matrix *> &
-Sequential::cachedGradients()
+Sequential::gradients()
 {
     if (gradCache_.empty())
         for (auto &layer : layers_)
@@ -105,22 +112,10 @@ Sequential::cachedGradients()
     return gradCache_;
 }
 
-std::vector<Matrix *>
-Sequential::parameters()
-{
-    return cachedParameters();
-}
-
-std::vector<Matrix *>
-Sequential::gradients()
-{
-    return cachedGradients();
-}
-
 void
 Sequential::zeroGrad()
 {
-    for (Matrix *g : cachedGradients())
+    for (Matrix *g : gradients())
         g->zero();
 }
 
@@ -142,7 +137,7 @@ Sequential::trainBatch(const Matrix &inputs, const Matrix &targets,
     double loss = MseLoss::value(predictions, targets);
     MseLoss::gradientInto(predictions, targets, lossGrad_);
     runBackward(lossGrad_);
-    opt.step(cachedParameters(), cachedGradients());
+    opt.step(parameters(), gradients());
     return loss;
 }
 
@@ -162,13 +157,13 @@ Sequential::train(const Dataset &train_data, const Dataset &validation,
     auto start = std::chrono::steady_clock::now();
 
     size_t n = train_data.size();
-    std::vector<size_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
+    order_.resize(n);
+    std::iota(order_.begin(), order_.end(), 0);
     Rng shuffle_rng(options.shuffleSeed);
 
     for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
         if (options.shuffle)
-            shuffle_rng.shuffle(order);
+            shuffle_rng.shuffle(order_);
 
         StatAccumulator epoch_loss;
         const size_t in_w = train_data.inputs.cols();
@@ -180,7 +175,7 @@ Sequential::train(const Dataset &train_data, const Dataset &validation,
             batchIn_.reshape(end - begin, in_w);
             batchTgt_.reshape(end - begin, tgt_w);
             for (size_t i = begin; i < end; ++i) {
-                const size_t r = order[i];
+                const size_t r = order_[i];
                 std::copy_n(&train_data.inputs.data()[r * in_w], in_w,
                             &batchIn_.data()[(i - begin) * in_w]);
                 std::copy_n(&train_data.targets.data()[r * tgt_w], tgt_w,
@@ -218,8 +213,24 @@ Sequential::evaluate(const Dataset &data)
 {
     if (data.empty())
         panic("Sequential::evaluate: empty dataset");
-    return MseLoss::value(runForward(data.inputs, /*training=*/false),
-                          data.targets);
+    const size_t n = data.size();
+    const size_t width = outputSize();
+    if (data.targets.rows() != n || data.targets.cols() != width)
+        panic("Sequential::evaluate: %zux%zu targets for %zu rows of "
+              "%zu outputs", data.targets.rows(), data.targets.cols(), n,
+              width);
+    // MseLoss::value's sum, one chunk at a time: same terms, same order.
+    double total = 0.0;
+    for (size_t begin = 0; begin < n; begin += kForwardChunk) {
+        const size_t end = std::min(n, begin + kForwardChunk);
+        const Matrix &predictions = predictRows(data.inputs, begin, end);
+        const double *targets = &data.targets.data()[begin * width];
+        for (size_t i = 0; i < predictions.size(); ++i) {
+            double d = predictions.data()[i] - targets[i];
+            total += d * d;
+        }
+    }
+    return total / static_cast<double>(n * width);
 }
 
 std::string
@@ -239,14 +250,18 @@ Sequential::looksDiverged(const Dataset &probe)
 {
     if (probe.empty())
         return false;
-    Matrix predictions = predict(probe.inputs);
-    if (predictions.hasNonFinite())
-        return true;
+    StatAccumulator pred_stats, target_stats;
+    for (size_t begin = 0; begin < probe.size(); begin += kForwardChunk) {
+        const Matrix &predictions = predictRows(
+            probe.inputs, begin,
+            std::min(probe.size(), begin + kForwardChunk));
+        if (predictions.hasNonFinite())
+            return true;
+        for (double v : predictions.data())
+            pred_stats.add(v);
+    }
     // Constant predictions against varying targets = collapsed model
     // ("the same prediction happening over and over again").
-    StatAccumulator pred_stats, target_stats;
-    for (double v : predictions.data())
-        pred_stats.add(v);
     for (double v : probe.targets.data())
         target_stats.add(v);
     if (target_stats.stddev() <= 0.0)

@@ -71,11 +71,28 @@ class Sequential
      *  allocations once the arena is sized (inference hot path). */
     void predictInto(const Matrix &inputs, Matrix &out);
 
-    /** All parameters across layers. */
-    std::vector<Matrix *> parameters();
+    /**
+     * Rows per forward pass when evaluate(), looksDiverged() or a
+     * predictRows() caller walks a whole dataset. It bounds the
+     * scratch arena, and chunking changes no bit of the result: every
+     * GEMM path equals matmulNaive element by element, so a row's
+     * output does not depend on the rows batched with it.
+     */
+    static constexpr size_t kForwardChunk = 256;
+
+    /** Inference on rows [begin, end) of `inputs`, staged through the
+     *  arena (no allocations once it is sized). The result lives in
+     *  the arena until the next forward pass. */
+    const Matrix &predictRows(const Matrix &inputs, size_t begin,
+                              size_t end);
+
+    /** All parameters across layers. The list is built once per
+     *  model topology (add() invalidates it), so the step loop does
+     *  not re-collect it every batch. */
+    const std::vector<Matrix *> &parameters();
 
     /** All gradients across layers (aligned with parameters()). */
-    std::vector<Matrix *> gradients();
+    const std::vector<Matrix *> &gradients();
 
     void zeroGrad();
 
@@ -97,7 +114,8 @@ class Sequential
     double trainBatch(const Matrix &inputs, const Matrix &targets,
                       SgdOptimizer &opt);
 
-    /** MSE over a dataset. */
+    /** MSE over a dataset, one kForwardChunk at a time with a single
+     *  running sum in row order (bitwise MseLoss over one pass). */
     double evaluate(const Dataset &data);
 
     /** "layer, layer, ..." summary matching the paper's Table I format. */
@@ -106,6 +124,8 @@ class Sequential
     /**
      * Check for divergence per the paper: predictions on `probe` are
      * non-finite or essentially constant while targets are not.
+     * Predicts one kForwardChunk at a time, so it allocates nothing
+     * once the arena is sized.
      */
     bool looksDiverged(const Dataset &probe);
 
@@ -121,12 +141,6 @@ class Sequential
      *  layer's input gradient is never formed: nothing reads it. */
     void runBackward(const Matrix &grad_output);
 
-    /** parameters()/gradients() pointer lists, built once per model
-     *  topology (add() invalidates) so the step loop stops
-     *  re-collecting them every batch. */
-    const std::vector<Matrix *> &cachedParameters();
-    const std::vector<Matrix *> &cachedGradients();
-
     std::vector<std::unique_ptr<Layer>> layers_;
 
     // Scratch arena for the training/inference hot paths: sized by the
@@ -137,6 +151,7 @@ class Sequential
     Matrix bwdA_, bwdB_;       ///< backward gradient ping-pong
     Matrix lossGrad_;          ///< MSE gradient buffer
     Matrix batchIn_, batchTgt_; ///< staged mini-batch rows
+    std::vector<size_t> order_; ///< train()'s row order
 
     std::vector<Matrix *> paramCache_;
     std::vector<Matrix *> gradCache_;

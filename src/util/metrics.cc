@@ -184,6 +184,13 @@ MetricRegistry::pushScope(const std::string &prefix)
     scopes_.push_back(prefix);
 }
 
+std::string
+MetricRegistry::scopePrefix() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return scoped("");
+}
+
 void
 MetricRegistry::popScope()
 {

@@ -196,6 +196,11 @@ class MetricRegistry
     void pushScope(const std::string &prefix);
     void popScope();
 
+    /** The active scopes' prefix ("" outside any scope), for a
+     *  component that resolves names lazily but must resolve them
+     *  under the scope it was built in. */
+    std::string scopePrefix() const;
+
     /**
      * Split a shard-scoped name: "shard3.control.moves_applied" fills
      * base = "control.moves_applied", shard = "3" and returns true.

@@ -92,26 +92,42 @@ stddev(const std::vector<double> &xs)
     return acc.stddev();
 }
 
+void
+RelativeErrorAccumulator::add(double prediction, double target)
+{
+    if (std::fabs(target) < floor_)
+        return;
+    double err = (prediction - target) / std::fabs(target) * 100.0;
+    ++count_;
+    signedSum_ += err;
+    absoluteSum_ += std::fabs(err);
+    absolute_.add(std::fabs(err));
+}
+
+double
+RelativeErrorAccumulator::meanAbsolute() const
+{
+    return count_ ? absoluteSum_ / static_cast<double>(count_) : 0.0;
+}
+
+double
+RelativeErrorAccumulator::meanSigned() const
+{
+    return count_ ? signedSum_ / static_cast<double>(count_) : 0.0;
+}
+
 namespace {
 
-/** Collect per-sample absolute relative errors (%) above the floor. */
-std::vector<double>
+RelativeErrorAccumulator
 relativeErrors(const std::vector<double> &predictions,
-               const std::vector<double> &targets, double floor,
-               bool keep_sign)
+               const std::vector<double> &targets, double floor)
 {
     if (predictions.size() != targets.size())
         panic("relative error: size mismatch %zu vs %zu",
               predictions.size(), targets.size());
-    std::vector<double> errors;
-    errors.reserve(predictions.size());
-    for (size_t i = 0; i < predictions.size(); ++i) {
-        double target = targets[i];
-        if (std::fabs(target) < floor)
-            continue;
-        double err = (predictions[i] - target) / std::fabs(target) * 100.0;
-        errors.push_back(keep_sign ? err : std::fabs(err));
-    }
+    RelativeErrorAccumulator errors(floor);
+    for (size_t i = 0; i < predictions.size(); ++i)
+        errors.add(predictions[i], targets[i]);
     return errors;
 }
 
@@ -121,21 +137,21 @@ double
 meanAbsoluteRelativeError(const std::vector<double> &predictions,
                           const std::vector<double> &targets, double floor)
 {
-    return mean(relativeErrors(predictions, targets, floor, false));
+    return relativeErrors(predictions, targets, floor).meanAbsolute();
 }
 
 double
 stddevAbsoluteRelativeError(const std::vector<double> &predictions,
                             const std::vector<double> &targets, double floor)
 {
-    return stddev(relativeErrors(predictions, targets, floor, false));
+    return relativeErrors(predictions, targets, floor).stddevAbsolute();
 }
 
 double
 meanSignedRelativeError(const std::vector<double> &predictions,
                         const std::vector<double> &targets, double floor)
 {
-    return mean(relativeErrors(predictions, targets, floor, true));
+    return relativeErrors(predictions, targets, floor).meanSigned();
 }
 
 } // namespace geo

@@ -108,6 +108,36 @@ double meanSignedRelativeError(const std::vector<double> &predictions,
                                const std::vector<double> &targets,
                                double floor = 1e-9);
 
+/**
+ * The relative-error statistics above, fed one (prediction, target)
+ * pair at a time: the same per-sample errors, summed in the same
+ * order, so every result is bitwise the vector function's. Lets a
+ * caller walk a dataset in chunks without materializing it.
+ */
+class RelativeErrorAccumulator
+{
+  public:
+    explicit RelativeErrorAccumulator(double floor = 1e-9)
+        : floor_(floor)
+    {
+    }
+
+    /** Add one sample; targets with magnitude below the floor are
+     *  skipped. */
+    void add(double prediction, double target);
+
+    double meanAbsolute() const;
+    double meanSigned() const;
+    double stddevAbsolute() const { return absolute_.stddev(); }
+
+  private:
+    double floor_;
+    size_t count_ = 0;
+    double absoluteSum_ = 0.0;
+    double signedSum_ = 0.0;
+    StatAccumulator absolute_;
+};
+
 } // namespace geo
 
 #endif // GEO_UTIL_STATS_HH

@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/control_agent.hh"
 #include "core/drl_engine.hh"
@@ -268,6 +270,9 @@ TEST(CrashRecovery, DivergedRetrainRollsBackToLastGoodWeights)
         registry.counter("drl.train.diverged").value();
     uint64_t rollbacks_before =
         registry.counter("drl.train.rollbacks").value();
+    std::vector<nn::Matrix> before;
+    for (const nn::Matrix *p : engine.model().parameters())
+        before.push_back(*p);
 
     RetrainStats bad = engine.retrain(poisoned);
     EXPECT_TRUE(bad.diverged);
@@ -276,6 +281,17 @@ TEST(CrashRecovery, DivergedRetrainRollsBackToLastGoodWeights)
               diverged_before);
     EXPECT_GT(registry.counter("drl.train.rollbacks").value(),
               rollbacks_before);
+    // The rollback restored the pre-retrain weights bit for bit.
+    const std::vector<nn::Matrix *> &after = engine.model().parameters();
+    ASSERT_EQ(after.size(), before.size());
+    for (size_t i = 0; i < before.size(); ++i) {
+        ASSERT_EQ(after[i]->size(), before[i].size());
+        EXPECT_EQ(std::memcmp(after[i]->data().data(),
+                              before[i].data().data(),
+                              before[i].size() * sizeof(double)),
+                  0)
+            << "parameter " << i;
+    }
 
     // The rollback restored finite weights: the next good retrain
     // starts from them and converges again.

@@ -197,6 +197,59 @@ TEST(ShardCoordinator, SafeModeFanOutTripsCoTenants)
     EXPECT_EQ(coordinator.fanOuts(), 3u);
 }
 
+TEST(ShardCoordinator, MidRoundFanOutStopsRetrainedCoTenants)
+{
+    auto system = storage::makeBlueskySystem();
+    workload::Belle2Workload workload(*system);
+    ShardCoordinator coordinator(*system, workload.files(),
+                                 fastCoordConfig(4));
+    const std::string ledger_base = "midround-ledger";
+    coordinator.attachLedgers(ledger_base);
+    for (int run = 0; run < 3; ++run)
+        workload.executeRun();
+    std::vector<size_t> before(4);
+    for (size_t i = 0; i < 4; ++i) {
+        std::string text;
+        util::readFileAll(ShardCoordinator::ledgerPath(ledger_base, i),
+                          text);
+        before[i] = text.size();
+    }
+
+    // Shard 0 trips before the round. Shards 1-3 open healthy and
+    // retrain alongside; shard 0's close fans safe mode out to them,
+    // so their closes neither propose nor migrate.
+    ASSERT_TRUE(coordinator.shard(0).guardrails().tripSafeMode(
+        coordinator.shard(0).cyclesRun()));
+    std::vector<CycleReport> reports = coordinator.runRound();
+    ASSERT_EQ(reports.size(), 4u);
+    EXPECT_TRUE(reports[0].skipped);
+    EXPECT_FALSE(reports[0].retrain.trained);
+    for (size_t i = 1; i < 4; ++i) {
+        EXPECT_TRUE(reports[i].retrain.trained) << "shard " << i;
+        EXPECT_FALSE(reports[i].retrain.diverged) << "shard " << i;
+        EXPECT_EQ(reports[i].proposedMoves, 0u) << "shard " << i;
+        EXPECT_EQ(reports[i].moves.applied, 0u) << "shard " << i;
+        EXPECT_TRUE(reports[i].safeMode) << "shard " << i;
+
+        std::string text;
+        ASSERT_TRUE(util::readFileAll(
+            ShardCoordinator::ledgerPath(ledger_base, i), text));
+        std::string round = text.substr(before[i]);
+        EXPECT_NE(round.find("\"t\":\"phase\""), std::string::npos)
+            << "shard " << i << " wrote no rows this round";
+        EXPECT_EQ(round.find("\"t\":\"candidate\""), std::string::npos)
+            << "shard " << i << " recorded a candidate after the trip";
+    }
+    EXPECT_EQ(coordinator.fanOuts(), 3u);
+    for (size_t i = 0; i < coordinator.shardCount(); ++i)
+        EXPECT_TRUE(coordinator.shard(i).guardrails().safeMode())
+            << "shard " << i;
+
+    for (size_t i = 0; i < 4; ++i)
+        std::filesystem::remove(
+            ShardCoordinator::ledgerPath(ledger_base, i));
+}
+
 TEST(ShardCoordinator, OneShardMatchesMonolith)
 {
     // A 1-shard coordinator takes the same code path as a bare
@@ -246,7 +299,8 @@ TEST(ShardCoordinator, OneShardMatchesMonolith)
  * return every ledger file's bytes plus the final checkpoint payload.
  */
 std::pair<std::vector<std::string>, std::string>
-runTwinStack(const std::string &ledger_base, size_t rounds)
+runTwinStack(const std::string &ledger_base, size_t rounds,
+             std::vector<bool> &trained)
 {
     for (size_t i = 0; i < 4; ++i)
         std::filesystem::remove(
@@ -266,8 +320,11 @@ runTwinStack(const std::string &ledger_base, size_t rounds)
 
     for (int run = 0; run < 3; ++run)
         workload.executeRun();
+    trained.assign(4, false);
     for (size_t round = 0; round < rounds; ++round) {
-        coordinator->runRound();
+        std::vector<CycleReport> reports = coordinator->runRound();
+        for (size_t i = 0; i < reports.size(); ++i)
+            trained[i] = trained[i] || reports[i].retrain.trained;
         workload.executeRun();
     }
 
@@ -287,8 +344,16 @@ runTwinStack(const std::string &ledger_base, size_t rounds)
 
 TEST(ShardCoordinator, FourShardTwinRunsByteIdentical)
 {
-    auto [ledgers_a, state_a] = runTwinStack("twin-a-ledger", 4);
-    auto [ledgers_b, state_b] = runTwinStack("twin-b-ledger", 4);
+    std::vector<bool> trained_a, trained_b;
+    auto [ledgers_a, state_a] =
+        runTwinStack("twin-a-ledger", 4, trained_a);
+    auto [ledgers_b, state_b] =
+        runTwinStack("twin-b-ledger", 4, trained_b);
+    // Every shard retrained in some round, so the rounds ran their
+    // retrains concurrently (the TSan subset runs this test).
+    for (size_t i = 0; i < 4; ++i)
+        EXPECT_TRUE(trained_a[i] && trained_b[i])
+            << "shard " << i << " never trained";
 
     ASSERT_EQ(ledgers_a.size(), ledgers_b.size());
     bool any_rows = false;

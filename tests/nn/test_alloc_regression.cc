@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/drl_engine.hh"
 #include "nn/dataset.hh"
 #include "nn/model_zoo.hh"
 #include "nn/optimizer.hh"
@@ -56,6 +57,39 @@ TEST(AllocRegression, SteadyStateTrainEpochsAllocateNothing)
     EXPECT_FALSE(result.diverged);
     EXPECT_EQ(after - before, 0u)
         << "steady-state epochs must not acquire Matrix buffers";
+}
+
+TEST(AllocRegression, SecondRetrainOfSameShapeAllocatesNothing)
+{
+    // The split, the validation and divergence passes (chunked) and
+    // the rollback copy all reuse buffers the engine already owns.
+    Rng rng(23);
+    Matrix raw_inputs(600, core::kLiveFeatureCount);
+    raw_inputs.fillNormal(rng, 1.0);
+    Matrix raw_targets(600, 1);
+    for (double &v : raw_targets.data())
+        v = rng.uniform(1e8, 2e9); // bytes/s, away from the MAE floor
+    core::TrainingBatch batch;
+    batch.featureNorm.fit(raw_inputs);
+    batch.targetNorm.fit(raw_targets);
+    batch.dataset.inputs = batch.featureNorm.transform(raw_inputs);
+    batch.dataset.targets = batch.targetNorm.transform(raw_targets);
+
+    core::DrlConfig config;
+    config.epochs = 2;
+    core::DrlEngine engine(config);
+    core::RetrainStats first = engine.retrain(batch);
+    ASSERT_TRUE(first.trained);
+    ASSERT_FALSE(first.diverged);
+
+    const uint64_t before = Matrix::allocationCount();
+    core::RetrainStats second = engine.retrain(batch);
+    const uint64_t after = Matrix::allocationCount();
+
+    EXPECT_TRUE(second.trained);
+    EXPECT_FALSE(second.diverged);
+    EXPECT_EQ(after - before, 0u)
+        << "a steady-state retrain must not acquire Matrix buffers";
 }
 
 TEST(AllocRegression, PredictIntoReusesOutputBuffer)

@@ -78,6 +78,41 @@ TEST(CheckpointCompat, RejectsNonThroughputTarget)
     EXPECT_FALSE(engine.ready());
 }
 
+// A hostile snapshot whose last-good weights differ from its weights
+// (saveState never writes one) fails to load and leaves the engine
+// untouched; the fixture itself is only read.
+TEST(CheckpointCompat, RejectsLastGoodThatDiffersFromWeights)
+{
+    std::string state = readFixture("golden_drl.state");
+    const std::string key = "\ndrl.last_good ";
+    size_t at = state.find(key);
+    ASSERT_NE(at, std::string::npos);
+    size_t value = state.find('\n', at + key.size()) + 1;
+    size_t flip = state.find_first_of("123456789abcdef", value + 64);
+    ASSERT_NE(flip, std::string::npos);
+    state[flip] = state[flip] == '1' ? '2' : '1';
+
+    core::DrlConfig config;
+    config.epochs = 8;
+    core::DrlEngine engine(config);
+    auto save = [&engine] {
+        std::ostringstream os;
+        util::StateWriter w(os);
+        engine.saveState(w);
+        return os.str();
+    };
+    const std::string pristine = save();
+
+    std::istringstream is(state);
+    util::StateReader r(is);
+    engine.loadState(r);
+    EXPECT_FALSE(r.ok());
+    EXPECT_NE(r.error().find("last-good"), std::string::npos)
+        << r.error();
+    EXPECT_FALSE(engine.ready());
+    EXPECT_EQ(save(), pristine) << "a rejected snapshot changed the engine";
+}
+
 } // namespace
 } // namespace nn
 } // namespace geo

@@ -5,12 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 
 #include "nn/dense_layer.hh"
+#include "nn/loss.hh"
+#include "nn/model_zoo.hh"
 #include "nn/sequential.hh"
 #include "util/random.hh"
+#include "util/stats.hh"
 
 namespace geo {
 namespace nn {
@@ -151,6 +157,88 @@ TEST(Sequential, LooksHealthyAfterTraining)
     options.epochs = 50;
     model.train(train, {}, opt, options);
     EXPECT_FALSE(model.looksDiverged(train));
+}
+
+/** Row counts around the forward chunk, and a 12,000-row window's
+ *  validation split. */
+const size_t kChunkEdges[] = {1, Sequential::kForwardChunk - 1,
+                              Sequential::kForwardChunk,
+                              Sequential::kForwardChunk + 1, 2400};
+
+Dataset
+randomDataset(Rng &rng, size_t rows, size_t width)
+{
+    Dataset data;
+    data.inputs = Matrix(rows, width);
+    data.inputs.fillNormal(rng, 0.5);
+    data.targets = Matrix(rows, 1);
+    data.targets.fillNormal(rng, 1.0);
+    return data;
+}
+
+/** looksDiverged's rule over the statistics of one full predict(). */
+bool
+oneShotLooksDiverged(Sequential &model, const Dataset &probe)
+{
+    Matrix predictions = model.predict(probe.inputs);
+    if (predictions.hasNonFinite())
+        return true;
+    StatAccumulator pred_stats, target_stats;
+    for (double v : predictions.data())
+        pred_stats.add(v);
+    for (double v : probe.targets.data())
+        target_stats.add(v);
+    if (target_stats.stddev() <= 0.0)
+        return false;
+    return pred_stats.stddev() <
+           1e-6 * (std::fabs(pred_stats.mean()) + 1.0);
+}
+
+TEST(Sequential, ChunkedEvaluateMatchesOneShotBitwise)
+{
+    Rng rng(83);
+    Sequential model = buildModel(1, 6, rng); // the live engine's model
+    for (size_t rows : kChunkEdges) {
+        Dataset data = randomDataset(rng, rows, model.inputSize());
+        double reference =
+            MseLoss::value(model.predict(data.inputs), data.targets);
+        double chunked = model.evaluate(data);
+        EXPECT_EQ(std::bit_cast<uint64_t>(chunked),
+                  std::bit_cast<uint64_t>(reference))
+            << rows << " rows: " << chunked << " vs " << reference;
+    }
+}
+
+TEST(Sequential, ChunkedLooksDivergedMatchesOneShot)
+{
+    Rng rng(84);
+    Sequential model = buildModel(1, 6, rng);
+    for (size_t rows : kChunkEdges) {
+        Dataset data = randomDataset(rng, rows, model.inputSize());
+        EXPECT_FALSE(model.looksDiverged(data)) << rows << " rows";
+        EXPECT_FALSE(oneShotLooksDiverged(model, data));
+    }
+
+    // Collapsed: a zeroed output layer predicts its bias everywhere.
+    auto &out = dynamic_cast<DenseLayer &>(
+        model.layer(model.layerCount() - 1));
+    out.weights().zero();
+    for (size_t rows : kChunkEdges) {
+        Dataset data = randomDataset(rng, rows, model.inputSize());
+        EXPECT_EQ(model.looksDiverged(data), rows > 1) << rows << " rows";
+        EXPECT_EQ(oneShotLooksDiverged(model, data), rows > 1);
+    }
+
+    // A non-finite prediction in the last row of the last chunk (tanh
+    // carries a NaN input through; ReLU would zero it).
+    Sequential smooth = makeMlp(rng, 6, 8, Activation::Tanh);
+    for (size_t rows : kChunkEdges) {
+        Dataset data = randomDataset(rng, rows, smooth.inputSize());
+        data.inputs.at(rows - 1, 0) =
+            std::numeric_limits<double>::quiet_NaN();
+        EXPECT_TRUE(smooth.looksDiverged(data)) << rows << " rows";
+        EXPECT_TRUE(oneShotLooksDiverged(smooth, data));
+    }
 }
 
 TEST(Sequential, TrainBatchReturnsLoss)
