@@ -162,20 +162,23 @@ CheckpointManager::read(const std::string &path, CheckpointHeader &header,
         rejected.inc();
         return false;
     }
-    payload = blob.substr(eol + 1);
-    if (payload.size() != bytes) {
+    size_t size = blob.size() - (eol + 1);
+    if (size != bytes) {
         warn("checkpoint: %s truncated (%zu of %llu payload bytes)",
-             path.c_str(), payload.size(), bytes);
+             path.c_str(), size, bytes);
         rejected.inc();
         return false;
     }
-    uint32_t actual = util::crc32(payload);
+    uint32_t actual = util::crc32(blob.data() + eol + 1, size);
     if (actual != crc) {
         warn("checkpoint: %s fails CRC (stored %08x, computed %08x)",
              path.c_str(), crc, actual);
         rejected.inc();
         return false;
     }
+    // Hand the payload over in the file's own buffer.
+    blob.erase(0, eol + 1);
+    payload = std::move(blob);
     header.cycle = cycle;
     header.bytes = bytes;
     header.crc = crc;

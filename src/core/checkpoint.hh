@@ -81,7 +81,8 @@ class CheckpointManager
     /**
      * Read and validate one checkpoint file: magic, payload length and
      * CRC32 must all match the header. @return false (and count
-     * `checkpoint.crc_rejected`) on any mismatch.
+     * `checkpoint.crc_rejected`) on any mismatch; `header` and
+     * `payload` are then unchanged.
      */
     static bool read(const std::string &path, CheckpointHeader &header,
                      std::string &payload);

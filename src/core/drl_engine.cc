@@ -220,9 +220,10 @@ void
 DrlEngine::saveState(util::StateWriter &w)
 {
     w.rng("drl.rng", rng_);
-    std::ostringstream weights;
-    nn::saveWeights(model_, weights);
-    w.str("drl.weights", weights.str());
+    std::ostringstream os;
+    nn::saveWeights(model_, os);
+    const std::string weights = os.str();
+    w.str("drl.weights", weights);
     std::ostringstream opt;
     util::StateWriter ow(opt);
     optimizer_.saveState(ow);
@@ -235,7 +236,7 @@ DrlEngine::saveState(util::StateWriter &w)
     w.u64("drl.target", 0);
     // Last-good weights always equal the current ones (see
     // hasLastGood_), so the same text goes under both keys.
-    w.str("drl.last_good", hasLastGood_ ? weights.str() : std::string());
+    w.str("drl.last_good", hasLastGood_ ? weights : std::string());
     // Batch scalers only: the dataset itself is transient retrain
     // input, but predictions between retrains need the normalizers.
     std::vector<double> mins, maxs;
@@ -273,6 +274,31 @@ DrlEngine::loadState(util::StateReader &r)
         r.fail("drl: last-good weights differ from the weights");
         return;
     }
+    // Scalers that scoring can apply: a range per live feature and one
+    // for the target, or none before the first retrain. Anything else
+    // would panic or throw at the next decision, not here.
+    auto fits = [](const std::vector<double> &mins,
+                   const std::vector<double> &maxs, size_t width) {
+        return mins.size() == maxs.size() &&
+               (mins.empty() || mins.size() == width);
+    };
+    if (!fits(feat_mins, feat_maxs, kLiveFeatureCount) ||
+        !fits(target_mins, target_maxs, 1)) {
+        r.fail("drl: checkpointed scalers do not fit the features");
+        return;
+    }
+    // Nothing changes unless every part loads: the optimizer loads
+    // into a copy, and loadWeights stores nothing on failure.
+    nn::SgdOptimizer optimizer = optimizer_;
+    {
+        std::istringstream is(opt);
+        util::StateReader orr(is);
+        optimizer.loadState(orr);
+        if (!orr.ok()) {
+            r.fail("drl: bad optimizer state: " + orr.error());
+            return;
+        }
+    }
     {
         std::istringstream is(weights);
         if (!nn::loadWeights(model_, is)) {
@@ -280,15 +306,7 @@ DrlEngine::loadState(util::StateReader &r)
             return;
         }
     }
-    {
-        std::istringstream is(opt);
-        util::StateReader orr(is);
-        optimizer_.loadState(orr);
-        if (!orr.ok()) {
-            r.fail("drl: bad optimizer state: " + orr.error());
-            return;
-        }
-    }
+    optimizer_ = optimizer;
     rng_.setState(rng);
     ready_ = ready;
     maeFraction_ = mae;

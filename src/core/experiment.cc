@@ -1,6 +1,7 @@
 #include "core/experiment.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "util/logging.hh"
@@ -221,10 +222,14 @@ ExperimentRunner::loadState(util::StateReader &r)
     StatAccumulator::State tp = r.stat("exp.tp_stats");
     std::vector<double> series = r.f64Vec("exp.series");
     std::vector<double> per_device = r.f64Vec("exp.per_device");
-    std::vector<MoveEvent> events(r.u64("exp.events"));
-    for (MoveEvent &ev : events) {
+    // Events are allocated as they arrive: the count is untrusted.
+    std::vector<MoveEvent> events;
+    uint64_t event_count = r.u64("exp.events");
+    for (uint64_t i = 0; i < event_count && r.ok(); ++i) {
+        MoveEvent ev;
         ev.accessNumber = r.u64("ev.access");
         ev.filesMoved = r.u64("ev.moved");
+        events.push_back(ev);
     }
     std::map<storage::FileId, FileUsage> usage;
     uint64_t usage_count = r.u64("exp.usage");
@@ -237,6 +242,13 @@ ExperimentRunner::loadState(util::StateReader &r)
         use.lastAccessTime = r.f64("use.last_time");
         usage[file] = use;
     }
+    // Once placed, one count per device, each a whole number that a
+    // uint64_t holds (the cast below is undefined for anything else).
+    if (placed && per_device.size() != system_.deviceCount())
+        r.fail("exp: per-device counts do not match the devices");
+    for (double count : per_device)
+        if (!(count >= 0.0 && count < 0x1p64 && count == std::floor(count)))
+            r.fail("exp: a per-device access count is not a count");
     if (!r.ok())
         return;
     rng_.setState(rng);

@@ -1,5 +1,7 @@
 #include "nn/serialize.hh"
 
+#include <algorithm>
+#include <charconv>
 #include <sstream>
 
 #include "util/fs_atomic.hh"
@@ -11,6 +13,10 @@ namespace nn {
 namespace {
 
 constexpr const char *kMagic = "geomancy-nn-v1";
+
+/** Room for one weight, its separator and the row's newline: the
+ *  longest %.17g text is 24 bytes ("-2.2250738585072014e-308"). */
+constexpr size_t kWeightChars = 32;
 
 /** Topology fingerprint: layer types and parameter shapes. */
 std::string
@@ -34,12 +40,25 @@ saveWeights(Sequential &model, std::ostream &os)
     os << fingerprint(model) << '\n';
     std::vector<Matrix *> params = model.parameters();
     os << params.size() << '\n';
-    os.precision(17);
+    // Each weight as printf("%.17g"), which is what std::to_chars with
+    // a precision of 17 is defined to print, formatted in bounded
+    // pieces.
+    char buf[4096];
     for (const Matrix *p : params) {
         os << p->rows() << ' ' << p->cols();
-        for (double v : p->data())
-            os << ' ' << v;
-        os << '\n';
+        char *at = buf;
+        for (double v : p->data()) {
+            if (static_cast<size_t>(buf + sizeof buf - at) < kWeightChars) {
+                os.write(buf, at - buf);
+                at = buf;
+            }
+            *at++ = ' ';
+            at = std::to_chars(at, buf + sizeof buf, v,
+                               std::chars_format::general, 17)
+                     .ptr;
+        }
+        *at++ = '\n';
+        os.write(buf, at - buf);
     }
     return static_cast<bool>(os);
 }
@@ -66,6 +85,9 @@ loadWeights(Sequential &model, std::istream &is)
              params.size());
         return false;
     }
+    // Read every value before storing any: a stream that fails part
+    // way leaves the model as it was.
+    std::vector<double> values;
     for (Matrix *p : params) {
         size_t rows = 0, cols = 0;
         if (!(is >> rows >> cols))
@@ -75,9 +97,17 @@ loadWeights(Sequential &model, std::istream &is)
                  rows, cols, p->rows(), p->cols());
             return false;
         }
-        for (double &v : p->data())
+        for (size_t i = 0; i < p->size(); ++i) {
+            double v = 0.0;
             if (!(is >> v))
                 return false;
+            values.push_back(v);
+        }
+    }
+    const double *next = values.data();
+    for (Matrix *p : params) {
+        std::copy_n(next, p->size(), p->data().begin());
+        next += p->size();
     }
     return true;
 }

@@ -27,7 +27,7 @@ bool saveWeights(Sequential &model, std::ostream &os);
  * Load parameters into `model`.
  *
  * @return false if the stream is malformed or the topology fingerprint
- *         does not match the model.
+ *         does not match the model; the model is then unchanged.
  */
 bool loadWeights(Sequential &model, std::istream &is);
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * CRC-32 (the zlib/PNG polynomial, reflected 0xEDB88320).
+ * CRC-32 (the zlib/PNG polynomial, reflected 0xEDB88320), eight bytes
+ * a step through slicing-by-8 tables.
  *
  * Used to checksum checkpoint payloads. The algorithm is deliberately
  * the standard zlib CRC-32 so external tooling (python's zlib.crc32,

@@ -7,8 +7,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "util/logging.hh"
@@ -138,14 +136,38 @@ appendFileDurable(const std::string &path, const char *data, size_t len,
 bool
 readFileAll(const std::string &path, std::string &out)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
+    // One payload-sized buffer, sized from the file and read into.
+    int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         return false;
-    std::ostringstream os;
-    os << is.rdbuf();
-    if (is.bad())
+    struct stat st{};
+    if (::fstat(fd, &st) != 0) {
+        ::close(fd);
         return false;
-    out = os.str();
+    }
+    std::string data(static_cast<size_t>(st.st_size), '\0');
+    size_t have = 0;
+    char spill[4096]; // past the size fstat saw: the file grew
+    for (;;) {
+        bool inside = have < data.size();
+        char *dst = inside ? &data[have] : spill;
+        size_t room = inside ? data.size() - have : sizeof spill;
+        ssize_t got = ::read(fd, dst, room);
+        if (got < 0 && errno == EINTR)
+            continue;
+        if (got < 0) {
+            ::close(fd);
+            return false;
+        }
+        if (got == 0)
+            break;
+        if (!inside)
+            data.append(spill, static_cast<size_t>(got));
+        have += static_cast<size_t>(got);
+    }
+    ::close(fd);
+    data.resize(have); // the file shrank
+    out = std::move(data);
     return true;
 }
 

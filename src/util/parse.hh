@@ -16,7 +16,9 @@
 namespace geo {
 namespace util {
 
-/** The whole token as a double (strtod syntax: hexfloat, inf, nan). */
+/** The whole token as a double, accepted, rejected and valued as
+ *  strtod does (hexfloat, inf, nan); the hexfloats snapshots hold
+ *  skip strtod. */
 bool parseDouble(const std::string &tok, double &out);
 
 /** The whole token as an unsigned decimal integer of up to 64 bits. */

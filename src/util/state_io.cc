@@ -1,6 +1,10 @@
 #include "util/state_io.hh"
 
-#include <cstdio>
+#include <algorithm>
+#include <bit>
+#include <charconv>
+#include <cstdlib>
+#include <cstring>
 #include <istream>
 #include <ostream>
 
@@ -11,13 +15,76 @@ namespace util {
 
 namespace {
 
-/** Exact text form of a double (C99 hexfloat). */
-std::string
-hexFloat(double v)
+/** Room for one hexFloat() text; the longest is 24 bytes
+ *  ("-0x1.fffffffffffffp-1022"). */
+constexpr size_t kHexFloatChars = 32;
+
+/**
+ * Writes the exact text of `v` (a C99 hexfloat) at `out`, which has
+ * kHexFloatChars bytes, and returns its end. The text is glibc's
+ * printf("%a"): `0x1.<fraction>p<exponent>` for normal numbers and
+ * `0x0.<fraction>p-1022` for subnormals, the fraction's trailing zeros
+ * (and then its point) dropped; inf and nan carry no prefix. It is
+ * written out because std::to_chars(hex) prints subnormals in a form
+ * that differs between libstdc++ releases.
+ */
+char *
+hexFloat(char *out, double v)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%a", v);
-    return buf;
+    constexpr uint64_t kFractionMask = (uint64_t(1) << 52) - 1;
+    uint64_t bits = std::bit_cast<uint64_t>(v);
+    int biased = static_cast<int>(bits >> 52 & 0x7FF);
+    uint64_t fraction = bits & kFractionMask;
+    if (bits >> 63)
+        *out++ = '-';
+    if (biased == 0x7FF) {
+        std::memcpy(out, fraction ? "nan" : "inf", 3);
+        return out + 3;
+    }
+    int exponent = biased ? biased - 1023 : fraction ? -1022 : 0;
+    *out++ = '0';
+    *out++ = 'x';
+    *out++ = biased ? '1' : '0';
+    if (fraction) {
+        *out++ = '.';
+        for (; fraction; fraction = fraction << 4 & kFractionMask)
+            *out++ = "0123456789abcdef"[fraction >> 48];
+    }
+    *out++ = 'p';
+    *out++ = exponent < 0 ? '-' : '+';
+    return std::to_chars(out, out + 4, std::abs(exponent)).ptr;
+}
+
+/** Streams one hexFloat() text. */
+struct HexFloat
+{
+    double v;
+};
+
+std::ostream &
+operator<<(std::ostream &os, HexFloat h)
+{
+    char buf[kHexFloatChars];
+    return os.write(buf, hexFloat(buf, h.v) - buf);
+}
+
+/** Elements a count read from the state may always reserve up front. */
+constexpr size_t kReserveCap = size_t(1) << 16;
+
+/**
+ * Up-front room for `count` elements still to be read from `is`, each
+ * at least `width` bytes of text: no more than the stream's buffer
+ * still holds (all the rest of an istringstream), and at least
+ * kReserveCap. A hostile count thus reserves no more than the text
+ * could hold, the rest only as elements arrive; an honest one is
+ * allocated once.
+ */
+size_t
+untrustedRoom(std::istream &is, size_t count, size_t width)
+{
+    std::streamsize avail = is.rdbuf()->in_avail();
+    size_t fits = avail > 0 ? static_cast<size_t>(avail) / width : 0;
+    return std::min(count, std::max(fits, kReserveCap));
 }
 
 } // namespace
@@ -37,7 +104,7 @@ StateWriter::i64(const char *key, int64_t v)
 void
 StateWriter::f64(const char *key, double v)
 {
-    os_ << key << ' ' << hexFloat(v) << '\n';
+    os_ << key << ' ' << HexFloat{v} << '\n';
 }
 
 void
@@ -60,7 +127,7 @@ StateWriter::rng(const char *key, const Rng &r)
 {
     Rng::State s = r.state();
     os_ << key << ' ' << s.s[0] << ' ' << s.s[1] << ' ' << s.s[2] << ' '
-        << s.s[3] << ' ' << hexFloat(s.cachedNormal) << ' '
+        << s.s[3] << ' ' << HexFloat{s.cachedNormal} << ' '
         << (s.hasCachedNormal ? 1 : 0) << '\n';
 }
 
@@ -68,17 +135,27 @@ void
 StateWriter::stat(const char *key, const StatAccumulator &s)
 {
     StatAccumulator::State st = s.state();
-    os_ << key << ' ' << st.count << ' ' << hexFloat(st.mean) << ' '
-        << hexFloat(st.m2) << ' ' << hexFloat(st.min) << ' '
-        << hexFloat(st.max) << '\n';
+    os_ << key << ' ' << st.count << ' ' << HexFloat{st.mean} << ' '
+        << HexFloat{st.m2} << ' ' << HexFloat{st.min} << ' '
+        << HexFloat{st.max} << '\n';
 }
 
 void
 StateWriter::f64Vec(const char *key, const std::vector<double> &v)
 {
     os_ << key << ' ' << v.size();
-    for (double x : v)
-        os_ << ' ' << hexFloat(x);
+    // Format into a bounded buffer: exp.series runs to megabytes.
+    char buf[4096];
+    char *at = buf;
+    for (double x : v) {
+        if (static_cast<size_t>(buf + sizeof buf - at) < 1 + kHexFloatChars) {
+            os_.write(buf, at - buf);
+            at = buf;
+        }
+        *at++ = ' ';
+        at = hexFloat(at, x);
+    }
+    os_.write(buf, at - buf);
     os_ << '\n';
 }
 
@@ -167,10 +244,19 @@ StateReader::str(const char *key)
         return "";
     }
     is_.get(); // the newline after the length
-    std::string v(len, '\0');
-    if (len > 0 && !is_.read(&v[0], static_cast<std::streamsize>(len))) {
-        fail(std::string("truncated string value for '") + key + "'");
-        return "";
+    // Fill what the stream can hold, then read in bounded chunks: a
+    // hostile length fails at the end of the state.
+    std::string v;
+    v.reserve(untrustedRoom(is_, len, 1));
+    while (v.size() < len) {
+        size_t have = v.size();
+        size_t chunk =
+            std::min(len - have, std::max(v.capacity() - have, kReserveCap));
+        v.resize(have + chunk);
+        if (!is_.read(&v[have], static_cast<std::streamsize>(chunk))) {
+            fail(std::string("truncated string value for '") + key + "'");
+            return "";
+        }
     }
     return v;
 }
@@ -220,9 +306,9 @@ StateReader::f64Vec(const char *key)
         fail(std::string("bad vector length for '") + key + "'");
         return v;
     }
-    v.reserve(n);
+    v.reserve(untrustedRoom(is_, n, 2));
+    std::string tok;
     for (size_t i = 0; i < n; ++i) {
-        std::string tok;
         double x = 0.0;
         if (!(is_ >> tok) || !parseDouble(tok, x)) {
             fail(std::string("bad vector element for '") + key + "'");

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/experiment.hh"
 #include "storage/bluesky.hh"
+#include "util/state_io.hh"
 
 namespace geo {
 namespace core {
@@ -95,6 +98,61 @@ TEST(ExperimentRunner, RunHookFiresEachMeasuredRun)
     EXPECT_EQ(seen.size(), 6u);
     EXPECT_EQ(seen.front(), 0u);
     EXPECT_EQ(seen.back(), 5u);
+}
+
+/** `state` with the value of its `key` line replaced by `value`. */
+std::string
+withValue(std::string state, const std::string &key,
+          const std::string &value)
+{
+    size_t at = state.find("\n" + key + " ");
+    EXPECT_NE(at, std::string::npos) << key;
+    size_t from = at + key.size() + 2;
+    state.replace(from, state.find('\n', from) - from, value);
+    return state;
+}
+
+// A snapshot is untrusted input: a hostile count is rejected without
+// being allocated, a per-device count must be one, and a rejected load
+// leaves the runner as it was.
+TEST(ExperimentRunner, HostileSnapshotRejectedLeavesRunnerUntouched)
+{
+    auto system = storage::makeBlueskySystem();
+    workload::Belle2Workload workload(*system);
+    RandomPolicy policy(true);
+    ExperimentRunner runner(*system, workload, policy, shortConfig());
+    for (int i = 0; i < 4; ++i)
+        runner.step();
+    auto save = [&runner] {
+        std::ostringstream os;
+        util::StateWriter w(os);
+        runner.saveState(w);
+        return os.str();
+    };
+    const std::string pristine = save();
+    const std::string devices = std::to_string(system->deviceCount());
+    std::string zeros;
+    for (size_t d = 1; d < system->deviceCount(); ++d)
+        zeros += " 0";
+    for (const std::string &hostile :
+         {withValue(pristine, "exp.events", "18446744073709551615"),
+          withValue(pristine, "exp.events", "1000000000000"),
+          withValue(pristine, "exp.per_device", devices + zeros + " 0x1p+70"),
+          withValue(pristine, "exp.per_device", devices + zeros + " -0x1p+0"),
+          withValue(pristine, "exp.per_device", devices + zeros + " 0x1.8p+0"),
+          withValue(pristine, "exp.per_device", devices + zeros + " nan"),
+          withValue(pristine, "exp.per_device", "1 0x1p+0")}) {
+        std::istringstream is(hostile);
+        util::StateReader r(is);
+        EXPECT_NO_THROW(runner.loadState(r));
+        EXPECT_FALSE(r.ok());
+        EXPECT_FALSE(r.error().empty());
+        EXPECT_EQ(save(), pristine) << "a rejected snapshot changed the runner";
+    }
+    std::istringstream is(pristine);
+    util::StateReader r(is);
+    runner.loadState(r);
+    EXPECT_TRUE(r.ok()) << r.error();
 }
 
 TEST(ExperimentResult, SmoothedAndBucketedSeries)

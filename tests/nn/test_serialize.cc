@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <random>
 #include <sstream>
 
 #include "nn/model_zoo.hh"
@@ -53,6 +57,59 @@ TEST(Serialize, RecurrentModelRoundTrips)
     Matrix y2 = restored.predict(x);
     for (size_t i = 0; i < y1.size(); ++i)
         EXPECT_DOUBLE_EQ(y1.data()[i], y2.data()[i]);
+}
+
+// Every weight prints as a precision-17 stream (printf "%.17g") prints
+// it, whatever its class: the text is the geo-ckpt-1 contract.
+TEST(Serialize, WeightsPrintAsPrecision17Stream)
+{
+    Rng rng(105);
+    Sequential model = buildModel(1, 6, rng);
+    std::mt19937_64 gen(106);
+    const double specials[] = {0.0,
+                               -0.0,
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN(),
+                               -std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::denorm_min(),
+                               -std::numeric_limits<double>::min(),
+                               std::numeric_limits<double>::max(),
+                               -2.2250738585072009e-308,
+                               0.1,
+                               1e22,
+                               123456789.0};
+    size_t i = 0;
+    for (Matrix *p : model.parameters()) {
+        for (double &v : p->data()) {
+            if (i < std::size(specials)) {
+                v = specials[i];
+            } else {
+                uint64_t bits = gen();
+                if (i % 3 == 0)
+                    bits &= 0x800FFFFFFFFFFFFFull; // subnormal
+                std::memcpy(&v, &bits, sizeof v);
+            }
+            ++i;
+        }
+    }
+
+    std::ostringstream os;
+    ASSERT_TRUE(saveWeights(model, os));
+    std::istringstream is(os.str());
+    std::string line;
+    for (int header = 0; header < 3; ++header)
+        ASSERT_TRUE(std::getline(is, line));
+    for (const Matrix *p : model.parameters()) {
+        std::ostringstream want;
+        want.precision(17);
+        want << p->rows() << ' ' << p->cols();
+        for (double v : p->data())
+            want << ' ' << v;
+        ASSERT_TRUE(std::getline(is, line));
+        EXPECT_EQ(line, want.str());
+    }
+    EXPECT_FALSE(std::getline(is, line)) << "trailing text: " << line;
 }
 
 TEST(Serialize, TopologyMismatchRejected)

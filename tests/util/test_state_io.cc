@@ -128,6 +128,32 @@ TEST(StateIo, TruncatedStreamFails)
     EXPECT_FALSE(r.ok());
 }
 
+// A length or count read from the state is untrusted: a hostile one
+// must fail at the end of the state, not allocate itself up front.
+TEST(StateIo, HostileLengthsFailCleanly)
+{
+    struct Case
+    {
+        const char *text;
+        bool string;
+    };
+    for (Case c : {Case{"exp.series 1000000000000000000 0x1p+0\n", false},
+                   Case{"exp.series 18446744073709551615\n", false},
+                   Case{"exp.series 999999999999999\n", true},
+                   Case{"exp.series 18446744073709551615\nabc", true}}) {
+        std::istringstream is(c.text);
+        StateReader r(is);
+        EXPECT_NO_THROW({
+            if (c.string)
+                EXPECT_EQ(r.str("exp.series"), "");
+            else
+                EXPECT_TRUE(r.f64Vec("exp.series").empty());
+        }) << c.text;
+        EXPECT_FALSE(r.ok()) << c.text;
+        EXPECT_FALSE(r.error().empty()) << c.text;
+    }
+}
+
 TEST(StateIo, CallerValidationFailure)
 {
     std::istringstream is("");

@@ -201,14 +201,17 @@ if [[ -x "${sim}" ]]; then
 
     echo "== running geomancy_sim --checkpoint-dir =="
     "${sim}" --policy geomancy --runs 6 --warmup 1 --cadence 3 \
-        --epochs 4 --quiet --checkpoint-dir "${ckpt_dir}"
+        --epochs 4 --quiet --checkpoint-dir "${ckpt_dir}" \
+        --metrics-json "${ckpt_dir}/metrics.json"
 
     echo "== validating checkpoint files in ${ckpt_dir} =="
     # The on-disk format is deliberately tool-friendly: a one-line
     # header (magic, cycle, payload length, zlib CRC32) followed by the
-    # payload. Validate every snapshot with nothing but python's zlib.
+    # payload. Validate every snapshot with nothing but python's zlib,
+    # and check that both halves of a commit were timed.
     python3 - "${ckpt_dir}" <<'EOF'
 import glob
+import json
 import sys
 import zlib
 
@@ -247,8 +250,15 @@ for path in snapshots:
     if b"geo.cycles" not in payload:
         fail(f"{path}: payload lacks the pipeline cycle counter")
 
+with open(sys.argv[1] + "/metrics.json") as fh:
+    histograms = json.load(fh)["histograms"]
+for name in ("checkpoint.serialize_ms", "checkpoint.write_ms"):
+    if histograms.get(name, {}).get("count", 0) <= 0:
+        fail(f"histogram {name} recorded no commit")
+
 print(f"bench_smoke: {len(snapshots)} checkpoint file(s) OK "
-      "(header, length and zlib CRC32 all match)")
+      "(header, length and zlib CRC32 all match; serialize and write "
+      "timed)")
 EOF
 fi
 

@@ -570,14 +570,24 @@ runOnce(const Options &options, int attempt, bool resume)
     }
 
     if (checkpointing) {
+        // The serialize half of a commit; the manager times the write
+        // half into checkpoint.write_ms.
+        util::Histogram &serializeMs =
+            util::MetricRegistry::global().histogram(
+                "checkpoint.serialize_ms");
         runner.setCheckpointHook([&](size_t done) {
             if (done % options.checkpointEvery != 0 &&
                 done != options.runs)
                 return;
+            auto started = std::chrono::steady_clock::now();
             std::ostringstream os;
             util::StateWriter w(os);
             writeSnapshot(w);
-            if (manager->write(done, os.str()) && injector)
+            std::string payload = os.str();
+            std::chrono::duration<double, std::milli> took =
+                std::chrono::steady_clock::now() - started;
+            serializeMs.record(took.count());
+            if (manager->write(done, payload) && injector)
                 injector->maybeCrash(storage::CrashPoint::AfterCommit);
         });
     }
