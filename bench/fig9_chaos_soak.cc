@@ -258,8 +258,7 @@ checkInvariants(const Scenario &sc, uint64_t cycle,
         guardrails.quarantined() < prev.quarantined)
         fatal("fig9[c%llu]: guardrail counters went backwards",
               (unsigned long long)cycle);
-    if (guardrails.quarantine().size() >
-        guardrails.config().quarantineCapacity)
+    if (guardrails.quarantine().size() > core::Guardrails::kQuarantineCapacity)
         fatal("fig9[c%llu]: quarantine ring over capacity",
               (unsigned long long)cycle);
     if (system.clock().now() < prev.clock)

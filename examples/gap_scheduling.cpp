@@ -30,7 +30,6 @@ main()
     config.drl.epochs = 10;
     config.useScheduler = true;
     config.scheduler.fileCooldownSeconds = 30.0;
-    config.scheduler.gapSafetyFactor = 1.5;
     core::Geomancy geomancy(*system, workload.files(), config);
 
     std::cout << "running workload with gap-aware scheduling...\n";
@@ -69,7 +68,7 @@ main()
     std::cout << "  files moved:                 "
               << system->migrationCount() << "\n";
     std::cout << "\nA file that is mid-access when its migration would "
-                 "start is never moved; lower gapSafetyFactor or "
-                 "fileCooldownSeconds to trade churn for agility.\n";
+                 "start is never moved; lower fileCooldownSeconds to "
+                 "trade churn for agility.\n";
     return 0;
 }

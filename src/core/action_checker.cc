@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "util/logging.hh"
-
 namespace geo {
 namespace core {
 
@@ -32,8 +30,6 @@ ActionChecker::ActionChecker(storage::StorageSystem &system,
                              const CheckerConfig &config)
     : system_(system), config_(config)
 {
-    if (config_.maxMovesPerCycle == 0)
-        panic("ActionChecker: maxMovesPerCycle must be >= 1");
     auto &registry = util::MetricRegistry::global();
     vetoReadonlyMetric_ = &registry.counter("checker.veto_readonly");
     vetoCapacityMetric_ = &registry.counter("checker.veto_capacity");
@@ -145,7 +141,7 @@ ActionChecker::selectMove(storage::FileId file,
     if (have_stay && stay_predicted > 0.0) {
         move.predictedGain =
             (best->predictedThroughput - stay_predicted) / stay_predicted;
-        if (move.predictedGain < config_.minRelativeGain) {
+        if (move.predictedGain < kMinRelativeGain) {
             belowMinGainMetric_->inc();
             verdict(MoveVeto::BelowMinGain);
             return std::nullopt; // not worth the transfer cost
@@ -172,7 +168,7 @@ ActionChecker::capMoves(std::vector<CheckedMove> moves) const
     std::vector<CheckedMove> kept;
     std::map<storage::DeviceId, size_t> per_target;
     for (CheckedMove &move : moves) {
-        if (kept.size() >= config_.maxMovesPerCycle)
+        if (kept.size() >= kMaxMovesPerCycle)
             break;
         if (config_.maxMovesPerTarget > 0 &&
             per_target[move.to] >= config_.maxMovesPerTarget) {

@@ -29,15 +29,16 @@ namespace core {
  *  (offline devices always are), for Geomancy and the baselines alike. */
 constexpr double kMinHealthFactor = 0.5;
 
+/** Minimum relative predicted gain over staying put before a move is
+ *  worth its transfer cost. */
+constexpr double kMinRelativeGain = 0.02;
+/** Upper bound on files moved per decision cycle; the paper observes
+ *  1-14 files per movement. */
+constexpr size_t kMaxMovesPerCycle = 14;
+
 /** Action Checker configuration. */
 struct CheckerConfig
 {
-    /** Minimum relative predicted gain over staying put before a move
-     *  is worth its transfer cost. */
-    double minRelativeGain = 0.02;
-    /** Upper bound on files moved per decision cycle; the paper
-     *  observes 1-14 files per movement. */
-    size_t maxMovesPerCycle = 14;
     /** Upper bound on files moved to the *same* destination per
      *  cycle. Per-file argmax scoring would otherwise herd every file
      *  onto the momentarily-fastest mount in one step; the paper
@@ -52,7 +53,7 @@ enum class MoveVeto {
     None,           ///< a move was selected
     Unreachable,    ///< current device offline: nothing to execute
     StayPut,        ///< the current location predicted best
-    BelowMinGain,   ///< predicted gain under minRelativeGain
+    BelowMinGain,   ///< predicted gain under kMinRelativeGain
     NoValidTarget,  ///< random fallback found no valid device either
     RandomFallback, ///< all candidates invalid: random move taken
 };
@@ -98,7 +99,7 @@ class ActionChecker
      * @param veto when non-null, receives why the file was declined
      *        (or RandomFallback/None when a move came back) — the
      *        decision ledger's audit trail.
-     * @return a move if one beats staying put by minRelativeGain, the
+     * @return a move if one beats staying put by kMinRelativeGain, the
      *         random fallback when nothing is valid, or nullopt.
      */
     std::optional<CheckedMove> selectMove(
@@ -107,15 +108,13 @@ class ActionChecker
 
     /**
      * Order proposed moves by predicted gain and truncate to
-     * maxMovesPerCycle.
+     * kMaxMovesPerCycle.
      */
     std::vector<CheckedMove> capMoves(std::vector<CheckedMove> moves) const;
 
     /** A purely random (exploration) move for `file`, if possible. */
     std::optional<CheckedMove> randomMove(storage::FileId file,
                                           Rng &rng) const;
-
-    const CheckerConfig &config() const { return config_; }
 
   private:
     storage::StorageSystem &system_;

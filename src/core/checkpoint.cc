@@ -84,10 +84,10 @@ CheckpointManager::write(uint64_t cycle, const std::string &payload)
         util::FlightKind::CheckpointWrite, 0.0, cycle, blob.size());
 
     // Prune beyond the retention window; the just-written snapshot is
-    // the newest, so everything past `keep` from the end goes.
+    // the newest, so everything past kKeep from the end goes.
     std::vector<uint64_t> cycles = availableCycles();
-    if (cycles.size() > config_.keep) {
-        for (size_t i = 0; i + config_.keep < cycles.size(); ++i) {
+    if (cycles.size() > kKeep) {
+        for (size_t i = 0; i + kKeep < cycles.size(); ++i) {
             std::error_code ec;
             fs::remove(pathFor(cycles[i]), ec);
         }

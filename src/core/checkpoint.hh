@@ -16,7 +16,7 @@
  * is rejected (counted in `checkpoint.crc_rejected`) and loadLatest()
  * falls back to the next-older snapshot.
  *
- * The manager keeps the newest `keep` snapshots and prunes the rest,
+ * The manager keeps the newest kKeep snapshots and prunes the rest,
  * so the fallback window survives a checkpoint that was committed but
  * whose producing process then corrupted the world before dying.
  */
@@ -38,8 +38,6 @@ struct CheckpointManagerConfig
 {
     /** Directory snapshots live in (created if missing). */
     std::string dir = "checkpoints";
-    /** Newest snapshots retained; older ones are pruned on write. */
-    size_t keep = 2;
 };
 
 /** Parsed checkpoint header. */
@@ -56,6 +54,9 @@ struct CheckpointHeader
 class CheckpointManager
 {
   public:
+    /** Newest snapshots retained; older ones are pruned on write. */
+    static constexpr size_t kKeep = 2;
+
     explicit CheckpointManager(CheckpointManagerConfig config = {});
 
     const std::string &dir() const { return config_.dir; }

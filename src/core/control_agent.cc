@@ -17,8 +17,8 @@ constexpr uint64_t kMoveChunkBytes = 64ULL << 20;
 } // namespace
 
 ControlAgent::ControlAgent(storage::StorageSystem &system, ReplayDb *db,
-                           ControlAgentConfig config)
-    : system_(system), db_(db), config_(config), rng_(config.seed)
+                           uint64_t seed)
+    : system_(system), db_(db), rng_(seed)
 {
     auto &registry = util::MetricRegistry::global();
     requestedMetric_ = &registry.counter("control.moves_requested");
@@ -40,14 +40,11 @@ double
 ControlAgent::backoffDelay(size_t attempts)
 {
     // attempts = tries already made, so the first retry (attempts == 1)
-    // waits backoffBase seconds.
-    double delay = config_.retry.backoffBase;
+    // waits kBackoffBaseSeconds.
+    double delay = kBackoffBaseSeconds;
     for (size_t i = 1; i < attempts; ++i)
-        delay *= config_.retry.backoffMultiplier;
-    double jitter = config_.retry.jitterFraction;
-    if (jitter > 0.0)
-        delay *= 1.0 + rng_.uniform(-jitter, jitter);
-    return std::max(delay, 0.0);
+        delay *= kBackoffMultiplier;
+    return delay * (1.0 + rng_.uniform(-kBackoffJitter, kBackoffJitter));
 }
 
 void
@@ -117,9 +114,8 @@ ControlAgent::attemptMove(const MoveRequest &req, size_t prior_attempts,
         failedMetric_->inc();
         double now = system_.clock().now();
         size_t attempts = prior_attempts + 1;
-        bool budget_left = attempts < config_.retry.maxAttempts;
-        bool within_deadline =
-            now - first_attempt < config_.retry.moveDeadlineSeconds;
+        bool budget_left = attempts < kMaxMoveAttempts;
+        bool within_deadline = now - first_attempt < kMoveDeadlineSeconds;
         if (budget_left && within_deadline) {
             fate.outcome = AttemptOutcome::Failed;
             Pending pend;

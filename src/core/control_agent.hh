@@ -36,28 +36,17 @@ struct MoveRequest
     storage::DeviceId target = 0;
 };
 
-/** Retry policy for fault-aborted migrations. */
-struct RetryConfig
-{
-    /** Total tries per move (first attempt included). */
-    size_t maxAttempts = 4;
-    /** Backoff before retry n is base * multiplier^(n-1) seconds,
-     *  +/- jitterFraction of itself. */
-    double backoffBase = 30.0;
-    double backoffMultiplier = 2.0;
-    double jitterFraction = 0.25;
-    /** A move still failing this long after its first attempt is
-     *  abandoned even if attempts remain. */
-    double moveDeadlineSeconds = 1800.0;
-};
-
-/** Control-agent configuration. */
-struct ControlAgentConfig
-{
-    RetryConfig retry;
-    /** Seed for backoff jitter. */
-    uint64_t seed = 17;
-};
+/** Retry policy for fault-aborted migrations: a move gets this many
+ *  tries, the first attempt included. */
+constexpr size_t kMaxMoveAttempts = 4;
+/** Backoff before retry n is kBackoffBaseSeconds *
+ *  kBackoffMultiplier^(n-1) seconds, +/- kBackoffJitter of itself. */
+constexpr double kBackoffBaseSeconds = 30.0;
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kBackoffJitter = 0.25;
+/** A move still failing this long after its first attempt is
+ *  abandoned even if attempts remain. */
+constexpr double kMoveDeadlineSeconds = 1800.0;
 
 /**
  * Cross-shard admission control. When several ControlAgents share one
@@ -114,9 +103,10 @@ class ControlAgent
     /**
      * @param system the target system.
      * @param db attempt/movement log (may be null to skip logging).
+     * @param seed seed of the backoff jitter.
      */
     ControlAgent(storage::StorageSystem &system, ReplayDb *db,
-                 ControlAgentConfig config = {});
+                 uint64_t seed);
 
     /**
      * Apply a batch of moves plus any pending retries that are due.
@@ -184,7 +174,6 @@ class ControlAgent
 
     storage::StorageSystem &system_;
     ReplayDb *db_;
-    ControlAgentConfig config_;
     util::Watchdog *watchdog_ = nullptr;
     MoveAdmission *admission_ = nullptr;
     Rng rng_;

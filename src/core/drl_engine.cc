@@ -19,10 +19,6 @@ DrlEngine::DrlEngine(const DrlConfig &config)
       model_(nn::buildModel(config.modelNumber, config.featureCount, rng_)),
       optimizer_(config.learningRate, config.clipNorm)
 {
-    if (nn::modelSpec(config.modelNumber, config.featureCount).recurrent)
-        panic("DrlEngine: live engine requires a dense model "
-              "(model %d is recurrent); windowed inputs are only wired "
-              "into the offline model search", config.modelNumber);
     auto &registry = util::MetricRegistry::global();
     trainStepsMetric_ = &registry.counter("drl.train_steps");
     divergedMetric_ = &registry.counter("drl.diverged");

@@ -28,17 +28,19 @@
 namespace geo {
 namespace core {
 
-/** DRL engine configuration. */
+/** DRL engine configuration. The paper fixes the architecture, the
+ *  optimizer and the split; those are static members, so code that
+ *  reads them through a config keeps compiling. */
 struct DrlConfig
 {
-    int modelNumber = 1;   ///< Table I architecture (paper picks 1)
-    size_t featureCount = kLiveFeatureCount; ///< Z
+    static constexpr int modelNumber = 1; ///< Table I model (paper's pick)
+    static constexpr size_t featureCount = kLiveFeatureCount; ///< Z
+    static constexpr size_t batchSize = 64;
+    static constexpr double learningRate = 0.05;
+    static constexpr double clipNorm = 5.0; ///< gradient clipping
+    static constexpr double trainFraction = 0.6; ///< paper: 60/20/20
+    static constexpr double valFraction = 0.2;
     size_t epochs = 40;    ///< retraining epochs per cycle
-    size_t batchSize = 64;
-    double learningRate = 0.05;
-    double clipNorm = 5.0; ///< gradient clipping for stability
-    double trainFraction = 0.6; ///< paper: 60/20/20 split
-    double valFraction = 0.2;
     bool adjustWithMae = true; ///< Section V-G bias correction
     uint64_t seed = 2024;
 };

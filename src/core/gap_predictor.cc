@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/logging.hh"
-
 namespace geo {
 namespace core {
 
@@ -11,24 +9,20 @@ namespace {
 
 /** Observed gaps needed before predicting. */
 constexpr size_t kMinGapSamples = 4;
+/** Accesses of a file consulted per prediction. */
+constexpr size_t kHistoryPerFile = 64;
+/** EWMA smoothing factor over successive gaps (newest weighted). */
+constexpr double kGapAlpha = 0.3;
 
 } // namespace
 
-GapPredictor::GapPredictor(const ReplayDb &db,
-                           const GapPredictorConfig &config)
-    : db_(db), config_(config)
-{
-    if (config_.alpha <= 0.0 || config_.alpha > 1.0)
-        panic("GapPredictor: alpha %f out of (0, 1]", config_.alpha);
-    if (config_.historyPerFile < 2)
-        panic("GapPredictor: historyPerFile must be >= 2");
-}
+GapPredictor::GapPredictor(const ReplayDb &db) : db_(db) {}
 
 std::optional<GapPrediction>
 GapPredictor::predict(storage::FileId file) const
 {
     std::vector<PerfRecord> history =
-        db_.recentAccessesForFile(file, config_.historyPerFile);
+        db_.recentAccessesForFile(file, kHistoryPerFile);
     if (history.size() < 2)
         return std::nullopt;
 
@@ -49,7 +43,7 @@ GapPredictor::predict(storage::FileId file) const
             prediction.shortestRecentGap = gap;
             first = false;
         } else {
-            ewma = config_.alpha * gap + (1.0 - config_.alpha) * ewma;
+            ewma = kGapAlpha * gap + (1.0 - kGapAlpha) * ewma;
             prediction.shortestRecentGap =
                 std::min(prediction.shortestRecentGap, gap);
         }
@@ -62,13 +56,13 @@ GapPredictor::predict(storage::FileId file) const
 }
 
 bool
-GapPredictor::fitsInGap(storage::FileId file, double transfer_seconds,
-                        double safety) const
+GapPredictor::fitsInGap(storage::FileId file, double transfer_seconds) const
 {
     std::optional<GapPrediction> prediction = predict(file);
     if (!prediction)
         return true; // unknown or idle file: moving cannot collide
-    return prediction->expectedGapSeconds >= transfer_seconds * safety;
+    return prediction->expectedGapSeconds >=
+           transfer_seconds * kGapSafetyFactor;
 }
 
 } // namespace core

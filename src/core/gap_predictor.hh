@@ -23,14 +23,9 @@
 namespace geo {
 namespace core {
 
-/** Gap-predictor configuration. */
-struct GapPredictorConfig
-{
-    /** Accesses of a file consulted per prediction. */
-    size_t historyPerFile = 64;
-    /** EWMA smoothing factor over successive gaps (newest weighted). */
-    double alpha = 0.3;
-};
+/** A move fits a file's gap when the gap is at least this many times
+ *  the expected transfer. */
+constexpr double kGapSafetyFactor = 1.5;
 
 /** A predicted access gap for one file. */
 struct GapPrediction
@@ -46,8 +41,7 @@ struct GapPrediction
 class GapPredictor
 {
   public:
-    explicit GapPredictor(const ReplayDb &db,
-                          const GapPredictorConfig &config = {});
+    explicit GapPredictor(const ReplayDb &db);
 
     /**
      * Predict the next idle gap of `file`.
@@ -58,21 +52,17 @@ class GapPredictor
     std::optional<GapPrediction> predict(storage::FileId file) const;
 
     /**
-     * Whether moving `file` is expected to fit into its next idle gap.
+     * Whether moving `file` is expected to fit into its next idle gap
+     * with kGapSafetyFactor to spare.
      *
      * @param transfer_seconds the expected move duration.
-     * @param safety multiplier on the transfer time (>= 1).
      * @retval true also when the file has no history at all (a file
      *         nobody touches can always be moved).
      */
-    bool fitsInGap(storage::FileId file, double transfer_seconds,
-                   double safety = 1.5) const;
-
-    const GapPredictorConfig &config() const { return config_; }
+    bool fitsInGap(storage::FileId file, double transfer_seconds) const;
 
   private:
     const ReplayDb &db_;
-    GapPredictorConfig config_;
 };
 
 } // namespace core

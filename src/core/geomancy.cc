@@ -14,6 +14,9 @@ namespace {
 
 /** Files moved in one exploration cycle. */
 constexpr size_t kExplorationMoves = 2;
+/** Seed of the control agent's backoff jitter, before it is mixed
+ *  with the master seed. */
+constexpr uint64_t kControlSeed = 17;
 
 } // namespace
 
@@ -31,10 +34,9 @@ Geomancy::Geomancy(storage::StorageSystem &system,
     daemon_ = std::make_unique<InterfaceDaemon>(*db_, config_.daemon);
     engine_ = std::make_unique<DrlEngine>(config_.drl);
     checker_ = std::make_unique<ActionChecker>(system_, config_.checker);
-    ControlAgentConfig control_cfg = config_.control;
-    control_cfg.seed ^= config_.seed; // jitter follows the master seed
-    control_ =
-        std::make_unique<ControlAgent>(system_, db_.get(), control_cfg);
+    // The backoff jitter follows the master seed.
+    control_ = std::make_unique<ControlAgent>(system_, db_.get(),
+                                              kControlSeed ^ config_.seed);
     guardrails_ =
         std::make_unique<Guardrails>(config_.guardrails, system_.clock());
     // The migrate deadline is cooperative: the control agent polls

@@ -62,8 +62,6 @@ struct GeomancyConfig
      *  the published system. */
     bool useScheduler = false;
     SchedulerConfig scheduler;
-    /** Control-agent retry policy. */
-    ControlAgentConfig control;
     /** Only feed accesses to *managed* files into the monitoring
      *  agents. Off by default (a monolithic optimizer observes the
      *  whole substrate, byte-identical to every prior release); the
@@ -71,8 +69,8 @@ struct GeomancyConfig
      *  on each other's traffic. */
     bool observeOnlyManaged = false;
     /** Telemetry quarantine, the migrate deadline and safe mode. With
-     *  the default knobs (no migrate budget) this is recording-only:
-     *  clean runs are byte-identical to a guardrail-free build. */
+     *  no migrate budget (the default) a clean run quarantines, holds
+     *  and trips nothing, so its decisions are the unguarded ones. */
     GuardrailsConfig guardrails;
 };
 

@@ -64,8 +64,6 @@ bool
 Guardrails::checkOnly(const PerfRecord &rec, const PerfRecord *prev,
                       QuarantineReason &reason) const
 {
-    if (!config_.enabled)
-        return false;
     double open_t = static_cast<double>(rec.ots) +
                     static_cast<double>(rec.otms) / 1000.0;
     double close_t = static_cast<double>(rec.cts) +
@@ -130,7 +128,7 @@ Guardrails::quarantineRecord(const PerfRecord &rec, QuarantineReason reason)
     entry.reason = reason;
     entry.quarantinedAt = clock_.now();
     quarantine_.push_back(entry);
-    while (quarantine_.size() > config_.quarantineCapacity)
+    while (quarantine_.size() > kQuarantineCapacity)
         quarantine_.pop_front();
     ++quarantined_;
     ++cycleQuarantined_;
@@ -153,24 +151,20 @@ Guardrails::beginCycle()
 bool
 Guardrails::holdLayout() const
 {
-    return config_.enabled && cycleQuarantined_ > 0 &&
-           cycleAdmitted_ < config_.minAdmittedPerCycle;
+    return cycleQuarantined_ > 0 && cycleAdmitted_ < kMinAdmittedPerCycle;
 }
 
 bool
 Guardrails::quarantineFlood() const
 {
-    return config_.enabled &&
-           cycleQuarantined_ >= config_.floodMinQuarantined &&
+    return cycleQuarantined_ >= kFloodMinQuarantined &&
            cycleQuarantined_ > cycleAdmitted_;
 }
 
 double
 Guardrails::phaseBudget(Phase phase) const
 {
-    return config_.enabled && phase == Phase::Migrate
-               ? config_.migrateBudgetSeconds
-               : 0.0;
+    return phase == Phase::Migrate ? config_.migrateBudgetSeconds : 0.0;
 }
 
 void
@@ -256,7 +250,7 @@ Guardrails::exitSafeMode(uint64_t cycle)
 bool
 Guardrails::tripSafeMode(uint64_t cycle)
 {
-    if (!config_.enabled || safeMode_)
+    if (safeMode_)
         return false;
     enterSafeMode(cycle);
     return true;
@@ -265,8 +259,6 @@ Guardrails::tripSafeMode(uint64_t cycle)
 GuardrailTransition
 Guardrails::observeCycle(const CycleEvidence &evidence)
 {
-    if (!config_.enabled)
-        return GuardrailTransition::None;
     if (evidence.held) {
         ++holds_;
         holdsMetric_->inc();

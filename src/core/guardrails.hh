@@ -21,11 +21,11 @@
  *     retries are abandoned, and only periodic probe cycles (with
  *     exponential backoff) may demonstrate health and exit.
  *
- * Everything here is recording-only on clean runs: admit() consumes
- * no randomness, the budget defaults to disabled, and the decision
- * trajectory with guardrails enabled is byte-identical to one without
- * them unless a fault actually fires (pinned by
- * tests/core/test_guardrails.cc).
+ * There is no master switch. Everything here is recording-only on
+ * clean runs: admit() consumes no randomness, the budget defaults to
+ * disabled, and a clean run quarantines, holds and trips nothing, so
+ * its decisions are the ones the pipeline makes without guardrails
+ * (pinned by tests/core/test_guardrails.cc).
  */
 
 #ifndef GEO_CORE_GUARDRAILS_HH
@@ -70,6 +70,12 @@ const char *phaseName(Phase phase);
 constexpr double kMaxThroughput = 1e12;
 /** Byte counts above this are corrupt (per access). */
 constexpr uint64_t kMaxAccessBytes = 1ULL << 50;
+/** A cycle admitting fewer records than this while quarantining at
+ *  least one holds the layout instead of acting. */
+constexpr size_t kMinAdmittedPerCycle = 8;
+/** A cycle is a quarantine flood when more records were quarantined
+ *  than admitted and at least this many were quarantined. */
+constexpr size_t kFloodMinQuarantined = 16;
 /** Consecutive deadline-overrun cycles that trip safe mode. */
 constexpr size_t kOverrunTripThreshold = 3;
 /** Consecutive quarantine-flood cycles that trip safe mode. */
@@ -94,9 +100,6 @@ struct QuarantinedRecord
 /** Guardrails configuration. */
 struct GuardrailsConfig
 {
-    /** Master switch; disabled = admit everything, never trip. */
-    bool enabled = true;
-
     // --- Telemetry quarantine -------------------------------------
     /** A record closing more than this before sim-now is stale. */
     double maxRecordAgeSeconds = 86400.0;
@@ -104,19 +107,9 @@ struct GuardrailsConfig
      *  (concurrent accesses observe end = start + duration without
      *  advancing the clock), plus injected clock skew beyond it. */
     double maxFutureSkewSeconds = 3600.0;
-    /** Quarantined records retained for diagnosis (ring buffer). */
-    size_t quarantineCapacity = 256;
-    /** A cycle admitting fewer records than this while quarantining
-     *  at least one holds the layout instead of acting. */
-    size_t minAdmittedPerCycle = 8;
 
     // --- Migrate deadline (SimClock seconds; 0 = disabled) --------
     double migrateBudgetSeconds = 0.0;
-
-    // --- Safe mode -------------------------------------------------
-    /** A cycle is a flood when quarantined > admitted and at least
-     *  this many records were quarantined. */
-    size_t floodMinQuarantined = 16;
 };
 
 /** What one decision cycle looked like, fed to observeCycle(). */
@@ -125,7 +118,7 @@ struct CycleEvidence
     uint64_t cycle = 0;   ///< the cycle number just finished
     bool probe = false;   ///< this was a safe-mode probe cycle
     bool overrun = false; ///< any phase blew its deadline
-    bool flood = false;   ///< quarantine flood (see floodMinQuarantined)
+    bool flood = false;   ///< quarantine flood (see kFloodMinQuarantined)
     bool diverged = false; ///< retraining diverged
     bool held = false;     ///< layout held for lack of admitted records
     bool trained = false;  ///< retraining ran to completion
@@ -145,13 +138,14 @@ enum class GuardrailTransition {
 class Guardrails
 {
   public:
+    /** Quarantined records retained for diagnosis (ring buffer). */
+    static constexpr size_t kQuarantineCapacity = 256;
+
     /**
      * @param config knobs (see GuardrailsConfig).
      * @param clock the shared sim clock (staleness/deadline source).
      */
     Guardrails(const GuardrailsConfig &config, const SimClock &clock);
-
-    const GuardrailsConfig &config() const { return config_; }
 
     // --- Telemetry quarantine -------------------------------------
 
@@ -199,7 +193,7 @@ class Guardrails
     // --- Decision deadlines ---------------------------------------
 
     /** SimClock budget of a phase: migrateBudgetSeconds for Migrate,
-     *  0 (none) for every other phase and whenever disabled. */
+     *  0 (none) for every other phase. */
     double phaseBudget(Phase phase) const;
 
     /** Arm the watchdog for a phase; a zero budget leaves it disarmed. */
@@ -231,8 +225,8 @@ class Guardrails
      * global fan-out: a substrate-level fault tripping one shard's
      * guardrails trips every co-tenant coherently, instead of each
      * shard discovering the fault on its own schedule. No-op (returns
-     * false) when already in safe mode or when disabled; otherwise the
-     * layout freezes exactly as for an organic trip, probes and all.
+     * false) when already in safe mode; otherwise the layout freezes
+     * exactly as for an organic trip, probes and all.
      */
     bool tripSafeMode(uint64_t cycle);
 

@@ -82,8 +82,6 @@ class InterfaceDaemon
     /** Batches received from agents. */
     uint64_t batchesReceived() const { return batchesReceived_; }
 
-    const DaemonConfig &config() const { return config_; }
-
     /** Serialize the overhead accumulators (the training window
      *  itself lives in the ReplayDB and is covered by its watermark). */
     void saveState(util::StateWriter &w) const;

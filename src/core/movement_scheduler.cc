@@ -11,12 +11,10 @@ namespace core {
 MovementScheduler::MovementScheduler(storage::StorageSystem &system,
                                      const ReplayDb &db,
                                      const SchedulerConfig &config)
-    : system_(system), gaps_(db, config.gaps), config_(config)
+    : system_(system), gaps_(db), config_(config)
 {
     if (config_.fileCooldownSeconds < 0.0)
         panic("MovementScheduler: negative cooldown");
-    if (config_.gapSafetyFactor < 1.0)
-        panic("MovementScheduler: gap safety factor must be >= 1");
     auto &registry = util::MetricRegistry::global();
     admittedMetric_ = &registry.counter("scheduler.admitted");
     rejectedCooldownMetric_ =
@@ -49,16 +47,13 @@ void
 MovementScheduler::pruneFailures(Breaker &breaker, double now)
 {
     while (!breaker.failures.empty() &&
-           now - breaker.failures.front() >
-               config_.breaker.windowSeconds)
+           now - breaker.failures.front() > kBreakerWindowSeconds)
         breaker.failures.pop_front();
 }
 
 bool
 MovementScheduler::breakerAdmits(storage::DeviceId target, double now)
 {
-    if (!config_.breaker.enabled)
-        return true;
     auto it = breakers_.find(target);
     if (it == breakers_.end())
         return true;
@@ -67,7 +62,7 @@ MovementScheduler::breakerAdmits(storage::DeviceId target, double now)
     case BreakerState::Closed:
         return true;
     case BreakerState::Open:
-        if (now - breaker.openedAt < config_.breaker.cooldownSeconds)
+        if (now - breaker.openedAt < kBreakerCooldownSeconds)
             return false;
         breaker.state = BreakerState::HalfOpen;
         breaker.probeInFlight = false;
@@ -89,14 +84,12 @@ MovementScheduler::breakerAdmits(storage::DeviceId target, double now)
 BreakerState
 MovementScheduler::breakerState(storage::DeviceId target, double now)
 {
-    if (!config_.breaker.enabled)
-        return BreakerState::Closed;
     auto it = breakers_.find(target);
     if (it == breakers_.end())
         return BreakerState::Closed;
     Breaker &breaker = it->second;
     if (breaker.state == BreakerState::Open &&
-        now - breaker.openedAt >= config_.breaker.cooldownSeconds) {
+        now - breaker.openedAt >= kBreakerCooldownSeconds) {
         breaker.state = BreakerState::HalfOpen;
         breaker.probeInFlight = false;
     }
@@ -107,8 +100,6 @@ void
 MovementScheduler::recordMoveOutcome(storage::DeviceId target,
                                      bool success, double now)
 {
-    if (!config_.breaker.enabled)
-        return;
     Breaker &breaker = breakers_[target];
     if (success) {
         // Any success proves the device is taking writes again.
@@ -138,7 +129,7 @@ MovementScheduler::recordMoveOutcome(storage::DeviceId target,
     breaker.failures.push_back(now);
     pruneFailures(breaker, now);
     if (breaker.state == BreakerState::Closed &&
-        breaker.failures.size() >= config_.breaker.failureThreshold) {
+        breaker.failures.size() >= kBreakerFailureThreshold) {
         breaker.state = BreakerState::Open;
         breaker.openedAt = now;
         breakerTripsMetric_->inc();
@@ -147,7 +138,7 @@ MovementScheduler::recordMoveOutcome(storage::DeviceId target,
             breaker.failures.size());
         warn("scheduler: breaker for device %u opened after %zu "
              "failures in %.0f s", (unsigned)target,
-             breaker.failures.size(), config_.breaker.windowSeconds);
+             breaker.failures.size(), kBreakerWindowSeconds);
     }
 }
 
@@ -163,8 +154,7 @@ MovementScheduler::admit(const CheckedMove &move, double now)
     }
     if (config_.checkGaps) {
         double transfer = expectedTransferSeconds(move, now);
-        if (!gaps_.fitsInGap(move.file, transfer,
-                             config_.gapSafetyFactor)) {
+        if (!gaps_.fitsInGap(move.file, transfer)) {
             ++rejectedGap_;
             rejectedGapMetric_->inc();
             return false;

@@ -4,7 +4,7 @@
  *
  * The paper defers "a data movement scheduler ... that determines a
  * cooldown between file movement" to future work. This implementation
- * combines two admission rules for each checked move:
+ * combines three admission rules for each checked move:
  *
  *  1. a per-file cooldown — a file that was just migrated is left
  *     alone for a while, bounding migration churn;
@@ -32,17 +32,12 @@
 namespace geo {
 namespace core {
 
-/** Per-target-device circuit-breaker configuration. */
-struct BreakerConfig
-{
-    bool enabled = true;
-    /** Failures within the window that trip the breaker open. */
-    size_t failureThreshold = 3;
-    /** Sliding window over which failures are counted, seconds. */
-    double windowSeconds = 600.0;
-    /** Open this long before allowing a half-open probe move. */
-    double cooldownSeconds = 300.0;
-};
+/** Failures within the breaker window that trip it open. */
+constexpr size_t kBreakerFailureThreshold = 3;
+/** Sliding window over which breaker failures are counted, seconds. */
+constexpr double kBreakerWindowSeconds = 600.0;
+/** A breaker stays open this long before a half-open probe move. */
+constexpr double kBreakerCooldownSeconds = 300.0;
 
 /** Circuit-breaker state for one target device. */
 enum class BreakerState {
@@ -56,12 +51,8 @@ struct SchedulerConfig
 {
     /** Seconds a file must rest between migrations. */
     double fileCooldownSeconds = 60.0;
-    /** Safety factor on the transfer-vs-gap comparison. */
-    double gapSafetyFactor = 1.5;
     /** Enforce the gap check (the cooldown always applies). */
     bool checkGaps = true;
-    GapPredictorConfig gaps;
-    BreakerConfig breaker;
 };
 
 /**
@@ -102,8 +93,6 @@ class MovementScheduler
     uint64_t rejectedByCooldown() const { return rejectedCooldown_; }
     uint64_t rejectedByGap() const { return rejectedGap_; }
     uint64_t rejectedByBreaker() const { return rejectedBreaker_; }
-
-    const SchedulerConfig &config() const { return config_; }
 
     /** Serialize cooldown map, breaker states and rejection totals. */
     void saveState(util::StateWriter &w) const;

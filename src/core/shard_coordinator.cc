@@ -224,7 +224,7 @@ ShardCoordinator::fanOutSafeMode(size_t origin)
             continue;
         Geomancy &shard = *shards_[j];
         if (!shard.guardrails().tripSafeMode(shard.cyclesRun()))
-            continue; // already safe (or guardrails disabled)
+            continue; // already in safe mode
         shard.controlAgent().abandonPending();
         wasSafe_[j] = true;
         ++fanOuts_;

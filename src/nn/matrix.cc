@@ -600,14 +600,6 @@ Matrix::matmulTransposedInto(const Matrix &other, Matrix &out) const
     }
 }
 
-Matrix
-Matrix::transposedMatmul(const Matrix &other) const
-{
-    Matrix out;
-    transposedMatmulInto(other, out);
-    return out;
-}
-
 void
 Matrix::transposedMatmulInto(const Matrix &other, Matrix &out) const
 {

@@ -121,7 +121,6 @@ class Matrix
 
     /** Product this(r,k)^T * other(r,c) without materializing the
      *  transpose (weight-gradient hot path). */
-    Matrix transposedMatmul(const Matrix &other) const;
     void transposedMatmulInto(const Matrix &other, Matrix &out) const;
 
     /** Transposed copy. */

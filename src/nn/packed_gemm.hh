@@ -25,7 +25,7 @@ enum class GemmOp
 {
     AB,  ///< matmul:            out(m,n) = A(m,k) * B(k,n)
     ABt, ///< matmulTransposed:  out(m,n) = A(m,k) * B(n,k)^T
-    AtB, ///< transposedMatmul:  out(m,n) = A(k,m)^T * B(k,n)
+    AtB, ///< transposedMatmulInto: out(m,n) = A(k,m)^T * B(k,n)
 };
 
 /**

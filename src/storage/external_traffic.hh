@@ -51,8 +51,6 @@ class ExternalTraffic
     /** Whether time `at` falls in a burst bucket. */
     bool inBurst(double at) const;
 
-    const ExternalTrafficConfig &config() const { return config_; }
-
   private:
     ExternalTrafficConfig config_;
 

@@ -63,8 +63,6 @@ class EosTraceGenerator
     /** The catalog path of file `fid` (1-based fids). */
     const std::string &filePath(uint64_t fid) const;
 
-    const EosTraceConfig &config() const { return config_; }
-
   private:
     struct FileInfo
     {

@@ -1,7 +1,5 @@
 #include "util/csv.hh"
 
-#include <sstream>
-
 namespace geo {
 
 CsvWriter::CsvWriter(std::ostream &os) : os_(os) {}
@@ -33,50 +31,43 @@ csvEscape(const std::string &field)
     return out;
 }
 
-std::vector<std::string>
-parseCsvLine(const std::string &line)
-{
-    std::vector<std::string> fields;
-    std::string current;
-    bool in_quotes = false;
-    for (size_t i = 0; i < line.size(); ++i) {
-        char c = line[i];
-        if (in_quotes) {
-            if (c == '"') {
-                if (i + 1 < line.size() && line[i + 1] == '"') {
-                    current += '"';
-                    ++i;
-                } else {
-                    in_quotes = false;
-                }
-            } else {
-                current += c;
-            }
-        } else if (c == '"') {
-            in_quotes = true;
-        } else if (c == ',') {
-            fields.push_back(std::move(current));
-            current.clear();
-        } else if (c == '\r') {
-            // Ignore carriage returns from CRLF input.
-        } else {
-            current += c;
-        }
-    }
-    fields.push_back(std::move(current));
-    return fields;
-}
-
 std::vector<std::vector<std::string>>
 parseCsv(const std::string &text)
 {
     std::vector<std::vector<std::string>> rows;
-    std::istringstream is(text);
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        rows.push_back(parseCsvLine(line));
+    std::vector<std::string> row;
+    std::string field;
+    bool in_quotes = false;
+    size_t line_start = 0;
+    // The end of the text ends the last row as a line break would,
+    // even inside an unterminated quote.
+    for (size_t i = 0; i <= text.size(); ++i) {
+        const bool at_end = i == text.size();
+        const char c = at_end ? '\n' : text[i];
+        if (in_quotes && !at_end) {
+            if (c != '"')
+                field += c;
+            else if (i + 1 < text.size() && text[i + 1] == '"')
+                field += text[++i];
+            else
+                in_quotes = false;
+        } else if (c == '\n') {
+            if (i > line_start) {
+                row.push_back(std::move(field));
+                rows.push_back(std::move(row));
+            }
+            row.clear();
+            field.clear();
+            in_quotes = false;
+            line_start = i + 1;
+        } else if (c == '"') {
+            in_quotes = true;
+        } else if (c == ',') {
+            row.push_back(std::move(field));
+            field.clear();
+        } else if (c != '\r') {
+            field += c;
+        }
     }
     return rows;
 }

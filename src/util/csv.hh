@@ -27,10 +27,12 @@ class CsvWriter
     std::ostream &os_;
 };
 
-/** Parse one CSV line into fields (handles RFC 4180 quoting). */
-std::vector<std::string> parseCsvLine(const std::string &line);
-
-/** Parse a whole CSV document (splits on '\n', ignores trailing blank). */
+/**
+ * Parse a whole CSV document into rows of fields. Quoting follows
+ * RFC 4180, so a quoted field may hold commas, doubled quotes and line
+ * breaks; outside quotes a `\r` is dropped (CRLF input) and a blank
+ * line is no row.
+ */
 std::vector<std::vector<std::string>> parseCsv(const std::string &text);
 
 /** Escape a single field per RFC 4180 (quote only when needed). */

@@ -11,6 +11,15 @@
 namespace geo {
 namespace util {
 
+namespace {
+
+/** Each further restart waits this many times longer... */
+constexpr double kBackoffMultiplier = 2.0;
+/** ...up to this many milliseconds. */
+constexpr int kBackoffCapMs = 2000;
+
+} // namespace
+
 SuperviseResult
 runSupervised(const std::function<int(int, bool)> &body,
               const SuperviseConfig &config)
@@ -42,7 +51,7 @@ runSupervised(const std::function<int(int, bool)> &body,
             crashed = true;
         } else {
             result.exitCode = WEXITSTATUS(status);
-            crashed = result.exitCode == config.crashExitCode;
+            crashed = result.exitCode == kCrashExitCode;
         }
         if (!crashed)
             return result;
@@ -55,15 +64,15 @@ runSupervised(const std::function<int(int, bool)> &body,
         }
 
         int delayMs = static_cast<int>(backoff);
-        if (delayMs > config.backoffCapMs)
-            delayMs = config.backoffCapMs;
+        if (delayMs > kBackoffCapMs)
+            delayMs = kBackoffCapMs;
         inform("supervisor: child crashed (code %d); restart %d/%d after "
                "%d ms", result.exitCode, result.restarts + 1,
                config.maxRestarts, delayMs);
         if (delayMs > 0)
             ::usleep(static_cast<useconds_t>(delayMs) * 1000);
         result.totalBackoffMs += delayMs;
-        backoff *= config.backoffMultiplier;
+        backoff *= kBackoffMultiplier;
         ++result.restarts;
     }
 }

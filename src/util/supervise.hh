@@ -32,12 +32,9 @@ struct SuperviseConfig
 {
     /** Restarts allowed after the first attempt (0 = run once). */
     int maxRestarts = 3;
-    /** Delay before the first restart (doubles each further restart). */
+    /** Delay before the first restart (doubles each further restart,
+     *  up to 2 s). */
     int backoffMs = 100;
-    double backoffMultiplier = 2.0;
-    int backoffCapMs = 2000;
-    /** Child exit code treated as a restartable crash. */
-    int crashExitCode = kCrashExitCode;
 };
 
 struct SuperviseResult
@@ -54,7 +51,7 @@ struct SuperviseResult
  *
  * The body receives the attempt index (0 for the first run) and a
  * resume flag (true on every restart); its return value becomes the
- * child's exit code. A child that exits with crashExitCode or dies by
+ * child's exit code. A child that exits with kCrashExitCode or dies by
  * signal is restarted up to maxRestarts times; any other exit code is
  * final and returned to the caller.
  */

@@ -81,14 +81,20 @@ TEST(ActionChecker, SmallGainsNotWorthMoving)
 {
     auto system = storage::makeBlueskySystem();
     storage::FileId file = system->addFile("f", 1000, 0);
-    CheckerConfig config;
-    config.minRelativeGain = 0.10;
-    ActionChecker checker(*system, config);
+    ActionChecker checker(*system);
     Rng rng(3);
-    // 5% predicted gain is below the 10% bar.
+    // A gain just under kMinRelativeGain is not worth the transfer...
+    double under = 100.0 * (1.0 + kMinRelativeGain / 2.0);
+    MoveVeto veto = MoveVeto::None;
     auto move = checker.selectMove(
-        file, scores({{0, 100.0}, {1, 105.0}}), rng);
+        file, scores({{0, 100.0}, {1, under}}), rng, &veto);
     EXPECT_FALSE(move.has_value());
+    EXPECT_EQ(veto, MoveVeto::BelowMinGain);
+    // ...and one just over it is.
+    double over = 100.0 * (1.0 + kMinRelativeGain * 1.5);
+    move = checker.selectMove(file, scores({{0, 100.0}, {1, over}}), rng);
+    ASSERT_TRUE(move.has_value());
+    EXPECT_EQ(move->to, 1u);
 }
 
 TEST(ActionChecker, RandomFallbackWhenAllInvalid)
@@ -135,26 +141,22 @@ TEST(ActionChecker, RandomMoveImpossibleReturnsEmpty)
 TEST(ActionChecker, CapMovesKeepsHighestGains)
 {
     auto system = storage::makeBlueskySystem();
-    CheckerConfig config;
-    config.maxMovesPerCycle = 2;
-    ActionChecker checker(*system, config);
-    std::vector<CheckedMove> moves(5);
-    for (size_t i = 0; i < moves.size(); ++i) {
+    ActionChecker checker(*system);
+    // Spread over enough targets that the per-target cap alone would
+    // keep more than kMaxMovesPerCycle.
+    const size_t targets = system->deviceCount();
+    const size_t count = kMaxMovesPerCycle + targets;
+    ASSERT_GT(targets * CheckerConfig{}.maxMovesPerTarget, kMaxMovesPerCycle);
+    std::vector<CheckedMove> moves(count);
+    for (size_t i = 0; i < count; ++i) {
         moves[i].file = i;
+        moves[i].to = static_cast<storage::DeviceId>(i % targets);
         moves[i].predictedGain = static_cast<double>(i);
     }
     std::vector<CheckedMove> capped = checker.capMoves(std::move(moves));
-    ASSERT_EQ(capped.size(), 2u);
-    EXPECT_EQ(capped[0].file, 4u);
-    EXPECT_EQ(capped[1].file, 3u);
-}
-
-TEST(ActionCheckerDeathTest, ZeroMaxMoves)
-{
-    auto system = storage::makeBlueskySystem();
-    CheckerConfig config;
-    config.maxMovesPerCycle = 0;
-    EXPECT_DEATH(ActionChecker(*system, config), "maxMoves");
+    ASSERT_EQ(capped.size(), kMaxMovesPerCycle);
+    for (size_t i = 0; i < capped.size(); ++i)
+        EXPECT_EQ(capped[i].file, count - 1 - i);
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -65,16 +66,18 @@ TEST(Checkpoint, WriteReadRoundTrip)
 TEST(Checkpoint, RetentionPrunesOldest)
 {
     TempDir dir("ckpt_keep");
-    CheckpointManagerConfig config;
-    config.dir = dir.path;
-    config.keep = 2;
-    CheckpointManager manager(config);
-    for (uint64_t cycle : {1, 2, 3, 4})
+    CheckpointManager manager({dir.path});
+    const uint64_t written = CheckpointManager::kKeep + 2;
+    for (uint64_t cycle = 1; cycle <= written; ++cycle) {
         ASSERT_TRUE(manager.write(cycle, "payload"));
+        EXPECT_EQ(manager.availableCycles().size(),
+                  std::min<size_t>(cycle, CheckpointManager::kKeep));
+    }
+    // The newest kKeep survive.
     std::vector<uint64_t> cycles = manager.availableCycles();
-    ASSERT_EQ(cycles.size(), 2u);
-    EXPECT_EQ(cycles[0], 3u);
-    EXPECT_EQ(cycles[1], 4u);
+    ASSERT_EQ(cycles.size(), CheckpointManager::kKeep);
+    for (size_t i = 0; i < cycles.size(); ++i)
+        EXPECT_EQ(cycles[i], written - CheckpointManager::kKeep + 1 + i);
     EXPECT_FALSE(std::filesystem::exists(manager.pathFor(1)));
 }
 

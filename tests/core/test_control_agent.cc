@@ -12,12 +12,15 @@ namespace geo {
 namespace core {
 namespace {
 
+/** Seed of the control agent's backoff jitter. */
+constexpr uint64_t kSeed = 17;
+
 TEST(ControlAgent, AppliesValidMoves)
 {
     auto system = storage::makeBlueskySystem();
     storage::FileId file = system->addFile("f", 1000, 0);
     ReplayDb db;
-    ControlAgent agent(*system, &db);
+    ControlAgent agent(*system, &db, kSeed);
 
     MoveSummary summary = agent.apply({{file, 3}});
     EXPECT_EQ(summary.requested, 1u);
@@ -32,7 +35,7 @@ TEST(ControlAgent, LogsMovementsToReplayDb)
     auto system = storage::makeBlueskySystem();
     storage::FileId file = system->addFile("f", 1000, 0);
     ReplayDb db;
-    ControlAgent agent(*system, &db);
+    ControlAgent agent(*system, &db, kSeed);
     agent.apply({{file, 1}, {file, 2}});
     EXPECT_EQ(db.movementCount(), 2);
     auto moves = db.recentMovements(2);
@@ -46,7 +49,7 @@ TEST(ControlAgent, SkipsNoOpAndInvalidMoves)
     auto system = storage::makeBlueskySystem();
     storage::FileId file = system->addFile("f", 1000, 0);
     ReplayDb db;
-    ControlAgent agent(*system, &db);
+    ControlAgent agent(*system, &db, kSeed);
     MoveSummary summary = agent.apply({
         {file, 0},   // already there
         {file, 99},  // no such device
@@ -60,7 +63,7 @@ TEST(ControlAgent, WorksWithoutDb)
 {
     auto system = storage::makeBlueskySystem();
     storage::FileId file = system->addFile("f", 1000, 0);
-    ControlAgent agent(*system, nullptr);
+    ControlAgent agent(*system, nullptr, kSeed);
     MoveSummary summary = agent.apply({{file, 2}});
     EXPECT_EQ(summary.applied, 1u);
 }
@@ -70,7 +73,7 @@ TEST(ControlAgent, LifetimeTotals)
     auto system = storage::makeBlueskySystem();
     storage::FileId f1 = system->addFile("a", 100, 0);
     storage::FileId f2 = system->addFile("b", 200, 0);
-    ControlAgent agent(*system, nullptr);
+    ControlAgent agent(*system, nullptr, kSeed);
     agent.apply({{f1, 1}});
     agent.apply({{f2, 2}});
     EXPECT_EQ(agent.totalMoves(), 2u);

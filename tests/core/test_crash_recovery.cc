@@ -53,29 +53,20 @@ struct Fixture
     }
 };
 
-ControlAgentConfig
-fastRetry()
-{
-    ControlAgentConfig config;
-    config.retry.maxAttempts = 3;
-    config.retry.backoffBase = 10.0;
-    config.retry.backoffMultiplier = 2.0;
-    config.retry.jitterFraction = 0.0;
-    config.retry.moveDeadlineSeconds = 1e6;
-    return config;
-}
+/** Seed of the control agent's backoff jitter. */
+constexpr uint64_t kSeed = 17;
 
 TEST(CrashRecovery, RestorePendingIsIdempotent)
 {
     Fixture fx;
     fx.injector.addEvent(outage(3, 0.0, 30.0));
     {
-        ControlAgent agent(*fx.system, &fx.db, fastRetry());
+        ControlAgent agent(*fx.system, &fx.db, kSeed);
         agent.apply({{fx.file, 3}});
         EXPECT_EQ(agent.pendingRetries(), 1u);
     } // crash: the in-memory queue dies with the agent
 
-    ControlAgent revived(*fx.system, &fx.db, fastRetry());
+    ControlAgent revived(*fx.system, &fx.db, kSeed);
     EXPECT_EQ(revived.restorePending(), 1u);
     // A second call (e.g. checkpoint restore followed by the safety
     // net) must not double-queue the same retry.
@@ -88,14 +79,15 @@ TEST(CrashRecovery, RestorePendingIgnoresCompletedMoves)
     Fixture fx;
     fx.injector.addEvent(outage(3, 0.0, 15.0));
     {
-        ControlAgent agent(*fx.system, &fx.db, fastRetry());
+        ControlAgent agent(*fx.system, &fx.db, kSeed);
         agent.apply({{fx.file, 3}});
         // The retry completes after the outage: last outcome Applied.
-        fx.system->clock().advance(20.0);
+        fx.system->clock().advance(
+            kBackoffBaseSeconds * (1.0 + kBackoffJitter) + 1.0);
         agent.apply({});
         EXPECT_EQ(fx.system->location(fx.file), 3u);
     }
-    ControlAgent revived(*fx.system, &fx.db, fastRetry());
+    ControlAgent revived(*fx.system, &fx.db, kSeed);
     EXPECT_EQ(revived.restorePending(), 0u);
     EXPECT_EQ(revived.pendingRetries(), 0u);
 }
@@ -105,7 +97,7 @@ TEST(CrashRecovery, RestorePendingSkipsSupersededRetries)
     Fixture fx;
     fx.injector.addEvent(outage(3, 0.0, 0.0)); // permanent
     {
-        ControlAgent agent(*fx.system, &fx.db, fastRetry());
+        ControlAgent agent(*fx.system, &fx.db, kSeed);
         agent.apply({{fx.file, 3}});
         EXPECT_EQ(agent.pendingRetries(), 1u);
         // The model changed its mind; the old retry is superseded and
@@ -116,7 +108,7 @@ TEST(CrashRecovery, RestorePendingSkipsSupersededRetries)
     }
     // A restarted agent must not resurrect the superseded retry and
     // drag the file back toward the dead device.
-    ControlAgent revived(*fx.system, &fx.db, fastRetry());
+    ControlAgent revived(*fx.system, &fx.db, kSeed);
     EXPECT_EQ(revived.restorePending(), 0u);
     EXPECT_EQ(fx.system->location(fx.file), 1u);
 }
@@ -251,7 +243,6 @@ TEST(CrashRecovery, DivergedRetrainRollsBackToLastGoodWeights)
 {
     DrlConfig config;
     config.epochs = 60;
-    config.learningRate = 0.1;
     DrlEngine engine(config);
 
     TrainingBatch good = syntheticBatch();

@@ -127,8 +127,7 @@ TEST(DecisionLedger, RecordingOnlyIdentity)
 /** Every cycle's phase rows come in cycle order — a prefix of monitor,
  *  train, propose, migrate, as far as the cycle got — and carry the
  *  phase's guardrail budget: the configured migrate seconds on the
- *  migrate row with guardrails on, 0 on every other row and with
- *  guardrails off. */
+ *  migrate row, 0 on every other row and with no budget configured. */
 TEST(DecisionLedger, PhaseRowsInCycleOrderWithBudgets)
 {
     TempDir dir("ledger_phases");
@@ -137,17 +136,17 @@ TEST(DecisionLedger, PhaseRowsInCycleOrderWithBudgets)
     const std::regex phase_row(
         R"re("t":"phase","cycle":(\d+),"name":"(\w+)",)re"
         R"re("seconds":[^,]+,"budget":([^,]+),)re");
-    for (bool enabled : {true, false}) {
-        SCOPED_TRACE(enabled ? "guardrails on" : "guardrails off");
-        std::string path = dir.path + (enabled ? "/on" : "/off");
+    for (double migrate_budget : {4000.0, 0.0}) {
+        const bool budgeted = migrate_budget > 0.0;
+        SCOPED_TRACE(budgeted ? "migrate budget" : "no budget");
+        std::string path = dir.path + (budgeted ? "/budget" : "/none");
         auto system = storage::makeBlueskySystem(7);
         workload::Belle2Workload workload(*system);
         GeomancyConfig config;
         config.drl.epochs = 4;
         config.minHistory = 200;
         config.explorationRate = 1.0; // every acting cycle migrates
-        config.guardrails.enabled = enabled;
-        config.guardrails.migrateBudgetSeconds = 4000.0;
+        config.guardrails.migrateBudgetSeconds = migrate_budget;
         Geomancy geomancy(*system, workload.files(), config);
         geomancy.attachLedger(path);
         for (int cycle = 0; cycle < 3; ++cycle) {
@@ -167,7 +166,7 @@ TEST(DecisionLedger, PhaseRowsInCycleOrderWithBudgets)
             EXPECT_EQ(row[2], order[index]) << row[0];
             double budget = -1.0;
             ASSERT_TRUE(util::parseDouble(row[3], budget)) << row[0];
-            EXPECT_EQ(budget, enabled && row[2] == "migrate" ? 4000.0 : 0.0)
+            EXPECT_EQ(budget, row[2] == "migrate" ? migrate_budget : 0.0)
                 << row[0];
             migrated = migrated || row[2] == "migrate";
             ++index;

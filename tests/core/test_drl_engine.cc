@@ -44,7 +44,6 @@ fastConfig()
 {
     DrlConfig config;
     config.epochs = 60;
-    config.learningRate = 0.1;
     return config;
 }
 
@@ -157,13 +156,6 @@ TEST(DrlEngine, RepeatedRetrainImproves)
     ASSERT_TRUE(first.trained);
     ASSERT_TRUE(second.trained);
     EXPECT_LE(second.meanAbsRelError, first.meanAbsRelError * 1.5);
-}
-
-TEST(DrlEngineDeathTest, RecurrentModelRejected)
-{
-    DrlConfig config;
-    config.modelNumber = 12; // LSTM
-    EXPECT_DEATH(DrlEngine{config}, "dense");
 }
 
 } // namespace

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/action_checker.hh"
 #include "core/control_agent.hh"
 #include "core/geomancy.hh"
@@ -47,25 +49,22 @@ struct Fixture
     }
 };
 
-ControlAgentConfig
-fastRetry()
-{
-    ControlAgentConfig config;
-    config.retry.maxAttempts = 3;
-    config.retry.backoffBase = 10.0;
-    config.retry.backoffMultiplier = 2.0;
-    config.retry.jitterFraction = 0.0; // exact timings for the tests
-    config.retry.moveDeadlineSeconds = 1e6;
-    return config;
-}
+/** Seed of the control agent's backoff jitter. */
+constexpr uint64_t kSeed = 17;
+
+/** Earliest and latest due time of the first retry. */
+constexpr double kFirstRetryMin =
+    kBackoffBaseSeconds * (1.0 - kBackoffJitter);
+constexpr double kFirstRetryMax =
+    kBackoffBaseSeconds * (1.0 + kBackoffJitter);
 
 TEST(FaultRecovery, InterruptedMoveRetriedAndCompletes)
 {
     Fixture fx;
     // Target offline until t = 15: the first attempt fails, the retry
-    // (due at t = 10 + backoff) lands after recovery and completes.
+    // (due at t = 30 s +/- jitter) lands after recovery and completes.
     fx.injector.addEvent(outage(3, 0.0, 15.0));
-    ControlAgent agent(*fx.system, &fx.db, fastRetry());
+    ControlAgent agent(*fx.system, &fx.db, kSeed);
 
     MoveSummary first = agent.apply({{fx.file, 3}});
     EXPECT_EQ(first.applied, 0u);
@@ -74,13 +73,13 @@ TEST(FaultRecovery, InterruptedMoveRetriedAndCompletes)
     EXPECT_EQ(agent.pendingRetries(), 1u);
 
     // Before the backoff expires nothing is due.
-    fx.system->clock().advance(5.0);
+    fx.system->clock().advance(kFirstRetryMin - 1.0);
     MoveSummary quiet = agent.apply({});
     EXPECT_TRUE(quiet.outcomes.empty());
     EXPECT_EQ(agent.pendingRetries(), 1u);
 
     // Past the backoff and the outage: the retry runs and succeeds.
-    fx.system->clock().advance(15.0);
+    fx.system->clock().advance(kFirstRetryMax - kFirstRetryMin + 2.0);
     MoveSummary second = agent.apply({});
     EXPECT_EQ(second.applied, 1u);
     EXPECT_EQ(agent.pendingRetries(), 0u);
@@ -96,57 +95,85 @@ TEST(FaultRecovery, InterruptedMoveRetriedAndCompletes)
     EXPECT_EQ(attempts[1].attempt, 2);
 }
 
+TEST(FaultRecovery, BackoffIsJitteredAroundTheBase)
+{
+    // Step the clock until the first retry runs: under every seed it
+    // is due within kBackoffJitter of kBackoffBaseSeconds, and the
+    // seeds do not all agree on when.
+    std::set<double> due_times;
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+        Fixture fx;
+        fx.injector.addEvent(outage(3, 0.0, 0.0)); // permanent
+        ControlAgent agent(*fx.system, &fx.db, seed);
+        agent.apply({{fx.file, 3}});
+        bool retried = false;
+        while (!retried && fx.system->clock().now() <= kFirstRetryMax) {
+            fx.system->clock().advance(0.5);
+            retried = !agent.apply({}).outcomes.empty();
+        }
+        ASSERT_TRUE(retried) << "seed " << seed;
+        double due = fx.system->clock().now();
+        EXPECT_GE(due, kFirstRetryMin) << "seed " << seed;
+        EXPECT_LE(due, kFirstRetryMax + 0.5) << "seed " << seed;
+        due_times.insert(due);
+    }
+    EXPECT_GT(due_times.size(), 1u);
+}
+
 TEST(FaultRecovery, MoveAbandonedWhenAttemptsExhausted)
 {
     Fixture fx;
     fx.injector.addEvent(outage(3, 0.0, 0.0)); // permanent
-    ControlAgent agent(*fx.system, &fx.db, fastRetry());
+    ControlAgent agent(*fx.system, &fx.db, kSeed);
 
+    // Each step outlasts every backoff, and all of them together stay
+    // well inside the move deadline: only the attempt cap can bind.
     agent.apply({{fx.file, 3}});
     for (int i = 0; i < 5; ++i) {
-        fx.system->clock().advance(100.0);
+        fx.system->clock().advance(200.0);
         agent.apply({});
     }
+    ASSERT_LT(fx.system->clock().now(), kMoveDeadlineSeconds);
     EXPECT_EQ(agent.pendingRetries(), 0u);
     EXPECT_EQ(agent.totalAbandoned(), 1u);
     EXPECT_EQ(fx.system->location(fx.file), 0u);
 
     auto attempts = fx.db.recentMoveAttempts(10);
-    ASSERT_EQ(attempts.size(), 3u); // maxAttempts tries, all logged
+    ASSERT_EQ(attempts.size(), kMaxMoveAttempts); // every try logged
     EXPECT_EQ(attempts.back().outcome, AttemptOutcome::Abandoned);
-    EXPECT_EQ(attempts.back().attempt, 3);
+    EXPECT_EQ(attempts.back().attempt, static_cast<int>(kMaxMoveAttempts));
 }
 
 TEST(FaultRecovery, MoveAbandonedAtDeadline)
 {
     Fixture fx;
     fx.injector.addEvent(outage(3, 0.0, 0.0));
-    ControlAgentConfig config = fastRetry();
-    config.retry.maxAttempts = 100; // budget never binds...
-    config.retry.moveDeadlineSeconds = 25.0; // ...the deadline does
-    ControlAgent agent(*fx.system, &fx.db, config);
+    ControlAgent agent(*fx.system, &fx.db, kSeed);
 
     agent.apply({{fx.file, 3}});
-    size_t attempts_before_deadline = 0;
-    for (int i = 0; i < 6; ++i) {
-        fx.system->clock().advance(10.0);
-        MoveSummary summary = agent.apply({});
-        attempts_before_deadline += summary.failed;
-    }
+    // The second attempt fails well inside the deadline: requeued.
+    fx.system->clock().advance(kFirstRetryMax + 2.0);
+    MoveSummary second = agent.apply({});
+    EXPECT_EQ(second.failed, 1u);
+    EXPECT_EQ(second.requeued, 1u);
+    // The third fails as the deadline passes, with attempts to spare.
+    fx.system->clock().advance(kMoveDeadlineSeconds - kFirstRetryMax - 2.0);
+    MoveSummary third = agent.apply({});
+    EXPECT_EQ(third.failed, 1u);
+    EXPECT_EQ(third.abandoned, 1u);
     EXPECT_EQ(agent.pendingRetries(), 0u);
     EXPECT_EQ(agent.totalAbandoned(), 1u);
     auto log = fx.db.recentMoveAttempts(100);
-    ASSERT_GE(log.size(), 2u);
+    ASSERT_EQ(log.size(), 3u);
     EXPECT_EQ(log.back().outcome, AttemptOutcome::Abandoned);
-    // The deadline bit long before 100 attempts.
-    EXPECT_LT(log.size(), 10u);
+    EXPECT_LT(static_cast<size_t>(log.back().attempt), kMaxMoveAttempts);
 }
 
 TEST(FaultRecovery, NewRequestSupersedesPendingRetry)
 {
     Fixture fx;
     fx.injector.addEvent(outage(3, 0.0, 0.0));
-    ControlAgent agent(*fx.system, &fx.db, fastRetry());
+    ControlAgent agent(*fx.system, &fx.db, kSeed);
     agent.apply({{fx.file, 3}});
     EXPECT_EQ(agent.pendingRetries(), 1u);
     // The model changed its mind: send the file to device 1 instead.
@@ -159,7 +186,7 @@ TEST(FaultRecovery, NewRequestSupersedesPendingRetry)
 TEST(FaultRecovery, SkippedInvalidMovesCounted)
 {
     Fixture fx;
-    ControlAgent agent(*fx.system, &fx.db, fastRetry());
+    ControlAgent agent(*fx.system, &fx.db, kSeed);
     MoveSummary summary = agent.apply({
         {fx.file, 0},  // no-op: already there
         {fx.file, 99}, // no such device
@@ -183,14 +210,14 @@ TEST(FaultRecovery, RestorePendingAfterCrash)
     Fixture fx;
     fx.injector.addEvent(outage(3, 0.0, 30.0));
     {
-        ControlAgent agent(*fx.system, &fx.db, fastRetry());
+        ControlAgent agent(*fx.system, &fx.db, kSeed);
         agent.apply({{fx.file, 3}});
         EXPECT_EQ(agent.pendingRetries(), 1u);
         // The agent "crashes" here: its queue dies with it.
     }
     fx.system->clock().advance(60.0); // outage over
 
-    ControlAgent revived(*fx.system, &fx.db, fastRetry());
+    ControlAgent revived(*fx.system, &fx.db, kSeed);
     EXPECT_EQ(revived.pendingRetries(), 0u);
     EXPECT_EQ(revived.restorePending(), 1u);
     EXPECT_EQ(revived.pendingRetries(), 1u);
@@ -198,7 +225,7 @@ TEST(FaultRecovery, RestorePendingAfterCrash)
     EXPECT_EQ(summary.applied, 1u);
     EXPECT_EQ(fx.system->location(fx.file), 3u);
     // Nothing left to restore: the last attempt logged is Applied.
-    ControlAgent third(*fx.system, &fx.db, fastRetry());
+    ControlAgent third(*fx.system, &fx.db, kSeed);
     EXPECT_EQ(third.restorePending(), 0u);
 }
 
@@ -262,87 +289,106 @@ moveOf(storage::FileId file, storage::DeviceId to)
     return move;
 }
 
-TEST(FaultRecovery, BreakerOpensAfterRepeatedFailures)
+/** Scheduler with only the breaker in play. */
+SchedulerConfig
+breakerOnly()
 {
-    Fixture fx;
     SchedulerConfig config;
     config.fileCooldownSeconds = 0.0;
     config.checkGaps = false;
-    config.breaker.failureThreshold = 3;
-    config.breaker.windowSeconds = 100.0;
-    config.breaker.cooldownSeconds = 50.0;
-    MovementScheduler scheduler(*fx.system, fx.db, config);
+    return config;
+}
+
+/** Record `count` failed moves onto `target`, one per second from
+ *  `start`. */
+void
+failMoves(MovementScheduler &scheduler, storage::DeviceId target,
+          size_t count, double start)
+{
+    for (size_t i = 0; i < count; ++i)
+        scheduler.recordMoveOutcome(target, false,
+                                    start + static_cast<double>(i));
+}
+
+TEST(FaultRecovery, BreakerOpensAfterRepeatedFailures)
+{
+    Fixture fx;
+    MovementScheduler scheduler(*fx.system, fx.db, breakerOnly());
 
     EXPECT_EQ(scheduler.breakerState(3, 0.0), BreakerState::Closed);
-    scheduler.recordMoveOutcome(3, false, 1.0);
-    scheduler.recordMoveOutcome(3, false, 2.0);
-    EXPECT_EQ(scheduler.breakerState(3, 2.0), BreakerState::Closed);
-    EXPECT_TRUE(scheduler.admit(moveOf(fx.file, 3), 2.0));
-    scheduler.recordMoveOutcome(3, false, 3.0);
-    EXPECT_EQ(scheduler.breakerState(3, 3.0), BreakerState::Open);
+    failMoves(scheduler, 3, kBreakerFailureThreshold - 1, 1.0);
+    double now = static_cast<double>(kBreakerFailureThreshold);
+    EXPECT_EQ(scheduler.breakerState(3, now), BreakerState::Closed);
+    EXPECT_TRUE(scheduler.admit(moveOf(fx.file, 3), now));
+    scheduler.recordMoveOutcome(3, false, now);
+    EXPECT_EQ(scheduler.breakerState(3, now), BreakerState::Open);
 
     // Open: every move onto device 3 is rejected; others still pass.
-    EXPECT_FALSE(scheduler.admit(moveOf(fx.file, 3), 4.0));
+    EXPECT_FALSE(scheduler.admit(moveOf(fx.file, 3), now + 1.0));
     EXPECT_EQ(scheduler.rejectedByBreaker(), 1u);
-    EXPECT_TRUE(scheduler.admit(moveOf(fx.file, 2), 4.0));
+    EXPECT_TRUE(scheduler.admit(moveOf(fx.file, 2), now + 1.0));
 }
 
 TEST(FaultRecovery, BreakerHalfOpenProbeThenClose)
 {
     Fixture fx;
     storage::FileId other = fx.system->addFile("g", 1 << 20, 0);
-    SchedulerConfig config;
-    config.fileCooldownSeconds = 0.0;
-    config.checkGaps = false;
-    config.breaker.failureThreshold = 2;
-    config.breaker.cooldownSeconds = 50.0;
-    MovementScheduler scheduler(*fx.system, fx.db, config);
-    scheduler.recordMoveOutcome(3, false, 1.0);
-    scheduler.recordMoveOutcome(3, false, 2.0);
-    ASSERT_EQ(scheduler.breakerState(3, 2.0), BreakerState::Open);
+    MovementScheduler scheduler(*fx.system, fx.db, breakerOnly());
+    failMoves(scheduler, 3, kBreakerFailureThreshold, 1.0);
+    double opened = static_cast<double>(kBreakerFailureThreshold);
+    ASSERT_EQ(scheduler.breakerState(3, opened), BreakerState::Open);
+
+    // Still open just before the cooldown ends.
+    double probe_at = opened + kBreakerCooldownSeconds;
+    EXPECT_FALSE(scheduler.admit(moveOf(fx.file, 3), probe_at - 1.0));
+    EXPECT_EQ(scheduler.breakerState(3, probe_at - 1.0), BreakerState::Open);
 
     // After the cooldown exactly one probe move is admitted.
-    EXPECT_TRUE(scheduler.admit(moveOf(fx.file, 3), 60.0));
-    EXPECT_EQ(scheduler.breakerState(3, 60.0), BreakerState::HalfOpen);
-    EXPECT_FALSE(scheduler.admit(moveOf(other, 3), 60.0));
+    EXPECT_TRUE(scheduler.admit(moveOf(fx.file, 3), probe_at));
+    EXPECT_EQ(scheduler.breakerState(3, probe_at), BreakerState::HalfOpen);
+    EXPECT_FALSE(scheduler.admit(moveOf(other, 3), probe_at));
 
     // Probe succeeds: breaker closes, admission resumes.
-    scheduler.recordMoveOutcome(3, true, 61.0);
-    EXPECT_EQ(scheduler.breakerState(3, 61.0), BreakerState::Closed);
-    EXPECT_TRUE(scheduler.admit(moveOf(other, 3), 62.0));
+    scheduler.recordMoveOutcome(3, true, probe_at + 1.0);
+    EXPECT_EQ(scheduler.breakerState(3, probe_at + 1.0),
+              BreakerState::Closed);
+    EXPECT_TRUE(scheduler.admit(moveOf(other, 3), probe_at + 2.0));
 }
 
 TEST(FaultRecovery, BreakerReopensOnFailedProbe)
 {
     Fixture fx;
-    SchedulerConfig config;
-    config.fileCooldownSeconds = 0.0;
-    config.checkGaps = false;
-    config.breaker.failureThreshold = 2;
-    config.breaker.cooldownSeconds = 50.0;
-    MovementScheduler scheduler(*fx.system, fx.db, config);
-    scheduler.recordMoveOutcome(3, false, 1.0);
-    scheduler.recordMoveOutcome(3, false, 2.0);
-    EXPECT_TRUE(scheduler.admit(moveOf(fx.file, 3), 60.0)); // probe
-    scheduler.recordMoveOutcome(3, false, 61.0);
-    EXPECT_EQ(scheduler.breakerState(3, 61.0), BreakerState::Open);
-    EXPECT_FALSE(scheduler.admit(moveOf(fx.file, 3), 62.0));
+    MovementScheduler scheduler(*fx.system, fx.db, breakerOnly());
+    failMoves(scheduler, 3, kBreakerFailureThreshold, 1.0);
+    double probe_at =
+        static_cast<double>(kBreakerFailureThreshold) +
+        kBreakerCooldownSeconds;
+    EXPECT_TRUE(scheduler.admit(moveOf(fx.file, 3), probe_at)); // probe
+    scheduler.recordMoveOutcome(3, false, probe_at + 1.0);
+    EXPECT_EQ(scheduler.breakerState(3, probe_at + 1.0), BreakerState::Open);
+    EXPECT_FALSE(scheduler.admit(moveOf(fx.file, 3), probe_at + 2.0));
     // A fresh cooldown must elapse before the next probe.
-    EXPECT_TRUE(scheduler.admit(moveOf(fx.file, 3), 115.0));
+    double reprobe_at = probe_at + 1.0 + kBreakerCooldownSeconds;
+    EXPECT_FALSE(scheduler.admit(moveOf(fx.file, 3), reprobe_at - 1.0));
+    EXPECT_TRUE(scheduler.admit(moveOf(fx.file, 3), reprobe_at));
 }
 
 TEST(FaultRecovery, BreakerWindowForgetsOldFailures)
 {
     Fixture fx;
-    SchedulerConfig config;
-    config.breaker.failureThreshold = 3;
-    config.breaker.windowSeconds = 10.0;
-    MovementScheduler scheduler(*fx.system, fx.db, config);
-    scheduler.recordMoveOutcome(3, false, 0.0);
-    scheduler.recordMoveOutcome(3, false, 1.0);
-    // Third failure arrives after the first two left the window.
-    scheduler.recordMoveOutcome(3, false, 50.0);
-    EXPECT_EQ(scheduler.breakerState(3, 50.0), BreakerState::Closed);
+    MovementScheduler scheduler(*fx.system, fx.db, breakerOnly());
+    failMoves(scheduler, 3, kBreakerFailureThreshold - 1, 0.0);
+    // The last failure arrives after the first ones left the window...
+    scheduler.recordMoveOutcome(3, false, kBreakerWindowSeconds + 10.0);
+    EXPECT_EQ(scheduler.breakerState(3, kBreakerWindowSeconds + 10.0),
+              BreakerState::Closed);
+
+    // ...while the same failures inside one window trip it.
+    MovementScheduler inside(*fx.system, fx.db, breakerOnly());
+    failMoves(inside, 3, kBreakerFailureThreshold - 1, 0.0);
+    inside.recordMoveOutcome(3, false, kBreakerWindowSeconds - 10.0);
+    EXPECT_EQ(inside.breakerState(3, kBreakerWindowSeconds - 10.0),
+              BreakerState::Open);
 }
 
 TEST(FaultRecovery, GeomancyNeverMovesOntoOfflineDevice)

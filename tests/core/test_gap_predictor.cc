@@ -88,8 +88,11 @@ TEST(GapPredictor, FitsInGapDecisions)
     ReplayDb db;
     insertPeriodic(db, 1, 20, 10.0, 1.0); // gaps of 9 s
     GapPredictor predictor(db);
-    EXPECT_TRUE(predictor.fitsInGap(1, 2.0, 1.5));  // 3 s < 9 s
-    EXPECT_FALSE(predictor.fitsInGap(1, 8.0, 1.5)); // 12 s > 9 s
+    // A move fits when kGapSafetyFactor times its transfer does.
+    EXPECT_TRUE(predictor.fitsInGap(1, 2.0));  // 3 s < 9 s
+    EXPECT_TRUE(predictor.fitsInGap(1, 9.0 / kGapSafetyFactor));
+    EXPECT_FALSE(predictor.fitsInGap(1, 7.0)); // 10.5 s > 9 s
+    EXPECT_FALSE(predictor.fitsInGap(1, 8.0)); // 12 s > 9 s
 }
 
 TEST(GapPredictor, UnknownFileAlwaysFits)
@@ -97,17 +100,6 @@ TEST(GapPredictor, UnknownFileAlwaysFits)
     ReplayDb db;
     GapPredictor predictor(db);
     EXPECT_TRUE(predictor.fitsInGap(999, 1e9));
-}
-
-TEST(GapPredictorDeathTest, BadConfig)
-{
-    ReplayDb db;
-    GapPredictorConfig config;
-    config.alpha = 0.0;
-    EXPECT_DEATH(GapPredictor(db, config), "alpha");
-    GapPredictorConfig tiny;
-    tiny.historyPerFile = 1;
-    EXPECT_DEATH(GapPredictor(db, tiny), "historyPerFile");
 }
 
 } // namespace

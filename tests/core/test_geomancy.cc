@@ -72,7 +72,6 @@ TEST(Geomancy, MovesRespectCap)
     auto system = storage::makeBlueskySystem();
     workload::Belle2Workload workload(*system);
     GeomancyConfig config = fastConfig();
-    config.checker.maxMovesPerCycle = 3;
     config.explorationRate = 0.0;
     Geomancy geomancy(*system, workload.files(), config);
 
@@ -80,7 +79,7 @@ TEST(Geomancy, MovesRespectCap)
         workload.executeRun();
     for (int cycle = 0; cycle < 5; ++cycle) {
         CycleReport report = geomancy.runCycle();
-        EXPECT_LE(report.moves.applied, 3u);
+        EXPECT_LE(report.moves.applied, kMaxMovesPerCycle);
         workload.executeRun();
     }
 }

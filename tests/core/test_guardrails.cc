@@ -3,9 +3,8 @@
  * Tests for the guardrail subsystem: every quarantine reject reason,
  * the hold-layout floor, the safe-mode trip/probe/backoff state
  * machine, checkpoint round-trips, recovery from a migrate overrun,
- * and the recording-only guarantee —
- * a clean run with guardrails enabled is byte-identical to one with
- * them disabled.
+ * and the recording-only guarantee: a clean run quarantines, holds,
+ * trips and overruns nothing.
  */
 
 #include <gtest/gtest.h>
@@ -16,10 +15,11 @@
 #include <sstream>
 #include <string>
 
-#include "core/experiment.hh"
+#include "core/geomancy.hh"
 #include "core/guardrails.hh"
 #include "storage/bluesky.hh"
 #include "util/state_io.hh"
+#include "workload/belle2.hh"
 
 namespace geo {
 namespace core {
@@ -162,40 +162,40 @@ TEST(GuardrailsAdmit, RejectsExactDuplicateOfPreviousPending)
     EXPECT_TRUE(guard.admit(first, nullptr));
 }
 
-TEST(GuardrailsAdmit, DisabledAdmitsEverything)
-{
-    Fixture fx;
-    fx.config.enabled = false;
-    fx.clock.advance(100.0);
-    Guardrails guard = fx.make();
-    PerfRecord rec = cleanRecord();
-    rec.throughput = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_TRUE(guard.admit(rec, nullptr));
-    EXPECT_EQ(guard.quarantined(), 0u);
-}
-
 TEST(GuardrailsAdmit, QuarantineRingIsBounded)
 {
     Fixture fx;
-    fx.config.quarantineCapacity = 4;
     fx.clock.advance(100.0);
     Guardrails guard = fx.make();
     PerfRecord rec = cleanRecord();
     rec.throughput = -1.0;
-    for (int i = 0; i < 10; ++i) {
-        rec.rb = static_cast<uint64_t>(i);
+    const size_t overflow = 10;
+    const size_t total = Guardrails::kQuarantineCapacity + overflow;
+    for (size_t i = 0; i < total; ++i) {
+        rec.rb = i;
         guard.admit(rec, nullptr);
     }
-    EXPECT_EQ(guard.quarantine().size(), 4u);
-    EXPECT_EQ(guard.quarantined(), 10u);
-    // Oldest entries were evicted: the ring holds the last four.
-    EXPECT_EQ(guard.quarantine().front().record.rb, 6u);
+    EXPECT_EQ(guard.quarantine().size(), Guardrails::kQuarantineCapacity);
+    EXPECT_EQ(guard.quarantined(), total);
+    // Oldest entries were evicted: the ring holds the newest ones.
+    EXPECT_EQ(guard.quarantine().front().record.rb, overflow);
+    EXPECT_EQ(guard.quarantine().back().record.rb, total - 1);
+}
+
+/** Admit `count` distinct clean records. */
+void
+admitClean(Guardrails &guard, size_t count)
+{
+    PerfRecord good = cleanRecord();
+    for (size_t i = 0; i < count; ++i) {
+        good.ctms = 100 + static_cast<int64_t>(i);
+        ASSERT_TRUE(guard.admit(good, nullptr));
+    }
 }
 
 TEST(GuardrailsCycle, HoldsLayoutOnQuarantineStarvation)
 {
     Fixture fx;
-    fx.config.minAdmittedPerCycle = 4;
     fx.clock.advance(100.0);
     Guardrails guard = fx.make();
     guard.beginCycle();
@@ -203,35 +203,30 @@ TEST(GuardrailsCycle, HoldsLayoutOnQuarantineStarvation)
     PerfRecord bad = cleanRecord();
     bad.throughput = -1.0;
     guard.admit(bad, nullptr);
-    EXPECT_TRUE(guard.holdLayout()); // 0 admitted < 4, 1 quarantined
-    PerfRecord good = cleanRecord();
-    for (int i = 0; i < 4; ++i) {
-        good.ctms = 100 + i;
-        guard.admit(good, nullptr);
-    }
+    EXPECT_TRUE(guard.holdLayout()); // 0 admitted, 1 quarantined
+    admitClean(guard, kMinAdmittedPerCycle - 1);
+    EXPECT_TRUE(guard.holdLayout()); // one short of the floor
+    admitClean(guard, 1);
     EXPECT_FALSE(guard.holdLayout()); // enough clean telemetry survived
 }
 
 TEST(GuardrailsCycle, FloodNeedsVolumeAndMajority)
 {
     Fixture fx;
-    fx.config.floodMinQuarantined = 4;
     fx.clock.advance(100.0);
     Guardrails guard = fx.make();
     guard.beginCycle();
     PerfRecord bad = cleanRecord();
     bad.throughput = -1.0;
-    for (int i = 0; i < 3; ++i)
+    for (size_t i = 0; i + 1 < kFloodMinQuarantined; ++i)
         guard.admit(bad, nullptr);
-    EXPECT_FALSE(guard.quarantineFlood()); // below the volume floor
+    EXPECT_FALSE(guard.quarantineFlood()); // one below the volume floor
     guard.admit(bad, nullptr);
-    EXPECT_TRUE(guard.quarantineFlood()); // 4 quarantined > 0 admitted
-    PerfRecord good = cleanRecord();
-    for (int i = 0; i < 5; ++i) {
-        good.ctms = 100 + i;
-        guard.admit(good, nullptr);
-    }
-    EXPECT_FALSE(guard.quarantineFlood()); // admitted majority again
+    EXPECT_TRUE(guard.quarantineFlood()); // at the floor, 0 admitted
+    admitClean(guard, kFloodMinQuarantined - 1);
+    EXPECT_TRUE(guard.quarantineFlood()); // still a quarantined majority
+    admitClean(guard, 1);
+    EXPECT_FALSE(guard.quarantineFlood()); // a tie is no majority
 }
 
 CycleEvidence
@@ -487,40 +482,33 @@ TEST(GuardrailsDeadline, PredictLayoutWorksAfterMigrateOverrun)
     EXPECT_FALSE(moves.empty());
 }
 
-// The recording-only guarantee (the fig5a standard): a clean run with
-// guardrails enabled produces a decision trajectory byte-identical to
-// one with guardrails disabled — validation admits every legitimate
-// record, consumes no randomness and trips nothing.
-TEST(GuardrailsIdentity, CleanRunMatchesGuardrailFreeRun)
+// The recording-only guarantee (the fig5a standard): on a clean run
+// validation admits every legitimate record and trips nothing, so the
+// guardrails never change a decision — nothing is quarantined, no
+// cycle holds the layout, safe mode never trips and no phase overruns.
+TEST(GuardrailsIdentity, CleanRunQuarantinesHoldsAndTripsNothing)
 {
-    auto run = [](bool enabled) {
-        auto system = storage::makeBlueskySystem(7);
-        workload::Belle2Workload workload(*system);
-        GeomancyConfig config;
-        config.drl.epochs = 6;
-        config.minHistory = 200;
-        config.guardrails.enabled = enabled;
-        Geomancy geomancy(*system, workload.files(), config);
-        GeomancyDynamicPolicy policy(geomancy);
-        ExperimentConfig exp;
-        exp.warmupRuns = 1;
-        exp.measuredRuns = 5;
-        exp.cadence = 2;
-        exp.seed = 11;
-        ExperimentRunner runner(*system, workload, policy, exp);
-        return runner.run();
-    };
-    ExperimentResult with = run(true);
-    ExperimentResult without = run(false);
-    ASSERT_EQ(with.totalAccesses, without.totalAccesses);
-    ASSERT_EQ(with.throughputSeries.size(),
-              without.throughputSeries.size());
-    for (size_t i = 0; i < with.throughputSeries.size(); ++i)
-        ASSERT_DOUBLE_EQ(with.throughputSeries[i],
-                         without.throughputSeries[i])
-            << "diverged at access " << i;
-    EXPECT_EQ(with.filesMoved, without.filesMoved);
-    EXPECT_EQ(with.bytesMoved, without.bytesMoved);
+    auto system = storage::makeBlueskySystem(7);
+    workload::Belle2Workload workload(*system);
+    GeomancyConfig config;
+    config.drl.epochs = 6;
+    config.minHistory = 200;
+    Geomancy geomancy(*system, workload.files(), config);
+    size_t acted = 0;
+    for (int cycle = 0; cycle < 6; ++cycle) {
+        workload.executeRun();
+        CycleReport report = geomancy.runCycle();
+        EXPECT_FALSE(report.held) << "cycle " << cycle;
+        EXPECT_FALSE(report.safeMode) << "cycle " << cycle;
+        acted += report.acted ? 1 : 0;
+    }
+    EXPECT_GT(acted, 0u);
+    const Guardrails &guard = geomancy.guardrails();
+    EXPECT_GT(guard.admitted(), 0u);
+    EXPECT_EQ(guard.quarantined(), 0u);
+    EXPECT_TRUE(guard.quarantine().empty());
+    EXPECT_EQ(guard.safeModeEntries(), 0u);
+    EXPECT_EQ(geomancy.guardrails().watchdog().overruns(), 0u);
 }
 
 } // namespace

@@ -150,10 +150,6 @@ TEST(MovementSchedulerDeathTest, BadConfig)
     config.fileCooldownSeconds = -1.0;
     EXPECT_DEATH(MovementScheduler(*fx.system, fx.db, config),
                  "cooldown");
-    SchedulerConfig bad_safety;
-    bad_safety.gapSafetyFactor = 0.5;
-    EXPECT_DEATH(MovementScheduler(*fx.system, fx.db, bad_safety),
-                 "safety");
 }
 
 } // namespace

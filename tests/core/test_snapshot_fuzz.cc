@@ -2,9 +2,8 @@
  * @file
  * Seeded mutation fuzzing of snapshot loading.
  *
- * A byte mutator with a fixed seed (flip, insert and delete a byte,
- * duplicate a line, replace a number with a huge one) derives about a
- * thousand hostile variants each of the golden engine state, a
+ * The seeded byte mutator of fuzz.hh derives about a thousand hostile
+ * variants each of the golden engine state, a
  * CheckpointManager file and a small ExperimentRunner snapshot. Every
  * load must fail or succeed cleanly: no exception escapes, and a
  * rejected load leaves what it loads into as it was.
@@ -12,12 +11,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
-#include <map>
-#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,115 +23,17 @@
 #include "storage/bluesky.hh"
 #include "util/crc32.hh"
 #include "util/fs_atomic.hh"
-#include "util/logging.hh"
 #include "util/state_io.hh"
+
+#include "fuzz.hh"
 
 namespace geo {
 namespace core {
 namespace {
 
-constexpr size_t kMutants = 1000;
-
-/** Deterministic byte mutator over one seed text. */
-class Mutator
-{
-  public:
-    Mutator(std::string seed, uint64_t rngSeed)
-        : seed_(std::move(seed)), gen_(rngSeed)
-    {
-        // Lines grouped by their first token, so that every key is
-        // as likely a target as any other, however many lines it has.
-        std::map<std::string, size_t> group;
-        for (size_t at = 0; at < seed_.size();) {
-            size_t end = seed_.find('\n', at);
-            if (end == std::string::npos)
-                end = seed_.size();
-            size_t stop = std::min(seed_.find(' ', at), end);
-            std::string head = seed_.substr(at, stop - at);
-            auto [it, fresh] = group.emplace(head, lines_.size());
-            if (fresh)
-                lines_.emplace_back();
-            lines_[it->second].push_back(at);
-            at = end + 1;
-        }
-    }
-
-    /** The seed text with one to three mutations. */
-    std::string
-    next()
-    {
-        std::string text = seed_;
-        for (size_t n = 1 + gen_() % 3; n > 0; --n)
-            mutateOnce(text);
-        return text;
-    }
-
-  private:
-    void
-    mutateOnce(std::string &text)
-    {
-        size_t at = text.empty() ? 0 : gen_() % text.size();
-        switch (gen_() % 5) {
-        case 0: // flip one bit
-            if (!text.empty())
-                text[at] = static_cast<char>(text[at] ^ (1 << gen_() % 8));
-            break;
-        case 1: // insert a byte
-            text.insert(at, 1, static_cast<char>(gen_()));
-            break;
-        case 2: // delete a byte
-            if (!text.empty())
-                text.erase(at, 1);
-            break;
-        case 3: { // duplicate a line
-            size_t start = lineStart(text);
-            size_t end = text.find('\n', start);
-            end = end == std::string::npos ? text.size() : end + 1;
-            text.insert(start, text.substr(start, end - start));
-            break;
-        }
-        default: { // replace a line's first number with a huge one
-            static const char *const huge[] = {
-                "18446744073709551615", "99999999999999999999",
-                "1000000000000000000", "999999999999999"};
-            size_t start = lineStart(text);
-            size_t digit = text.find_first_of("0123456789",
-                                              text.find(' ', start));
-            if (digit == std::string::npos)
-                break;
-            size_t end = text.find_first_not_of("0123456789", digit);
-            if (end == std::string::npos)
-                end = text.size();
-            text.replace(digit, end - digit, huge[gen_() % std::size(huge)]);
-            break;
-        }
-        }
-    }
-
-    /** Start of a random line of the seed (clamped to `text`). */
-    size_t
-    lineStart(const std::string &text)
-    {
-        const std::vector<size_t> &group = lines_[gen_() % lines_.size()];
-        size_t start = group[gen_() % group.size()];
-        return std::min(start, text.size());
-    }
-
-    std::string seed_;
-    std::mt19937_64 gen_;
-    std::vector<std::vector<size_t>> lines_;
-};
-
-/** Keeps the thousands of expected rejections out of the log. */
-class QuietLog
-{
-  public:
-    QuietLog() : saved_(logLevel()) { setLogLevel(LogLevel::Quiet); }
-    ~QuietLog() { setLogLevel(saved_); }
-
-  private:
-    LogLevel saved_;
-};
+using fuzz::kMutants;
+using fuzz::Mutator;
+using fuzz::QuietLog;
 
 std::vector<double>
 weightsOf(DrlEngine &engine)

@@ -26,6 +26,15 @@ randomMatrix(size_t rows, size_t cols, Rng &rng)
     return m;
 }
 
+/** at^T * b, through transposedMatmulInto. */
+Matrix
+transposedProduct(const Matrix &at, const Matrix &b)
+{
+    Matrix out;
+    at.transposedMatmulInto(b, out);
+    return out;
+}
+
 void
 expectBitwiseEqual(const Matrix &a, const Matrix &b, const char *what)
 {
@@ -111,7 +120,7 @@ TEST(MatrixParallel, ReluSparseProductsAboveParallelThreshold)
     expectBitwiseEqual(a.matmulTransposed(bt),
                        a.matmulNaive(bt.transposed()), "sparse ABt");
     Matrix at = relu(200, 160); // a transposed: depth 200 x 160
-    expectBitwiseEqual(at.transposedMatmul(b),
+    expectBitwiseEqual(transposedProduct(at, b),
                        at.transposed().matmulNaive(b), "sparse AtB");
 }
 
@@ -149,7 +158,7 @@ TEST(MatrixParallel, TransposedMatmulMatchesNaive)
     for (const auto &[k, m, n] : shapes) {
         Matrix at = randomMatrix(k, m, rng); // a transposed: k x m
         Matrix b = randomMatrix(k, n, rng);
-        expectBitwiseEqual(at.transposedMatmul(b),
+        expectBitwiseEqual(transposedProduct(at, b),
                            at.transposed().matmulNaive(b),
                            "transposedMatmul");
     }

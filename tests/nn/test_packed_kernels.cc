@@ -39,6 +39,15 @@ randomMatrix(size_t rows, size_t cols, Rng &rng)
     return m;
 }
 
+/** at^T * b, through transposedMatmulInto. */
+Matrix
+transposedProduct(const Matrix &at, const Matrix &b)
+{
+    Matrix out;
+    at.transposedMatmulInto(b, out);
+    return out;
+}
+
 void
 expectBitwiseEqual(const Matrix &a, const Matrix &b, const char *what)
 {
@@ -133,7 +142,7 @@ TEST(PackedKernels, TransposedMatmulAboveCrossoverMatchesNaive)
         Matrix at = randomMatrix(k, m, rng); // a transposed: k x m
         Matrix b = randomMatrix(k, n, rng);
         const Matrix ref = at.transposed().matmulNaive(b);
-        expectBitwiseEqual(at.transposedMatmul(b), ref,
+        expectBitwiseEqual(transposedProduct(at, b), ref,
                            "packed transposedMatmul");
         expectPackedWidthsMatch(GemmOp::AtB, at, b, ref,
                                 "packed transposedMatmul");
@@ -161,7 +170,7 @@ TEST(PackedKernels, SparseLhsTakesZeroSkipPath)
     expectBitwiseEqual(a.matmulTransposed(bt), abt, "sparse packed ABt");
     expectPackedWidthsMatch(GemmOp::ABt, a, bt, abt, "sparse packed ABt");
     const Matrix atb = a.transposed().matmulNaive(b);
-    expectBitwiseEqual(a.transposedMatmul(b), atb, "sparse packed AtB");
+    expectBitwiseEqual(transposedProduct(a, b), atb, "sparse packed AtB");
     expectPackedWidthsMatch(GemmOp::AtB, a, b, atb, "sparse packed AtB");
 }
 
@@ -228,7 +237,8 @@ TEST(PackedKernels, NonFiniteRhsUnderZeroLhsIsSkipped)
         expectBitwiseEqual(a.matmulTransposed(bt), abt, "ABt, poison skipped");
         expectPackedWidthsMatch(GemmOp::ABt, a, bt, abt,
                                 "ABt, poison skipped");
-        expectBitwiseEqual(at.transposedMatmul(b), atb, "AtB, poison skipped");
+        expectBitwiseEqual(transposedProduct(at, b), atb,
+                           "AtB, poison skipped");
         expectPackedWidthsMatch(GemmOp::AtB, at, b, atb,
                                 "AtB, poison skipped");
 
@@ -248,7 +258,7 @@ TEST(PackedKernels, NonFiniteRhsUnderZeroLhsIsSkipped)
         expectPackedWidthsMatch(GemmOp::ABt, a, bt, abt2,
                                 "ABt, poison reached",
                                 expectSameBitsOrBothNan);
-        expectSameBitsOrBothNan(at.transposedMatmul(b), atb2,
+        expectSameBitsOrBothNan(transposedProduct(at, b), atb2,
                                 "AtB, poison reached");
         expectPackedWidthsMatch(GemmOp::AtB, at, b, atb2,
                                 "AtB, poison reached",
@@ -277,7 +287,7 @@ TEST(PackedKernels, RandomizedShapesAllProducts)
         expectPackedWidthsMatch(GemmOp::ABt, a, bt, abt, "fuzz ABt");
         Matrix b2 = randomMatrix(m, n, rng);
         const Matrix atb = a.transposed().matmulNaive(b2);
-        expectBitwiseEqual(a.transposedMatmul(b2), atb, "fuzz AtB");
+        expectBitwiseEqual(transposedProduct(a, b2), atb, "fuzz AtB");
         expectPackedWidthsMatch(GemmOp::AtB, a, b2, atb, "fuzz AtB");
     }
 }

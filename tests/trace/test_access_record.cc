@@ -121,14 +121,20 @@ TEST(AccessRecord, CsvRoundTrip)
     records[1].fid = 7;
     records[1].path = "a/b/c.root";
     records[1].wb = 123;
+    // A path may hold anything a file name can; the CSV quotes it.
+    records.push_back(sampleRecord());
+    records[2].fid = 9;
+    records[2].path = "a/line\nbreak,\"quoted\"\r\n.root";
 
     std::string csv = recordsToCsv(records);
     std::vector<AccessRecord> parsed = recordsFromCsv(csv);
-    ASSERT_EQ(parsed.size(), 2u);
+    ASSERT_EQ(parsed.size(), 3u);
     EXPECT_EQ(parsed[0].fid, 42u);
     EXPECT_EQ(parsed[0].path, records[0].path);
     EXPECT_EQ(parsed[1].fid, 7u);
     EXPECT_EQ(parsed[1].wb, 123u);
+    EXPECT_EQ(parsed[2].fid, 9u);
+    EXPECT_EQ(parsed[2].path, records[2].path);
     EXPECT_DOUBLE_EQ(parsed[0].throughput(), records[0].throughput());
 }
 
