@@ -37,6 +37,7 @@
 
 #include "bench_common.hh"
 #include "core/checkpoint.hh"
+#include "core/durable_run.hh"
 #include "core/experiment.hh"
 #include "core/geomancy.hh"
 #include "core/policies.hh"
@@ -80,30 +81,21 @@ runScenario(const Scenario &sc, int attempt, bool resume)
     util::MetricRegistry::global().reset();
     util::FlightRecorder::global().clear();
     util::FlightRecorder::global().setDumpDir(sc.dir);
-    std::error_code ec;
-    std::filesystem::create_directories(sc.dir, ec);
-    core::CheckpointManagerConfig mconfig;
-    mconfig.dir = sc.dir;
-    core::CheckpointManager manager(mconfig);
-    std::string db_path = sc.dir + "/replay.db";
     std::string ledger_path = sc.dir + "/ledger.ndjson";
-    if (!resume) {
-        manager.clear();
-        core::ReplayDb::removeFiles(db_path);
-        std::filesystem::remove(ledger_path, ec);
-    }
+    core::DurableRun run(sc.dir, resume, {ledger_path});
 
     auto system = storage::makeBlueskySystem(sc.seed);
     workload::Belle2Workload workload(*system);
     // Empty schedule: the injector only provides the kill points.
     storage::FaultInjector injector(*system, {});
     system->attachFaultInjector(&injector);
-    if (sc.crash != storage::CrashPoint::None && attempt == 0 && !resume)
-        injector.armCrash(sc.crash, sc.crashCycle);
+    core::DurableRun::armKillPoint(injector, sc.crash, sc.crashCycle,
+                                   attempt, resume);
 
     core::GeomancyConfig gconfig;
     gconfig.drl.epochs = sc.epochs;
-    core::Geomancy geomancy(*system, workload.files(), gconfig, db_path);
+    core::Geomancy geomancy(*system, workload.files(), gconfig,
+                            run.dbPath());
     geomancy.attachLedger(ledger_path);
     core::GeomancyDynamicPolicy policy(geomancy);
 
@@ -114,49 +106,35 @@ runScenario(const Scenario &sc, int attempt, bool resume)
     config.seed = sc.seed * 31 + 1;
     core::ExperimentRunner runner(*system, workload, policy, config);
 
-    auto writeSnapshot = [&](util::StateWriter &w) {
-        geomancy.saveState(w);
-        injector.saveState(w);
-        workload.saveState(w);
-        runner.saveState(w);
-    };
-
     double restore_ms = 0.0;
     size_t runs_saved = 0, cycles_saved = 0;
     if (resume) {
-        auto started = std::chrono::steady_clock::now();
-        core::CheckpointHeader header;
-        std::string payload, path;
-        if (manager.loadLatest(header, payload, &path)) {
-            std::istringstream is(payload);
-            util::StateReader r(is);
-            geomancy.loadState(r);
-            injector.loadState(r);
-            workload.loadState(r);
-            runner.loadState(r);
-            if (!r.ok())
-                fatal("fig8: checkpoint %s rejected: %s", path.c_str(),
-                      r.error().c_str());
-            geomancy.controlAgent().restorePending();
-            restore_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - started)
-                             .count();
-            runs_saved = runner.measuredRunsDone();
-            cycles_saved = geomancy.cyclesRun();
-            inform("fig8: resumed from %s (%zu runs, %zu cycles saved)",
-                   path.c_str(), runs_saved, cycles_saved);
-        } else {
+        core::DurableRun::Restored restored = run.restore(
+            [&](util::StateReader &r) {
+                geomancy.loadState(r);
+                injector.loadState(r);
+                workload.loadState(r);
+                runner.loadState(r);
+            },
+            {&geomancy});
+        if (!restored.loaded)
             fatal("fig8: resume requested but no valid snapshot in %s",
                   sc.dir.c_str());
-        }
+        restore_ms = restored.ms;
+        runs_saved = runner.measuredRunsDone();
+        cycles_saved = geomancy.cyclesRun();
+        inform("fig8: resumed from %s (%zu runs, %zu cycles saved)",
+               restored.path.c_str(), runs_saved, cycles_saved);
     }
 
     runner.setCheckpointHook([&](size_t done) {
         std::ostringstream os;
         util::StateWriter w(os);
-        writeSnapshot(w);
-        if (manager.write(done, os.str()))
-            injector.maybeCrash(storage::CrashPoint::AfterCommit);
+        geomancy.saveState(w);
+        injector.saveState(w);
+        workload.saveState(w);
+        runner.saveState(w);
+        run.commit(done, os.str(), injector);
     });
 
     core::ExperimentResult result = runner.run();
@@ -302,11 +280,7 @@ main()
             os << blob;
             os.close();
             util::SuperviseResult result = util::runSupervised(
-                [&](int attempt, bool resume) {
-                    (void)resume;
-                    return runScenario(sc, attempt + 1, true);
-                },
-                {0});
+                [&](int, bool) { return runScenario(sc, 1, true); }, {0});
             corrupt_row = finishRow(sc, corrupt_row.name, result);
         } else {
             warn("fig8: not enough snapshots for the corruption case");

@@ -45,7 +45,7 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "core/checkpoint.hh"
+#include "core/durable_run.hh"
 #include "core/geomancy.hh"
 #include "experiment_common.hh"
 #include "storage/bluesky.hh"
@@ -296,19 +296,8 @@ runScenario(const Scenario &sc, int attempt, bool resume)
     util::MetricRegistry::global().reset();
     util::FlightRecorder::global().clear();
     util::FlightRecorder::global().setDumpDir(sc.dir);
-    std::error_code ec;
-    std::filesystem::create_directories(sc.dir, ec);
-    core::CheckpointManagerConfig mconfig;
-    mconfig.dir = sc.dir;
-    core::CheckpointManager manager(mconfig);
-    std::string db_path = sc.dir + "/replay.db";
     std::string ledger_path = sc.dir + "/ledger.ndjson";
-    if (!resume) {
-        manager.clear();
-        core::ReplayDb::removeFiles(db_path);
-        std::filesystem::remove(sc.digestPath, ec);
-        std::filesystem::remove(ledger_path, ec);
-    }
+    core::DurableRun run(sc.dir, resume, {ledger_path, sc.digestPath});
 
     // Foreground migrations: moves advance the simulated clock, so the
     // migrate-phase deadline exerts real pressure on big batches.
@@ -322,8 +311,8 @@ runScenario(const Scenario &sc, int attempt, bool resume)
 
     storage::FaultInjector injector(system, {sc.seed * 1000003 + 13, {}});
     system.attachFaultInjector(&injector);
-    if (sc.crash != storage::CrashPoint::None && attempt == 0 && !resume)
-        injector.armCrash(sc.crash, sc.crashCycle);
+    core::DurableRun::armKillPoint(injector, sc.crash, sc.crashCycle,
+                                   attempt, resume);
 
     core::GeomancyConfig gconfig;
     gconfig.drl.epochs = sc.epochs;
@@ -334,7 +323,8 @@ runScenario(const Scenario &sc, int attempt, bool resume)
     gconfig.guardrails.maxRecordAgeSeconds = 300.0;
     gconfig.guardrails.maxFutureSkewSeconds = 120.0;
     gconfig.guardrails.migrateBudgetSeconds = 0.5;
-    core::Geomancy geomancy(system, workload.files(), gconfig, db_path);
+    core::Geomancy geomancy(system, workload.files(), gconfig,
+                            run.dbPath());
     geomancy.attachLedger(ledger_path);
 
     uint64_t cycles_done = 0;
@@ -342,29 +332,24 @@ runScenario(const Scenario &sc, int attempt, bool resume)
     std::vector<storage::FaultEvent> events;
 
     if (resume) {
-        core::CheckpointHeader header;
-        std::string payload, path;
-        if (!manager.loadLatest(header, payload, &path))
+        core::DurableRun::Restored restored = run.restore(
+            [&](util::StateReader &r) {
+                if (!loadHarness(r, cycles_done, span, events))
+                    return;
+                // Rebuild the schedule before the injector restores its
+                // per-event active flags (they are parallel arrays).
+                for (const storage::FaultEvent &e : events)
+                    injector.addEvent(e);
+                geomancy.loadState(r);
+                injector.loadState(r);
+                workload.loadState(r);
+            },
+            {&geomancy});
+        if (!restored.loaded)
             fatal("fig9: resume requested but no valid snapshot in %s",
                   sc.dir.c_str());
-        std::istringstream is(payload);
-        util::StateReader r(is);
-        if (!loadHarness(r, cycles_done, span, events))
-            fatal("fig9: harness section of %s rejected: %s",
-                  path.c_str(), r.error().c_str());
-        // Rebuild the schedule before the injector restores its
-        // per-event active flags (they are parallel arrays).
-        for (const storage::FaultEvent &e : events)
-            injector.addEvent(e);
-        geomancy.loadState(r);
-        injector.loadState(r);
-        workload.loadState(r);
-        if (!r.ok())
-            fatal("fig9: checkpoint %s rejected: %s", path.c_str(),
-                  r.error().c_str());
-        geomancy.controlAgent().restorePending();
         inform("fig9: resumed at cycle %llu from %s",
-               (unsigned long long)cycles_done, path.c_str());
+               (unsigned long long)cycles_done, restored.path.c_str());
     }
 
     std::ofstream digest_log(sc.digestPath,
@@ -421,10 +406,9 @@ runScenario(const Scenario &sc, int attempt, bool resume)
                       report.held ? 1 : 0);
         digest_log << line << std::flush;
 
-        if (!manager.write(cycle, payload))
+        if (!run.commit(cycle, payload, injector))
             fatal("fig9: checkpoint write failed at cycle %llu",
                   (unsigned long long)cycle);
-        injector.maybeCrash(storage::CrashPoint::AfterCommit);
     }
 
     core::Guardrails &guardrails = geomancy.guardrails();

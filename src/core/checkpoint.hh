@@ -59,8 +59,6 @@ class CheckpointManager
 
     explicit CheckpointManager(CheckpointManagerConfig config = {});
 
-    const std::string &dir() const { return config_.dir; }
-
     /** Path the snapshot for `cycle` is (or would be) stored at. */
     std::string pathFor(uint64_t cycle) const;
 

@@ -404,20 +404,6 @@ ReplayDb::insertMovement(const MovementRecord &movement)
     return sqlite3_last_insert_rowid(db_);
 }
 
-int64_t
-ReplayDb::movementCount() const
-{
-    sqlite3_stmt *stmt = nullptr;
-    if (sqlite3_prepare_v2(db_, "SELECT COUNT(*) FROM movements;", -1,
-                           &stmt, nullptr) != SQLITE_OK)
-        fatal("ReplayDb: movementCount: %s", sqlite3_errmsg(db_));
-    int64_t count = 0;
-    if (sqlite3_step(stmt) == SQLITE_ROW)
-        count = sqlite3_column_int64(stmt, 0);
-    sqlite3_finalize(stmt);
-    return count;
-}
-
 namespace {
 
 MovementRecord

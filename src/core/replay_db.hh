@@ -151,8 +151,6 @@ class ReplayDb
     /** Record a layout action. */
     int64_t insertMovement(const MovementRecord &movement);
 
-    int64_t movementCount() const;
-
     /** Most recent `limit` movements, oldest first. */
     std::vector<MovementRecord> recentMovements(size_t limit) const;
 

@@ -28,7 +28,6 @@ runSupervised(const std::function<int(int, bool)> &body,
     double backoff = static_cast<double>(config.backoffMs);
 
     for (int attempt = 0;; ++attempt) {
-        ++result.attempts;
         pid_t pid = ::fork();
         if (pid < 0)
             fatal("runSupervised: fork failed: %s", std::strerror(errno));
@@ -59,7 +58,6 @@ runSupervised(const std::function<int(int, bool)> &body,
         if (result.restarts >= config.maxRestarts) {
             warn("supervisor: child still crashing after %d restart(s); "
                  "giving up", result.restarts);
-            result.gaveUp = true;
             return result;
         }
 
@@ -71,7 +69,6 @@ runSupervised(const std::function<int(int, bool)> &body,
                config.maxRestarts, delayMs);
         if (delayMs > 0)
             ::usleep(static_cast<useconds_t>(delayMs) * 1000);
-        result.totalBackoffMs += delayMs;
         backoff *= kBackoffMultiplier;
         ++result.restarts;
     }

@@ -39,11 +39,8 @@ struct SuperviseConfig
 
 struct SuperviseResult
 {
-    int attempts = 0;      ///< bodies started (>= 1)
-    int restarts = 0;      ///< attempts - 1
-    int exitCode = 0;      ///< final child's exit code (or 128+signal)
-    bool gaveUp = false;   ///< still crashing when maxRestarts ran out
-    int totalBackoffMs = 0;
+    int restarts = 0; ///< bodies started after the first
+    int exitCode = 0; ///< final child's exit code (or 128+signal)
 };
 
 /**

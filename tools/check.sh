@@ -24,6 +24,8 @@ echo "== building (${jobs} jobs) =="
 cmake --build "${build_dir}" -j "${jobs}"
 
 echo "== running tier-1 tests under ASan/UBSan =="
+# The suite holds the crash_recovery_* and cli_ledger_explain gates, so
+# the crash/restart and ledger drills run under the sanitizers here.
 # halt_on_error makes UBSan findings fail the test instead of just logging.
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}"
@@ -42,77 +44,6 @@ GEO_PERF_QUICK=1 GEO_SKIP_MICRO=1 GEO_PERF_OUT="${perf_out}" \
 rm -f "${perf_out}"
 
 echo "== check.sh: perf suite clean under address;undefined =="
-
-# Crash-recovery drill: kill the pipeline at a mid-migration kill point
-# under the sanitizer build, let the supervisor restart it from the
-# checkpoint, and require the resumed run to be byte-identical to an
-# uninterrupted reference (series and summary CSV).
-echo "== crash/restart recovery drill (sanitizer build) =="
-sim="${build_dir}/tools/geomancy_sim"
-drill="$(mktemp -d /tmp/geo_crash_drill.XXXXXX)"
-sim_flags=(--policy geomancy --runs 12 --warmup 2 --cadence 3
-    --epochs 4 --quiet)
-"${sim}" "${sim_flags[@]}" --checkpoint-dir "${drill}/ref" \
-    --series "${drill}/ref.csv" --csv "${drill}/ref_sum.csv"
-"${sim}" "${sim_flags[@]}" --checkpoint-dir "${drill}/crash" \
-    --crash-at mid-migration --crash-cycle 2 --max-restarts 2 \
-    --series "${drill}/crash.csv" --csv "${drill}/crash_sum.csv"
-cmp "${drill}/ref.csv" "${drill}/crash.csv"
-cmp "${drill}/ref_sum.csv" "${drill}/crash_sum.csv"
-rm -rf "${drill}"
-
-echo "== check.sh: crash drill resumed byte-identical =="
-
-# Audit-trail drill: run the sim under chaos with the decision ledger
-# and flight recorder enabled (still the sanitizer build), validate
-# the geo-ledger-1 stream structurally, and smoke the explain CLI
-# against it.
-echo "== decision ledger + chaos drill (sanitizer build) =="
-audit="$(mktemp -d /tmp/geo_audit_drill.XXXXXX)"
-"${sim}" "${sim_flags[@]}" --chaos \
-    --ledger-out "${audit}/ledger.ndjson" \
-    --flight-dump-dir "${audit}"
-python3 - "${audit}/ledger.ndjson" <<'EOF'
-import json
-import sys
-
-def fail(message):
-    print(f"check.sh: {message}", file=sys.stderr)
-    sys.exit(1)
-
-known = {"cycle_start", "phase", "candidate", "prediction", "realized",
-         "outcome", "transition", "cycle"}
-rows = []
-with open(sys.argv[1]) as fh:
-    header = json.loads(fh.readline())
-    if header.get("schema") != "geo-ledger-1":
-        fail(f"bad ledger header: {header}")
-    for line in fh:
-        rows.append(json.loads(line))
-
-if not rows:
-    fail("ledger recorded no rows")
-for i, row in enumerate(rows):
-    if row.get("t") not in known:
-        fail(f"unknown row type {row.get('t')!r}")
-    if row.get("seq") != i + 1:
-        fail(f"seq broke at row {i}: {row}")
-    if row["t"] == "candidate" and row.get("verdict") != "exploration" \
-            and len(row.get("features", [])) != 6:
-        fail(f"candidate without 6 features: {row}")
-if not any(r["t"] == "cycle" for r in rows):
-    fail("no cycle summary rows")
-print(f"check.sh: ledger OK ({len(rows)} rows, "
-      f"{sum(1 for r in rows if r['t'] == 'cycle')} cycles)")
-EOF
-explain="${build_dir}/tools/geomancy_explain"
-"${explain}" --ledger "${audit}/ledger.ndjson" --prediction-error \
-    --per-mount
-"${explain}" --ledger "${audit}/ledger.ndjson" --vetoes --json \
-    > /dev/null
-rm -rf "${audit}"
-
-echo "== check.sh: ledger drill clean under address;undefined =="
 
 # ThreadSanitizer phase: a dedicated build tree with TSan, running the
 # concurrency-sensitive subset of the suite (thread pool, watchdog,

@@ -36,9 +36,10 @@
  * --checkpoint-dir enables crash-safe snapshots (and a file-backed
  * ReplayDB in the same directory); --crash-at kills the process at a
  * pipeline kill point; --resume restarts from the newest valid
- * snapshot; --max-restarts supervises the run in forked children,
- * restarting crashed attempts with backoff. A crash+resume run is
- * byte-identical to the same run uninterrupted.
+ * snapshot under --checkpoint-dir, which it needs; --max-restarts
+ * supervises the run in forked children, restarting crashed attempts
+ * with backoff. A crash+resume run is byte-identical to the same run
+ * uninterrupted.
  *
  * Policies: geomancy, geomancy-static, lru, mru, lfu, random,
  *           random-static, noop, mount:<name> (e.g. mount:file0)
@@ -55,7 +56,7 @@
 #include <sstream>
 #include <string>
 
-#include "core/checkpoint.hh"
+#include "core/durable_run.hh"
 #include "core/experiment.hh"
 #include "storage/bluesky.hh"
 #include "storage/fault_injector.hh"
@@ -141,6 +142,7 @@ usage()
         "                        mid-migration | after-commit\n"
         "  --crash-cycle N       decision cycle the crash arms at (def. 2)\n"
         "  --resume        restart from the newest valid snapshot\n"
+        "                  under --checkpoint-dir (which it needs)\n"
         "  --max-restarts N      supervise: fork attempts, restart\n"
         "                        crashed children with backoff\n"
         "  --ledger-out FILE     write the decision audit ledger\n"
@@ -244,6 +246,10 @@ parse(int argc, char **argv, Options &options)
             fatal("unknown argument '%s' (try --help)", arg.c_str());
         }
     }
+    if (options.resume && options.checkpointDir.empty())
+        fatal("--resume needs --checkpoint-dir (nothing to resume from)");
+    if (options.shards > 0 && options.policy != "geomancy")
+        fatal("--shards requires --policy geomancy");
     return true;
 }
 
@@ -282,28 +288,30 @@ runOnce(const Options &options, int attempt, bool resume)
         util::FlightRecorder::installSignalHandlers();
     }
 
-    bool checkpointing = !options.checkpointDir.empty();
-    std::unique_ptr<core::CheckpointManager> manager;
+    // A fresh run drops the previous run's ledgers; a resume keeps
+    // them, and loadState truncates each back to the checkpoint cut.
+    const std::string &name = options.policy;
+    std::vector<std::string> ledgers;
+    if (!options.ledgerPath.empty() &&
+        (name == "geomancy" || name == "geomancy-static")) {
+        if (options.shards == 0)
+            ledgers.push_back(options.ledgerPath);
+        for (size_t s = 0; s < options.shards; ++s)
+            ledgers.push_back(core::ShardCoordinator::ledgerPath(
+                options.ledgerPath, s));
+    }
+    // Checkpointing keeps the ReplayDB in a file beside the snapshots:
+    // a snapshot only stores a watermark into it.
+    std::unique_ptr<core::DurableRun> durable;
     std::string db_path = ":memory:";
-    if (checkpointing) {
+    if (!options.checkpointDir.empty()) {
+        durable = std::make_unique<core::DurableRun>(
+            options.checkpointDir, resume, ledgers, options.shards);
+        db_path = durable->dbPath();
+    } else if (!resume) {
         std::error_code ec;
-        std::filesystem::create_directories(options.checkpointDir, ec);
-        if (ec)
-            fatal("cannot create %s: %s", options.checkpointDir.c_str(),
-                  ec.message().c_str());
-        core::CheckpointManagerConfig mconfig;
-        mconfig.dir = options.checkpointDir;
-        manager = std::make_unique<core::CheckpointManager>(mconfig);
-        // The ReplayDB must survive the crash alongside the snapshots:
-        // the snapshot only stores a watermark into it.
-        db_path = options.checkpointDir + "/replay.db";
-        if (!resume) {
-            manager->clear();
-            core::ReplayDb::removeFiles(db_path);
-            for (size_t s = 0; s < options.shards; ++s)
-                core::ReplayDb::removeFiles(
-                    core::ShardCoordinator::dbPath(db_path, s));
-        }
+        for (const std::string &path : ledgers)
+            std::filesystem::remove(path, ec);
     }
 
     auto system = storage::makeBlueskySystem(options.seed);
@@ -316,7 +324,7 @@ runOnce(const Options &options, int attempt, bool resume)
     // empty schedule) so the snapshot layout does not depend on which
     // of --faults/--crash-at/--resume this particular invocation got.
     if (options.faults || options.chaos ||
-        options.forceSafeMode >= 0.0 || checkpointing ||
+        options.forceSafeMode >= 0.0 || durable ||
         options.crashAt != storage::CrashPoint::None) {
         storage::FaultInjectorConfig fconfig;
         fconfig.seed = options.seed * 1000003 + 13;
@@ -411,11 +419,9 @@ runOnce(const Options &options, int attempt, bool resume)
             injector->addEvent(flood);
         }
     }
-    // The kill point arms only on the first, non-resuming attempt; a
-    // restarted child runs disarmed so the supervised run terminates.
-    if (injector && options.crashAt != storage::CrashPoint::None &&
-        attempt == 0 && !resume)
-        injector->armCrash(options.crashAt, options.crashCycle);
+    if (injector)
+        core::DurableRun::armKillPoint(*injector, options.crashAt,
+                                       options.crashCycle, attempt, resume);
 
     // Geomancy is constructed eagerly so its agents observe warmup
     // accesses even for the static variant.
@@ -425,44 +431,26 @@ runOnce(const Options &options, int attempt, bool resume)
     std::unique_ptr<core::Geomancy> geomancy;
     std::unique_ptr<core::ShardCoordinator> coordinator;
     std::unique_ptr<core::PlacementPolicy> policy;
+    std::vector<core::Geomancy *> units; ///< the monolith or each shard
 
-    const std::string &name = options.policy;
-    if (options.shards > 0 && name != "geomancy")
-        fatal("--shards requires --policy geomancy");
     if (options.shards > 0) {
         core::ShardCoordinatorConfig ccfg;
         ccfg.shardCount = options.shards;
         ccfg.base = gconfig;
         coordinator = std::make_unique<core::ShardCoordinator>(
             *system, workload.files(), ccfg, db_path);
-        if (!options.ledgerPath.empty()) {
-            // Per-shard ledgers: <path>.shard<i>. Fresh runs drop the
-            // previous run's files; resumes keep them — loadState
-            // truncates each back to the checkpoint cut.
-            if (!resume) {
-                std::error_code ec;
-                for (size_t s = 0; s < options.shards; ++s)
-                    std::filesystem::remove(
-                        core::ShardCoordinator::ledgerPath(
-                            options.ledgerPath, s),
-                        ec);
-            }
+        for (size_t s = 0; s < options.shards; ++s)
+            units.push_back(&coordinator->shard(s));
+        if (!options.ledgerPath.empty())
             coordinator->attachLedgers(options.ledgerPath);
-        }
         policy =
             std::make_unique<core::ShardedGeomancyPolicy>(*coordinator);
     } else if (name == "geomancy" || name == "geomancy-static") {
         geomancy = std::make_unique<core::Geomancy>(
             *system, workload.files(), gconfig, db_path);
-        if (!options.ledgerPath.empty()) {
-            // Fresh runs drop the previous run's ledger; resumes keep
-            // it — loadState truncates it back to the checkpoint cut.
-            if (!resume) {
-                std::error_code ec;
-                std::filesystem::remove(options.ledgerPath, ec);
-            }
+        units.push_back(geomancy.get());
+        if (!options.ledgerPath.empty())
             geomancy->attachLedger(options.ledgerPath);
-        }
         if (name == "geomancy")
             policy = std::make_unique<core::GeomancyDynamicPolicy>(
                 *geomancy);
@@ -497,81 +485,45 @@ runOnce(const Options &options, int attempt, bool resume)
     core::ExperimentRunner runner(*system, workload, *policy, config);
 
     // One consistent cut: the pipeline (or bare system), the injector,
-    // the workload cursor and the runner's progress, in a fixed order.
-    auto writeSnapshot = [&](util::StateWriter &w) {
+    // the workload cursor and the runner's progress, saved and loaded
+    // in this order. Checkpointing always has an injector.
+    auto eachSection = [&](auto &&visit) {
         if (coordinator)
-            coordinator->saveState(w);
+            visit(*coordinator);
         else if (geomancy)
-            geomancy->saveState(w);
+            visit(*geomancy);
         else
-            system->saveState(w);
-        if (injector)
-            injector->saveState(w);
-        workload.saveState(w);
-        runner.saveState(w);
+            visit(*system);
+        visit(*injector);
+        visit(workload);
+        visit(runner);
     };
 
-    if (checkpointing && resume) {
-        auto started = std::chrono::steady_clock::now();
-        core::CheckpointHeader header;
-        std::string payload, path;
-        if (manager->loadLatest(header, payload, &path)) {
-            std::istringstream is(payload);
-            util::StateReader r(is);
-            if (coordinator)
-                coordinator->loadState(r);
-            else if (geomancy)
-                geomancy->loadState(r);
-            else
-                system->loadState(r);
-            if (injector)
-                injector->loadState(r);
-            workload.loadState(r);
-            runner.loadState(r);
-            if (!r.ok()) {
-                // The file passed its CRC, so this is not corruption:
-                // the snapshot was cut under different flags/topology.
-                // Partial restores are not safe to run from.
-                fatal("checkpoint %s does not match this "
-                      "configuration: %s", path.c_str(),
-                      r.error().c_str());
-            }
-            if (coordinator) {
-                for (size_t s = 0; s < coordinator->shardCount(); ++s)
-                    coordinator->shard(s)
-                        .controlAgent()
-                        .restorePending();
-            } else if (geomancy) {
-                geomancy->controlAgent().restorePending();
-            }
-            double ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - started)
-                            .count();
+    if (durable && resume) {
+        core::DurableRun::Restored restored = durable->restore(
+            [&](util::StateReader &r) {
+                eachSection([&](auto &section) { section.loadState(r); });
+            },
+            units);
+        if (restored.loaded) {
             auto &registry = util::MetricRegistry::global();
-            registry.gauge("checkpoint.restore_ms").set(ms);
+            registry.gauge("checkpoint.restore_ms").set(restored.ms);
             registry.gauge("checkpoint.resume_cycle")
-                .set(static_cast<double>(header.cycle));
+                .set(static_cast<double>(restored.header.cycle));
             registry.gauge("checkpoint.runs_saved")
                 .set(static_cast<double>(runner.measuredRunsDone()));
             inform("resumed from %s: %zu of %zu measured runs already "
-                   "done (%.1f ms restore)", path.c_str(),
-                   runner.measuredRunsDone(), options.runs, ms);
+                   "done (%.1f ms restore)", restored.path.c_str(),
+                   runner.measuredRunsDone(), options.runs, restored.ms);
         } else {
             warn("no usable checkpoint under %s; starting fresh",
                  options.checkpointDir.c_str());
-            manager->clear();
-            if (coordinator) {
-                for (size_t s = 0; s < coordinator->shardCount(); ++s)
-                    coordinator->shard(s).replayDb().rewindTo({});
-            } else if (geomancy) {
-                geomancy->replayDb().rewindTo({});
-            }
         }
     }
 
-    if (checkpointing) {
-        // The serialize half of a commit; the manager times the write
-        // half into checkpoint.write_ms.
+    if (durable) {
+        // The serialize half of a commit; the checkpoint manager times
+        // the write half into checkpoint.write_ms.
         util::Histogram &serializeMs =
             util::MetricRegistry::global().histogram(
                 "checkpoint.serialize_ms");
@@ -582,13 +534,12 @@ runOnce(const Options &options, int attempt, bool resume)
             auto started = std::chrono::steady_clock::now();
             std::ostringstream os;
             util::StateWriter w(os);
-            writeSnapshot(w);
+            eachSection([&](auto &section) { section.saveState(w); });
             std::string payload = os.str();
             std::chrono::duration<double, std::milli> took =
                 std::chrono::steady_clock::now() - started;
             serializeMs.record(took.count());
-            if (manager->write(done, payload) && injector)
-                injector->maybeCrash(storage::CrashPoint::AfterCommit);
+            durable->commit(done, payload, *injector);
         });
     }
 
