@@ -238,7 +238,7 @@ main()
                                 Method{"moving average (32)", 32},
                                 Method{"moving average (8)", 8}}) {
             bench::ModelScore score = bench::scoreModelAveraged(
-                1, people, 30, 900, 3, nullptr, m.window);
+                1, people, 30, 900, 3, m.window);
             table.addRow({m.name,
                           score.diverged
                               ? "Diverged"

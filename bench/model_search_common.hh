@@ -136,15 +136,14 @@ struct ModelScore
 /**
  * Average scoreModel() over several seeds: individual SGD runs on
  * this data are noisy, and the paper's ranking claims are about the
- * architecture, not one initialization. Seed trials run as thread
- * pool tasks (`pool`, or the global pool when null) and are combined
- * in seed order, so the averages are worker-count independent.
- * `smoothing` is the ReplayDB moving-average window (1 = none).
+ * architecture, not one initialization. Seed trials run as tasks on
+ * the global thread pool and are combined in seed order, so the
+ * averages are worker-count independent. `smoothing` is the ReplayDB
+ * moving-average window (1 = none).
  */
 ModelScore scoreModelAveraged(int number,
                               const std::vector<core::PerfRecord> &records,
                               size_t epochs, uint64_t seed, size_t seeds,
-                              util::ThreadPool *pool = nullptr,
                               size_t smoothing = 32);
 
 /**
@@ -206,10 +205,9 @@ inline ModelScore
 scoreModelAveraged(int number,
                    const std::vector<core::PerfRecord> &records,
                    size_t epochs, uint64_t seed, size_t seeds,
-                   util::ThreadPool *pool, size_t smoothing)
+                   size_t smoothing)
 {
-    util::ThreadPool &workers =
-        pool != nullptr ? *pool : util::ThreadPool::global();
+    util::ThreadPool &workers = util::ThreadPool::global();
     std::vector<std::future<ModelScore>> trials;
     trials.reserve(seeds);
     for (size_t s = 0; s < seeds; ++s) {

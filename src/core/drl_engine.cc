@@ -187,9 +187,8 @@ DrlEngine::scoreLocations(const std::vector<PerfRecord> &records,
     }
 
     auto elapsed = std::chrono::steady_clock::now() - start;
-    lastPredictMs_ =
-        std::chrono::duration<double, std::milli>(elapsed).count();
-    predictMsMetric_->record(lastPredictMs_);
+    predictMsMetric_->record(
+        std::chrono::duration<double, std::milli>(elapsed).count());
     scoreRowsMetric_->record(
         static_cast<double>(records.size() * devices.size()));
     return all;

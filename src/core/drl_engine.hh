@@ -99,9 +99,6 @@ class DrlEngine
         const std::vector<PerfRecord> &records,
         const std::vector<storage::DeviceId> &devices);
 
-    /** Millisecond cost of the last prediction batch (wall clock). */
-    double lastPredictionMillis() const { return lastPredictMs_; }
-
     /** Validation MAE as a fraction of the target (Sec. V-G). */
     double maeFraction() const { return maeFraction_; }
 
@@ -138,7 +135,6 @@ class DrlEngine
     bool ready_ = false;
     double maeFraction_ = 0.0;  ///< validation MAE as fraction of target
     double adjustSign_ = 0.0;   ///< +1 raise, -1 lower, 0 no adjustment
-    double lastPredictMs_ = 0.0;
     /** A retrain has succeeded since construction (or the snapshot
      *  loaded says one had). While set, the weights between retrains
      *  are the last good ones: a successful retrain keeps what it

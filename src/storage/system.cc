@@ -207,80 +207,7 @@ StorageSystem::accessConcurrent(FileId id, uint64_t bytes, bool is_read)
 MoveResult
 StorageSystem::moveFile(FileId id, DeviceId target)
 {
-    FileObject &f = files_.at(id);
-    MoveResult result;
-    result.from = f.location;
-    result.to = target;
-    result.bytes = f.sizeBytes;
-
-    if (injector_)
-        injector_->advanceTo(clock_.now());
-    if (target >= devices_.size()) {
-        warn("moveFile: target device %u does not exist", target);
-        result.reason = MoveFail::NoSuchDevice;
-        return result;
-    }
-    if (target == f.location) {
-        result.reason = MoveFail::SameDevice;
-        return result; // no-op, not an error
-    }
-
-    StorageDevice &src = device(f.location);
-    StorageDevice &dst = device(target);
-    if (!src.available()) {
-        result.failed = true;
-        result.reason = MoveFail::SourceOffline;
-        ++abortedMoves_;
-        return result;
-    }
-    if (!dst.available()) {
-        result.failed = true;
-        result.reason = MoveFail::TargetOffline;
-        ++abortedMoves_;
-        return result;
-    }
-    if (!dst.writable()) {
-        warn("moveFile: device %s is not writable", dst.name().c_str());
-        result.reason = MoveFail::NotWritable;
-        return result;
-    }
-    if (!dst.reserve(f.sizeBytes)) {
-        result.reason = MoveFail::CapacityFull;
-        return result; // destination full
-    }
-    if (injector_ && (injector_->shouldFailAccess(src.id()) ||
-                      injector_->shouldFailAccess(dst.id()))) {
-        // The transfer errors out before any byte lands.
-        dst.release(f.sizeBytes);
-        result.failed = true;
-        result.reason = MoveFail::TransientFault;
-        ++abortedMoves_;
-        return result;
-    }
-
-    double now = clock_.now();
-    double bw = std::min({src.effectiveBandwidth(true, now),
-                          dst.effectiveBandwidth(false, now),
-                          config_.networkBandwidth});
-    result.seconds = static_cast<double>(f.sizeBytes) / bw;
-
-    // The copy occupies both devices; contention from migrations is
-    // how the transfer cost shows up in workload throughput.
-    src.addBusyTime(now, result.seconds);
-    dst.addBusyTime(now, result.seconds);
-    if (!config_.backgroundMoves)
-        clock_.advance(result.seconds);
-
-    src.release(f.sizeBytes);
-    f.location = target;
-    result.moved = true;
-    result.bytesCopied = f.sizeBytes;
-    migratedBytes_ += f.sizeBytes;
-    ++migrationCount_;
-
-    for (const auto &observer : moveObservers_)
-        observer(result);
-    return result;
+    return moveFileChunked(id, target, UINT64_MAX);
 }
 
 MoveResult

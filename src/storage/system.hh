@@ -154,12 +154,17 @@ class StorageSystem
                                        bool is_read);
 
     /**
-     * Move a file to `target`.
+     * Move a file to `target` in one piece: moveFileChunked with a
+     * single chunk.
      *
-     * Pays size / min(src read bw, dst write bw, network bw) seconds;
-     * loads both devices; advances the clock unless backgroundMoves.
-     * Fails (moved = false) when the target is the current location,
-     * is not writable, or lacks capacity.
+     * Pays size / min(src read bw, dst write bw, network bw) seconds,
+     * priced when the move starts; loads both devices; advances the
+     * clock unless backgroundMoves. Fails (moved = false) when the
+     * target is the current location, is not writable, or lacks
+     * capacity; an offline device or a transient fault aborts it
+     * (failed = true, nothing copied, logged as a warning). An armed
+     * mid-migration kill point fires after the copy is paid for, before
+     * the file changes location.
      */
     MoveResult moveFile(FileId id, DeviceId target);
 

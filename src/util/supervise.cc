@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 
 #include "util/logging.hh"
@@ -28,13 +29,21 @@ runSupervised(const std::function<int(int, bool)> &body,
     double backoff = static_cast<double>(config.backoffMs);
 
     for (int attempt = 0;; ++attempt) {
+        // The child inherits a copy of stdio's unflushed buffers; left
+        // in place, both processes would write the same bytes.
+        std::fflush(nullptr);
         pid_t pid = ::fork();
         if (pid < 0)
             fatal("runSupervised: fork failed: %s", std::strerror(errno));
         if (pid == 0) {
             // Child: run one attempt and exit without unwinding, so a
-            // crash in the body can't corrupt the supervisor's state.
-            ::_exit(body(attempt, attempt > 0));
+            // crash in the body can't corrupt the supervisor's state
+            // and the parent's static destructors never run here.
+            // _exit drops stdio's buffers, so flush what the body
+            // printed first.
+            int code = body(attempt, attempt > 0);
+            std::fflush(nullptr);
+            ::_exit(code);
         }
 
         int status = 0;

@@ -50,7 +50,9 @@ struct SuperviseResult
  * resume flag (true on every restart); its return value becomes the
  * child's exit code. A child that exits with kCrashExitCode or dies by
  * signal is restarted up to maxRestarts times; any other exit code is
- * final and returned to the caller.
+ * final and returned to the caller. stdio is flushed before each fork
+ * and after the body returns, so what the caller and the body print
+ * reaches a file or pipe exactly once.
  */
 SuperviseResult runSupervised(const std::function<int(int, bool)> &body,
                               const SuperviseConfig &config = {});

@@ -4,11 +4,13 @@
  * assembles one feature matrix per decision cycle, but every predicted
  * value must equal a plain one-row reference bitwise — normalize with
  * the training batch's scalers, model().predict, denormalize, apply
- * the Sec. V-G adjustment, clamp.
+ * the Sec. V-G adjustment, clamp — and a one-row scoreLocations call
+ * for the same (file, device) pair.
  */
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "core/drl_engine.hh"
@@ -36,12 +38,16 @@ throughputRecord(storage::FileId file, storage::DeviceId device,
     return rec;
 }
 
-/** Train an engine on synthetic telemetry with real variance. */
+/**
+ * Train an engine on synthetic telemetry with real variance, 50
+ * accesses per file, and keep each file's latest record.
+ */
 struct TrainedEngine
 {
     ReplayDb db;
     InterfaceDaemon daemon;
     DrlEngine engine;
+    std::vector<storage::DeviceId> devices;
     std::vector<PerfRecord> latest;
 
     static DaemonConfig daemonConfig()
@@ -58,26 +64,29 @@ struct TrainedEngine
         return config;
     }
 
-    TrainedEngine() : daemon(db, daemonConfig()), engine(engineConfig())
+    explicit TrainedEngine(int files = 10, int device_count = 4)
+        : daemon(db, daemonConfig()), engine(engineConfig())
     {
+        for (int d = 0; d < device_count; ++d)
+            devices.push_back(static_cast<storage::DeviceId>(d));
         Rng rng(17);
         std::vector<PerfRecord> records;
-        for (int i = 0; i < 500; ++i) {
-            storage::FileId file = i % 10;
+        for (int i = 0; i < 50 * files; ++i) {
+            storage::FileId file = i % files;
             storage::DeviceId device =
-                static_cast<storage::DeviceId>(i % 4);
-            double throughput = 4e5 + 2e5 * static_cast<double>(i % 4) +
-                                rng.uniform(0.0, 1e5);
+                static_cast<storage::DeviceId>(i % device_count);
+            double throughput =
+                4e5 + 2e5 * static_cast<double>(i % device_count) +
+                rng.uniform(0.0, 1e5);
             records.push_back(
                 throughputRecord(file, device, throughput, i * 5));
         }
         daemon.receiveBatch(records);
         RetrainStats stats =
-            engine.retrain(daemon.buildTrainingBatch({0, 1, 2, 3}));
+            engine.retrain(daemon.buildTrainingBatch(devices));
         EXPECT_TRUE(stats.trained);
         EXPECT_TRUE(engine.ready());
-        for (int i = 0; i < 10; ++i)
-            latest.push_back(records[records.size() - 10 + i]);
+        latest.assign(records.end() - files, records.end());
     }
 };
 
@@ -105,7 +114,7 @@ referencePrediction(TrainedEngine &fixture, const TrainingBatch &batch,
 void
 expectBatchedMatchesScalar(TrainedEngine &fixture)
 {
-    const std::vector<storage::DeviceId> devices = {0, 1, 2, 3};
+    const std::vector<storage::DeviceId> &devices = fixture.devices;
     TrainingBatch batch = fixture.daemon.buildTrainingBatch(devices);
     std::vector<std::vector<CandidateScore>> batched =
         fixture.engine.scoreLocations(fixture.latest, devices);
@@ -120,14 +129,27 @@ expectBatchedMatchesScalar(TrainedEngine &fixture)
             // preserve the exact per-row arithmetic.
             EXPECT_EQ(batched[f][d].predictedThroughput, scalar)
                 << "file row " << f << " device " << devices[d];
+            double one_row =
+                fixture.engine
+                    .scoreLocations({fixture.latest[f]}, {devices[d]})[0][0]
+                    .predictedThroughput;
+            EXPECT_EQ(batched[f][d].predictedThroughput, one_row)
+                << "file row " << f << " device " << devices[d];
         }
     }
 }
 
 TEST(BatchedScoring, MatchesScalarThroughputTarget)
 {
-    TrainedEngine fixture;
-    expectBatchedMatchesScalar(fixture);
+    // 10 files x 4 devices, and a Bluesky decision cycle: 24 files x
+    // 6 devices, 144 rows.
+    for (auto [files, device_count] :
+         {std::pair{10, 4}, std::pair{24, 6}}) {
+        SCOPED_TRACE(testing::Message()
+                     << files << " files x " << device_count << " devices");
+        TrainedEngine fixture(files, device_count);
+        expectBatchedMatchesScalar(fixture);
+    }
 }
 
 TEST(BatchedScoring, EmptyInputsYieldEmptyOutputs)

@@ -122,7 +122,6 @@ TEST(DrlEngine, ScoreCandidatesTracksDevices)
     ASSERT_EQ(scores.size(), 2u);
     EXPECT_EQ(scores[0].device, 2u);
     EXPECT_EQ(scores[1].device, 0u);
-    EXPECT_GE(engine.lastPredictionMillis(), 0.0);
 }
 
 TEST(DrlEngine, MaeAdjustmentCanBeDisabled)

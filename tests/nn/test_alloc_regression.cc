@@ -35,13 +35,23 @@ syntheticData(size_t examples, size_t features, Rng &rng)
     return data;
 }
 
-TEST(AllocRegression, SteadyStateTrainEpochsAllocateNothing)
+/**
+ * Train one sizing epoch, then `epochs` more, and return how many
+ * Matrix buffers the later epochs acquired. Model 1 with the
+ * DrlEngine's SGD configuration at batch 32; no validation set when
+ * `validation_rows` is 0.
+ */
+uint64_t
+steadyStateEpochAllocs(size_t train_rows, size_t validation_rows,
+                       size_t epochs)
 {
     Rng rng(17);
     Sequential model = buildModel(1, 6, rng); // paper's winning stack
     SgdOptimizer opt(0.05, 5.0);              // DrlEngine's configuration
-    Dataset train = syntheticData(192, model.inputSize(), rng);
-    Dataset validation = syntheticData(48, model.inputSize(), rng);
+    Dataset train = syntheticData(train_rows, model.inputSize(), rng);
+    Dataset validation;
+    if (validation_rows > 0)
+        validation = syntheticData(validation_rows, model.inputSize(), rng);
 
     TrainOptions options;
     options.epochs = 1;
@@ -50,13 +60,21 @@ TEST(AllocRegression, SteadyStateTrainEpochsAllocateNothing)
     model.train(train, validation, opt, options);
 
     const uint64_t before = Matrix::allocationCount();
-    options.epochs = 4;
+    options.epochs = epochs;
     TrainResult result = model.train(train, validation, opt, options);
     const uint64_t after = Matrix::allocationCount();
-
     EXPECT_FALSE(result.diverged);
-    EXPECT_EQ(after - before, 0u)
+    return after - before;
+}
+
+TEST(AllocRegression, SteadyStateTrainEpochsAllocateNothing)
+{
+    EXPECT_EQ(steadyStateEpochAllocs(192, 48, 4), 0u)
         << "steady-state epochs must not acquire Matrix buffers";
+    // The bench-size shape: 512 rows, no validation, three epochs.
+    EXPECT_EQ(steadyStateEpochAllocs(512, 0, 3), 0u)
+        << "steady-state epochs must not acquire Matrix buffers at 512 "
+           "rows";
 }
 
 TEST(AllocRegression, SecondRetrainOfSameShapeAllocatesNothing)

@@ -26,24 +26,17 @@ cmake --build "${build_dir}" -j "${jobs}"
 echo "== running tier-1 tests under ASan/UBSan =="
 # The suite holds the crash_recovery_* and cli_ledger_explain gates, so
 # the crash/restart and ledger drills run under the sanitizers here.
+# The hot paths run at their real shapes here too: the packed GEMM
+# kernels (PackedKernels.*, MatrixParallel.*), the scratch arena and
+# SGD step (AllocRegression.*, at 512 rows among others), batched
+# scoring at a 24 x 6 decision cycle (BatchedScoring.*), retrains
+# (DrlEngine*), the ledger (DecisionLedger.*) and the pool
+# (ThreadPool.*).
 # halt_on_error makes UBSan findings fail the test instead of just logging.
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}"
 
 echo "== check.sh: all tests passed under address;undefined =="
-
-# Perf-suite smoke under the sanitizers: the packed GEMM kernels,
-# scratch arena and SGD step run their real (quick-size) shapes
-# with bounds/UB checking on.  Timings are meaningless here; this is a
-# memory-safety gate for the hot paths the plain suite exercises at
-# full size.
-echo "== perf suite (quick mode) under ASan/UBSan =="
-perf_out="$(mktemp /tmp/geo_perf_asan.XXXXXX.json)"
-GEO_PERF_QUICK=1 GEO_SKIP_MICRO=1 GEO_PERF_OUT="${perf_out}" \
-    "${build_dir}/bench/micro_benchmarks"
-rm -f "${perf_out}"
-
-echo "== check.sh: perf suite clean under address;undefined =="
 
 # ThreadSanitizer phase: a dedicated build tree with TSan, running the
 # concurrency-sensitive subset of the suite (thread pool, watchdog,

@@ -18,7 +18,9 @@
  *                [--flight-dump-dir DIR]
  *
  * --ledger-out attaches the decision audit ledger (geo-ledger-1
- * NDJSON; read it back with geomancy_explain). --flight-dump-dir
+ * NDJSON; read it back with geomancy_explain) and needs --policy
+ * geomancy: only the dynamic policy ends decision cycles, and a
+ * ledger flushes at the end of each. --flight-dump-dir
  * arms the flight recorder: fatal signals, kill points and safe-mode
  * entries leave a post-mortem event dump under DIR.
  *
@@ -147,7 +149,8 @@ usage()
         "                        crashed children with backoff\n"
         "  --ledger-out FILE     write the decision audit ledger\n"
         "                        (geo-ledger-1 NDJSON; see\n"
-        "                        geomancy_explain)\n"
+        "                        geomancy_explain; policy geomancy\n"
+        "                        only)\n"
         "  --flight-dump-dir DIR dump the flight-recorder ring there\n"
         "                        on fatal signals, kill points and\n"
         "                        safe-mode entry\n"
@@ -250,6 +253,8 @@ parse(int argc, char **argv, Options &options)
         fatal("--resume needs --checkpoint-dir (nothing to resume from)");
     if (options.shards > 0 && options.policy != "geomancy")
         fatal("--shards requires --policy geomancy");
+    if (!options.ledgerPath.empty() && options.policy != "geomancy")
+        fatal("--ledger-out requires --policy geomancy");
     return true;
 }
 
@@ -292,8 +297,7 @@ runOnce(const Options &options, int attempt, bool resume)
     // them, and loadState truncates each back to the checkpoint cut.
     const std::string &name = options.policy;
     std::vector<std::string> ledgers;
-    if (!options.ledgerPath.empty() &&
-        (name == "geomancy" || name == "geomancy-static")) {
+    if (!options.ledgerPath.empty()) {
         if (options.shards == 0)
             ledgers.push_back(options.ledgerPath);
         for (size_t s = 0; s < options.shards; ++s)
