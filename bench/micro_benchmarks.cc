@@ -137,17 +137,6 @@ sampleRecord(uint64_t i)
 }
 
 void
-BM_ReplayDbInsert(benchmark::State &state)
-{
-    core::ReplayDb db;
-    uint64_t i = 0;
-    for (auto _ : state)
-        db.insertAccess(sampleRecord(i++));
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ReplayDbInsert);
-
-void
 BM_ReplayDbBatchInsert(benchmark::State &state)
 {
     core::ReplayDb db;
@@ -213,6 +202,12 @@ BM_LedgerOverhead(benchmark::State &state)
 }
 BENCHMARK(BM_LedgerOverhead);
 
+/**
+ * One device's 2000-row window. Warm, it is a read of the device's
+ * ring; cold (arg 1), a rewind to the current watermark drops the
+ * ring first, so each read pays the SQL fill the first decision after
+ * an open or a restore pays.
+ */
 void
 BM_ReplayDbWindowQuery(benchmark::State &state)
 {
@@ -221,12 +216,20 @@ BM_ReplayDbWindowQuery(benchmark::State &state)
     for (uint64_t i = 0; i < 20000; ++i)
         batch.push_back(sampleRecord(i));
     db.insertAccesses(batch);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(db.recentAccessesForDevice(2, 2000));
+    bool cold = state.range(0) != 0;
+    for (auto _ : state) {
+        if (cold) {
+            state.PauseTiming();
+            db.rewindTo(db.watermark());
+            state.ResumeTiming();
+        }
+        benchmark::DoNotOptimize(db.deviceWindow(2, 2000).size());
+    }
 }
-BENCHMARK(BM_ReplayDbWindowQuery);
+BENCHMARK(BM_ReplayDbWindowQuery)->ArgName("cold")->Arg(0)->Arg(1);
 
-/** Full training-batch preparation (the Interface Daemon pipeline). */
+/** Full training-batch preparation (the Interface Daemon pipeline),
+ *  warm and cold as for BM_ReplayDbWindowQuery. */
 void
 BM_TrainingBatchBuild(benchmark::State &state)
 {
@@ -236,11 +239,18 @@ BM_TrainingBatchBuild(benchmark::State &state)
     for (uint64_t i = 0; i < 12000; ++i)
         batch.push_back(sampleRecord(i));
     db.insertAccesses(batch);
-    for (auto _ : state)
+    bool cold = state.range(0) != 0;
+    for (auto _ : state) {
+        if (cold) {
+            state.PauseTiming();
+            db.rewindTo(db.watermark());
+            state.ResumeTiming();
+        }
         benchmark::DoNotOptimize(
             daemon.buildTrainingBatch({0, 1, 2, 3, 4, 5}));
+    }
 }
-BENCHMARK(BM_TrainingBatchBuild);
+BENCHMARK(BM_TrainingBatchBuild)->ArgName("cold")->Arg(0)->Arg(1);
 
 // --- Storage simulator ----------------------------------------------------
 

@@ -1,6 +1,7 @@
 #include "core/interface_daemon.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/logging.hh"
 #include "util/smoothing.hh"
@@ -73,38 +74,59 @@ InterfaceDaemon::buildTrainingBatch(
     const std::vector<storage::DeviceId> &devices) const
 {
     // The X most recent accesses for each storage device...
-    std::vector<PerfRecord> merged;
+    std::vector<AccessWindow> windows;
+    windows.reserve(devices.size());
+    size_t rows = 0;
     for (storage::DeviceId device : devices) {
-        std::vector<PerfRecord> recent =
-            db_.recentAccessesForDevice(device, config_.windowPerDevice);
-        merged.insert(merged.end(), recent.begin(), recent.end());
+        windows.push_back(db_.deviceWindow(device, config_.windowPerDevice));
+        rows += windows.back().size();
     }
-    // ...merged chronologically (row id order = insertion order).
-    std::sort(merged.begin(), merged.end(),
-              [](const PerfRecord &a, const PerfRecord &b) {
-                  return a.id < b.id;
-              });
 
     TrainingBatch batch;
-    if (merged.empty())
+    if (rows == 0)
         return batch;
 
-    nn::Matrix inputs(merged.size(), kLiveFeatureCount);
-    for (size_t r = 0; r < merged.size(); ++r) {
-        const auto row = merged[r].features();
-        for (size_t c = 0; c < row.size(); ++c)
-            inputs.at(r, c) = row[c];
+    // ...merged chronologically (row id order = insertion order): take
+    // the window holding the oldest unread row and copy its rows until
+    // another window holds an older one.
+    nn::Matrix inputs(rows, kLiveFeatureCount);
+    std::vector<double> tp(rows);
+    std::vector<size_t> next(windows.size(), 0);
+    std::vector<int64_t> head(windows.size(), 0); ///< oldest unread id
+    for (size_t w = 0; w < windows.size(); ++w)
+        if (windows[w].size() > 0)
+            head[w] = windows[w].id(0);
+    for (size_t r = 0; r < rows;) {
+        size_t pick = windows.size();
+        int64_t until = std::numeric_limits<int64_t>::max();
+        for (size_t w = 0; w < windows.size(); ++w) {
+            if (next[w] == windows[w].size())
+                continue;
+            if (pick == windows.size()) {
+                pick = w;
+            } else if (head[w] < head[pick]) {
+                until = head[pick];
+                pick = w;
+            } else {
+                until = std::min(until, head[w]);
+            }
+        }
+        const AccessWindow &from = windows[pick];
+        size_t i = next[pick];
+        do {
+            const auto &row = from.features(i);
+            std::copy(row.begin(), row.end(), &inputs.at(r, 0));
+            tp[r++] = from.throughput(i++);
+        } while (i < from.size() && from.id(i) < until);
+        next[pick] = i;
+        if (i < from.size())
+            head[pick] = from.id(i);
     }
 
-    std::vector<double> tp;
-    tp.reserve(merged.size());
-    for (const PerfRecord &rec : merged)
-        tp.push_back(rec.throughput);
     if (config_.smoothingWindow > 1)
         tp = movingAverage(tp, config_.smoothingWindow);
-    nn::Matrix targets(merged.size(), 1);
-    for (size_t r = 0; r < merged.size(); ++r)
-        targets.at(r, 0) = tp[r];
+    nn::Matrix targets(rows, 1);
+    std::copy(tp.begin(), tp.end(), targets.data().begin());
 
     batch.featureNorm.fit(inputs);
     batch.targetNorm.fit(targets);

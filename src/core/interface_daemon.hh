@@ -69,7 +69,8 @@ class InterfaceDaemon
     /**
      * Build a normalized training batch from the most recent
      * `windowPerDevice` accesses of each of `devices`, merged in
-     * chronological order.
+     * chronological order (by row id) straight from the ReplayDB's
+     * device rings.
      *
      * @return an empty dataset if the ReplayDB has no samples yet.
      */

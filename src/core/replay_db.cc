@@ -39,7 +39,61 @@ constexpr const char *kAccessColumns =
     "id, file_id, device_id, rb, wb, ots, otms, cts, ctms, throughput,"
     " failed";
 
+/** Bound parameters per access row. */
+constexpr int kAccessParams = 10;
+
+/** Bind one access row to parameters first+1 .. first+kAccessParams. */
+void
+bindAccess(sqlite3_stmt *stmt, int first, const PerfRecord &record)
+{
+    sqlite3_bind_int64(stmt, first + 1, static_cast<int64_t>(record.file));
+    sqlite3_bind_int64(stmt, first + 2,
+                       static_cast<int64_t>(record.device));
+    sqlite3_bind_int64(stmt, first + 3, static_cast<int64_t>(record.rb));
+    sqlite3_bind_int64(stmt, first + 4, static_cast<int64_t>(record.wb));
+    sqlite3_bind_int64(stmt, first + 5, record.ots);
+    sqlite3_bind_int64(stmt, first + 6, record.otms);
+    sqlite3_bind_int64(stmt, first + 7, record.cts);
+    sqlite3_bind_int64(stmt, first + 8, record.ctms);
+    sqlite3_bind_double(stmt, first + 9, record.throughput);
+    sqlite3_bind_int64(stmt, first + 10, record.failed ? 1 : 0);
+}
+
+/**
+ * `record` as a SELECT would read it back after insertion as row `id`.
+ * The integer columns round-trip through int64 unchanged; a REAL
+ * column stores an integral double as an integer, so -0.0 reads back
+ * as +0.0.
+ */
+PerfRecord
+storedRecord(const PerfRecord &record, int64_t id)
+{
+    PerfRecord stored = record;
+    stored.id = id;
+    if (stored.throughput == 0.0)
+        stored.throughput = 0.0;
+    return stored;
+}
+
 } // namespace
+
+void
+ReplayDb::DeviceRing::push(const PerfRecord &record)
+{
+    if (ids.size() < capacity) {
+        ids.push_back(record.id);
+        features.push_back(record.features());
+        throughput.push_back(record.throughput);
+        return;
+    }
+    if (capacity == 0)
+        return;
+    ids[head] = record.id;
+    features[head] = record.features();
+    throughput[head] = record.throughput;
+    if (++head == capacity)
+        head = 0;
+}
 
 const char *
 attemptOutcomeName(AttemptOutcome outcome)
@@ -85,6 +139,8 @@ ReplayDb::ReplayDb(const std::string &path)
 {
     readCorruptMetric_ =
         &util::MetricRegistry::global().counter("replaydb.read.corrupt");
+    cacheFillsMetric_ =
+        &util::MetricRegistry::global().counter("replaydb.cache_fills");
 
     // A corrupt or truncated on-disk database must not take the whole
     // daemon down: the ReplayDB is a history cache that can be rebuilt
@@ -179,6 +235,21 @@ ReplayDb::ReplayDb(const std::string &path)
                            nullptr) != SQLITE_OK)
         fatal("ReplayDb: prepare insertAccess: %s", sqlite3_errmsg(db_));
 
+    std::string insert_block =
+        "INSERT INTO accesses (file_id, device_id, rb, wb, ots, otms, cts,"
+        " ctms, throughput, failed) VALUES ";
+    for (size_t r = 0; r < kInsertBlockRows; ++r)
+        insert_block += r ? ", (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
+                          : "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?)";
+    insert_block += ";";
+    if (sqlite3_prepare_v2(db_, insert_block.c_str(), -1,
+                           &insertBlockStmt_, nullptr) != SQLITE_OK ||
+        sqlite3_prepare_v2(db_, "BEGIN TRANSACTION;", -1, &beginStmt_,
+                           nullptr) != SQLITE_OK ||
+        sqlite3_prepare_v2(db_, "COMMIT;", -1, &commitStmt_, nullptr) !=
+            SQLITE_OK)
+        fatal("ReplayDb: prepare insertAccesses: %s", sqlite3_errmsg(db_));
+
     const char *insert_movement =
         "INSERT INTO movements (timestamp, file_id, from_device, to_device,"
         " bytes, seconds) VALUES (?, ?, ?, ?, ?, ?);";
@@ -207,6 +278,9 @@ ReplayDb::ReplayDb(const std::string &path)
 ReplayDb::~ReplayDb()
 {
     sqlite3_finalize(insertAccessStmt_);
+    sqlite3_finalize(insertBlockStmt_);
+    sqlite3_finalize(beginStmt_);
+    sqlite3_finalize(commitStmt_);
     sqlite3_finalize(insertMovementStmt_);
     sqlite3_finalize(insertAttemptStmt_);
     sqlite3_finalize(insertFaultStmt_);
@@ -226,36 +300,55 @@ ReplayDb::exec(const std::string &sql)
     }
 }
 
+void
+ReplayDb::stepDone(sqlite3_stmt *stmt, const char *what)
+{
+    int rc = sqlite3_step(stmt);
+    sqlite3_reset(stmt);
+    if (rc != SQLITE_DONE)
+        fatal("ReplayDb: %s: %s", what, sqlite3_errmsg(db_));
+}
+
 int64_t
 ReplayDb::insertAccess(const PerfRecord &record)
 {
-    sqlite3_reset(insertAccessStmt_);
-    sqlite3_bind_int64(insertAccessStmt_, 1,
-                       static_cast<int64_t>(record.file));
-    sqlite3_bind_int64(insertAccessStmt_, 2,
-                       static_cast<int64_t>(record.device));
-    sqlite3_bind_int64(insertAccessStmt_, 3,
-                       static_cast<int64_t>(record.rb));
-    sqlite3_bind_int64(insertAccessStmt_, 4,
-                       static_cast<int64_t>(record.wb));
-    sqlite3_bind_int64(insertAccessStmt_, 5, record.ots);
-    sqlite3_bind_int64(insertAccessStmt_, 6, record.otms);
-    sqlite3_bind_int64(insertAccessStmt_, 7, record.cts);
-    sqlite3_bind_int64(insertAccessStmt_, 8, record.ctms);
-    sqlite3_bind_double(insertAccessStmt_, 9, record.throughput);
-    sqlite3_bind_int64(insertAccessStmt_, 10, record.failed ? 1 : 0);
-    if (sqlite3_step(insertAccessStmt_) != SQLITE_DONE)
-        fatal("ReplayDb: insertAccess: %s", sqlite3_errmsg(db_));
+    bindAccess(insertAccessStmt_, 0, record);
+    stepDone(insertAccessStmt_, "insertAccess");
     return sqlite3_last_insert_rowid(db_);
 }
 
 void
 ReplayDb::insertAccesses(const std::vector<PerfRecord> &records)
 {
-    exec("BEGIN TRANSACTION;");
-    for (const PerfRecord &rec : records)
-        insertAccess(rec);
-    exec("COMMIT;");
+    if (records.empty())
+        return;
+    std::vector<int64_t> ids(records.size());
+    stepDone(beginStmt_, "BEGIN");
+    size_t i = 0;
+    for (; i + kInsertBlockRows <= records.size(); i += kInsertBlockRows) {
+        for (size_t r = 0; r < kInsertBlockRows; ++r)
+            bindAccess(insertBlockStmt_, static_cast<int>(r) * kAccessParams,
+                       records[i + r]);
+        stepDone(insertBlockStmt_, "insertAccesses");
+        // One connection, AUTOINCREMENT and no triggers: a block's
+        // rows get consecutive ids ending at the last one inserted.
+        int64_t last = sqlite3_last_insert_rowid(db_);
+        for (size_t r = 0; r < kInsertBlockRows; ++r)
+            ids[i + r] = last - static_cast<int64_t>(kInsertBlockRows - 1 - r);
+    }
+    for (; i < records.size(); ++i)
+        ids[i] = insertAccess(records[i]);
+    stepDone(commitStmt_, "COMMIT");
+
+    // The rows are durable; the caches follow. A device's ring only
+    // exists once it was filled, so an unfilled one stays for its fill.
+    for (size_t r = 0; r < records.size(); ++r) {
+        PerfRecord stored = storedRecord(records[r], ids[r]);
+        auto ring = rings_.find(stored.device);
+        if (ring != rings_.end())
+            ring->second.push(stored);
+        latest_[stored.file] = stored;
+    }
 }
 
 int64_t
@@ -273,23 +366,26 @@ ReplayDb::accessCount() const
 }
 
 std::vector<PerfRecord>
-ReplayDb::queryAccesses(const std::string &sql, int64_t bind0,
-                        size_t limit) const
+ReplayDb::queryAccesses(const char *key_column, int64_t key, size_t limit,
+                        bool *complete) const
 {
+    std::string sql = strprintf("SELECT %s FROM accesses WHERE %s = ?"
+                                " ORDER BY id DESC LIMIT ?;",
+                                kAccessColumns, key_column);
     sqlite3_stmt *stmt = nullptr;
     if (sqlite3_prepare_v2(db_, sql.c_str(), -1, &stmt, nullptr) !=
         SQLITE_OK)
         fatal("ReplayDb: query: %s", sqlite3_errmsg(db_));
-    int index = 1;
-    if (bind0 >= 0)
-        sqlite3_bind_int64(stmt, index++, bind0);
-    sqlite3_bind_int64(stmt, index, static_cast<int64_t>(limit));
+    sqlite3_bind_int64(stmt, 1, key);
+    sqlite3_bind_int64(stmt, 2, static_cast<int64_t>(limit));
     std::vector<PerfRecord> records;
     int rc;
     while ((rc = sqlite3_step(stmt)) == SQLITE_ROW)
         records.push_back(readAccessRow(stmt));
     if (rc != SQLITE_DONE)
         noteReadCorrupt("queryAccesses");
+    if (complete)
+        *complete = rc == SQLITE_DONE;
     sqlite3_finalize(stmt);
     // Queries select newest-first for the LIMIT; return oldest-first.
     std::reverse(records.begin(), records.end());
@@ -297,33 +393,81 @@ ReplayDb::queryAccesses(const std::string &sql, int64_t bind0,
 }
 
 std::vector<PerfRecord>
-ReplayDb::recentAccessesForDevice(storage::DeviceId device,
-                                  size_t limit) const
+ReplayDb::recentAccessesForDevice(storage::DeviceId device, size_t limit,
+                                  bool *complete) const
 {
-    return queryAccesses(
-        strprintf("SELECT %s FROM accesses WHERE device_id = ?"
-                  " ORDER BY id DESC LIMIT ?;",
-                  kAccessColumns),
-        static_cast<int64_t>(device), limit);
+    return queryAccesses("device_id", static_cast<int64_t>(device), limit,
+                         complete);
+}
+
+AccessWindow
+ReplayDb::deviceWindow(storage::DeviceId device, size_t limit) const
+{
+    AccessWindow window;
+    if (limit == 0)
+        return window;
+    auto it = rings_.find(device);
+    if (it == rings_.end() || limit > it->second.capacity) {
+        // Filled with fewer rows than asked for, the ring holds every
+        // row of the device until it is full.
+        bool complete = false;
+        std::vector<PerfRecord> rows =
+            recentAccessesForDevice(device, limit, &complete);
+        cacheFillsMetric_->inc();
+        it = rings_.try_emplace(device).first;
+        DeviceRing &ring = it->second;
+        ring = DeviceRing{};
+        ring.capacity = limit;
+        ring.ids.reserve(rows.size());
+        ring.features.reserve(rows.size());
+        ring.throughput.reserve(rows.size());
+        for (const PerfRecord &rec : rows)
+            ring.push(rec);
+        // A read that ended early is served, not kept: capacity 0
+        // takes no inserts and refills on the next request.
+        if (!complete)
+            ring.capacity = 0;
+    }
+    const DeviceRing &ring = it->second;
+    size_t held = ring.ids.size();
+    window.ids_ = ring.ids.data();
+    window.features_ = ring.features.data();
+    window.throughput_ = ring.throughput.data();
+    window.slots_ = held;
+    window.size_ = std::min(limit, held);
+    window.first_ = ring.head + (held - window.size_);
+    if (window.first_ >= held)
+        window.first_ -= held;
+    return window;
 }
 
 std::vector<PerfRecord>
 ReplayDb::recentAccessesForFile(storage::FileId file, size_t limit) const
 {
-    return queryAccesses(
-        strprintf("SELECT %s FROM accesses WHERE file_id = ?"
-                  " ORDER BY id DESC LIMIT ?;",
-                  kAccessColumns),
-        static_cast<int64_t>(file), limit);
+    return queryAccesses("file_id", static_cast<int64_t>(file), limit);
 }
 
 bool
 ReplayDb::latestAccessForFile(storage::FileId file, PerfRecord &out) const
 {
-    std::vector<PerfRecord> records = recentAccessesForFile(file, 1);
-    if (records.empty())
+    auto it = latest_.find(file);
+    if (it == latest_.end()) {
+        bool complete = false;
+        std::vector<PerfRecord> rows = queryAccesses(
+            "file_id", static_cast<int64_t>(file), 1, &complete);
+        cacheFillsMetric_->inc();
+        PerfRecord latest; // id 0: the file has no rows
+        if (!rows.empty())
+            latest = rows.front();
+        if (!complete) { // served, not kept, like a partial ring fill
+            out = latest;
+            return latest.id != 0;
+        }
+        it = latest_.emplace(file, latest).first;
+    }
+    if (it->second.id == 0)
         return false;
-    out = records.front();
+    out = it->second;
     return true;
 }
 
@@ -629,6 +773,8 @@ ReplayDb::rewindTo(const ReplayDbWatermark &wm)
                        static_cast<long long>(cut.id), cut.table));
     }
     exec("COMMIT;");
+    rings_.clear();
+    latest_.clear();
 }
 
 } // namespace core

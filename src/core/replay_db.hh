@@ -7,14 +7,25 @@
  * collect, and records each layout action with a timestamp so the
  * evolution of layout vs. performance can be replayed. Training batches
  * are windows of the most recent accesses.
+ *
+ * SQLite is the system of record. In front of it sit two caches of
+ * rows this instance read or wrote itself: per device, a ring of the
+ * newest accesses stored as columns (row id, the six features, the
+ * throughput), which serves the training window; and per file, its
+ * newest access. Each fills from SQLite on first use, insertAccesses()
+ * keeps both current after its COMMIT, and rewindTo() drops them. They
+ * hold exactly what SQLite would return, so a decision reads the same
+ * rows, in the same order, with the same bits.
  */
 
 #ifndef GEO_CORE_REPLAY_DB_HH
 #define GEO_CORE_REPLAY_DB_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "core/perf_record.hh"
@@ -99,7 +110,46 @@ struct ReplayDbWatermark
 };
 
 /**
+ * The newest accesses of one device, oldest first, as a view into
+ * ReplayDb's ring for that device. Valid until the next insert or
+ * rewind, or until a window request refills this device's ring.
+ */
+class AccessWindow
+{
+  public:
+    size_t size() const { return size_; }
+    int64_t id(size_t i) const { return ids_[slot(i)]; }
+    /** The row's PerfRecord::features(). */
+    const std::array<double, kLiveFeatureCount> &
+    features(size_t i) const
+    {
+        return features_[slot(i)];
+    }
+    double throughput(size_t i) const { return throughput_[slot(i)]; }
+
+  private:
+    friend class ReplayDb;
+    const int64_t *ids_ = nullptr;
+    const std::array<double, kLiveFeatureCount> *features_ = nullptr;
+    const double *throughput_ = nullptr;
+    size_t slots_ = 0; ///< slots in use; the window wraps at this
+    size_t first_ = 0; ///< slot of the window's oldest row
+    size_t size_ = 0;
+
+    size_t
+    slot(size_t i) const
+    {
+        size_t s = first_ + i;
+        return s < slots_ ? s : s - slots_;
+    }
+};
+
+/**
  * SQLite-backed store of performance and movement history.
+ *
+ * One thread per instance: the reads fill the caches, so even const
+ * calls write; like the SQLite connection itself, an instance stays on
+ * the thread that uses it (DESIGN.md §12).
  */
 class ReplayDb
 {
@@ -114,24 +164,33 @@ class ReplayDb
     ReplayDb(const ReplayDb &) = delete;
     ReplayDb &operator=(const ReplayDb &) = delete;
 
-    /** Insert one access sample; returns its row id. */
-    int64_t insertAccess(const PerfRecord &record);
-
-    /** Insert many samples in one transaction. */
+    /**
+     * Insert samples in one transaction, each full block of
+     * kInsertBlockRows through one multi-row INSERT and the rest one
+     * by one; then bring the caches up to date. Row ids follow the
+     * order of `records`.
+     */
     void insertAccesses(const std::vector<PerfRecord> &records);
+
+    /** Rows per multi-row INSERT: one monitoring batch. */
+    static constexpr size_t kInsertBlockRows = 32;
 
     /** Total stored access samples. */
     int64_t accessCount() const;
 
-    /** Most recent `limit` accesses observed on one device. */
-    std::vector<PerfRecord> recentAccessesForDevice(
-        storage::DeviceId device, size_t limit) const;
+    /**
+     * The most recent `limit` accesses observed on one device, from
+     * the device's ring. The ring fills from SQLite when first asked,
+     * and again when asked for more rows than it was filled for.
+     */
+    AccessWindow deviceWindow(storage::DeviceId device,
+                              size_t limit) const;
 
     /** Most recent `limit` accesses of one file. */
     std::vector<PerfRecord> recentAccessesForFile(storage::FileId file,
                                                   size_t limit) const;
 
-    /** The single most recent access of a file, if any. */
+    /** The single most recent access of a file, if any (cached). */
     bool latestAccessForFile(storage::FileId file, PerfRecord &out) const;
 
     /** Mean measured throughput per device over the last `limit`
@@ -173,7 +232,8 @@ class ReplayDb
     /**
      * Discard every row appended after `wm` and reset the
      * AUTOINCREMENT sequences, so rows inserted after the rewind get
-     * the same ids an uninterrupted run would have assigned.
+     * the same ids an uninterrupted run would have assigned. Drops the
+     * caches; the next read refills them.
      */
     void rewindTo(const ReplayDbWatermark &wm);
 
@@ -192,17 +252,52 @@ class ReplayDb
     static void removeFiles(const std::string &path);
 
   private:
+    /** A device's newest rows as columns: a ring once it is full. */
+    struct DeviceRing
+    {
+        size_t capacity = 0; ///< rows the fill asked SQLite for
+        size_t head = 0;     ///< slot of the oldest row once full
+        std::vector<int64_t> ids;
+        std::vector<std::array<double, kLiveFeatureCount>> features;
+        std::vector<double> throughput;
+
+        void push(const PerfRecord &record);
+    };
+
     sqlite3 *db_ = nullptr;
     sqlite3_stmt *insertAccessStmt_ = nullptr;
+    sqlite3_stmt *insertBlockStmt_ = nullptr;
+    sqlite3_stmt *beginStmt_ = nullptr;
+    sqlite3_stmt *commitStmt_ = nullptr;
     sqlite3_stmt *insertMovementStmt_ = nullptr;
     sqlite3_stmt *insertAttemptStmt_ = nullptr;
     sqlite3_stmt *insertFaultStmt_ = nullptr;
     bool openedCorrupt_ = false;
     util::Counter *readCorruptMetric_ = nullptr;
+    util::Counter *cacheFillsMetric_ = nullptr;
+
+    mutable std::unordered_map<storage::DeviceId, DeviceRing> rings_;
+    /** Each file's newest row; id 0 marks a file with no rows. */
+    mutable std::unordered_map<storage::FileId, PerfRecord> latest_;
+
+    /** Insert one access sample outside any transaction of its own;
+     *  returns its row id. Caches are the caller's to update. */
+    int64_t insertAccess(const PerfRecord &record);
+
+    /** Most recent `limit` accesses observed on one device: the ring
+     *  fill. */
+    std::vector<PerfRecord> recentAccessesForDevice(
+        storage::DeviceId device, size_t limit, bool *complete) const;
 
     void exec(const std::string &sql);
-    std::vector<PerfRecord> queryAccesses(const std::string &sql,
-                                          int64_t bind0, size_t limit) const;
+    /** Step a prepared statement that returns no rows, then reset it. */
+    void stepDone(sqlite3_stmt *stmt, const char *what);
+    /** The newest `limit` access rows whose `key_column` equals
+     *  `key`, oldest first; `complete` (if given) says whether the
+     *  read ran to its end. */
+    std::vector<PerfRecord> queryAccesses(const char *key_column,
+                                          int64_t key, size_t limit,
+                                          bool *complete = nullptr) const;
     /** MAX(id) of one table (0 when empty). */
     int64_t maxRowId(const char *table) const;
     /** Log and count a SELECT loop that ended in an error, not DONE. */

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.hh"
@@ -218,7 +219,7 @@ TEST(DurableRun, RestoreFallsBackAndLoadsNothingWithoutAValidSnapshot)
     // Nothing validates: no load, and the attempt goes on as a fresh
     // start with no snapshots and an empty ReplayDB.
     corrupt(manager.pathFor(1));
-    geomancy.replayDb().insertAccess(PerfRecord{});
+    geomancy.replayDb().insertAccesses({PerfRecord{}});
     EXPECT_FALSE(run.restore(load, {&geomancy}).loaded);
     EXPECT_EQ(loaded.size(), 1u);
     EXPECT_TRUE(manager.availableCycles().empty());
@@ -271,24 +272,72 @@ TEST(DurableRunDeathTest, KillPointFiresOnlyAfterAFreshFirstAttemptWrites)
 // (mimicking a crash whose post-cut work must be discarded), resume
 // from the snapshot and compare against an uninterrupted run.
 
+/** Dynamic Geomancy that counts the ReplayDB cache fills of each
+ *  decision after the first one that got past the history check. */
+class FillCountingPolicy : public PlacementPolicy
+{
+  public:
+    explicit FillCountingPolicy(Geomancy &geomancy) : inner_(geomancy) {}
+
+    std::string name() const override { return inner_.name(); }
+
+    size_t
+    rebalance(PolicyContext &context) override
+    {
+        uint64_t before = fills_.value();
+        size_t moved = inner_.rebalance(context);
+        if (decided_)
+            fillsAfterFirst.push_back(fills_.value() - before);
+        decided_ = decided_ || !inner_.lastReport().skipped;
+        return moved;
+    }
+
+    std::vector<uint64_t> fillsAfterFirst;
+
+  private:
+    GeomancyDynamicPolicy inner_;
+    util::Counter &fills_ =
+        util::MetricRegistry::global().counter("replaydb.cache_fills");
+    bool decided_ = false;
+};
+
+/** How long a pipeline timeline runs and where it is cut. */
+struct Timeline
+{
+    size_t measuredRuns = 8;
+    size_t cadence = 2;
+    size_t snapshotRun = 3;     ///< the snapshot an abandoned run resumes from
+    size_t windowPerDevice = 0; ///< 0 keeps the daemon's default
+};
+
 struct PipelineOutput
 {
     bool completed = false;
     std::vector<double> series;
     double avg = 0.0;
     double simTime = 0.0;
+    std::string snapshot; ///< the last run's checkpoint payload
+    std::string ledger;
+    TrainingBatch cutBatch; ///< the batch the DB holds at the snapshot
+    int64_t cutRows = 0;    ///< the DB's rows there (uninterrupted run)
+    std::vector<uint64_t> fillsAfterFirst;
 };
 
 /**
- * One pipeline timeline. `abandonAfter` > 0 stops the experiment two
- * measured runs past that snapshot (the extra runs' ReplayDB rows are
- * exactly what rewindTo must discard on resume).
+ * One pipeline timeline. `abandon` stops the experiment two measured
+ * runs past the `snapshotRun` snapshot (the extra runs' ReplayDB rows
+ * are exactly what rewindTo must discard on resume). `resume` first
+ * reads those rows into the ReplayDB's caches, then restores the
+ * snapshot and builds the training batch; an uninterrupted timeline
+ * builds it right after committing that snapshot.
  */
 PipelineOutput
-runPipeline(const std::string &dir, size_t abandonAfter, bool resume)
+runPipeline(const std::string &dir, const Timeline &timeline, bool abandon,
+            bool resume)
 {
     PipelineOutput out;
-    DurableRun run(dir, resume);
+    std::string ledger_path = dir + "/ledger.ndjson";
+    DurableRun run(dir, resume, {ledger_path});
 
     auto system = storage::makeBlueskySystem(7);
     workload::Belle2Workload workload(*system);
@@ -297,17 +346,26 @@ runPipeline(const std::string &dir, size_t abandonAfter, bool resume)
 
     GeomancyConfig gconfig;
     gconfig.drl.epochs = 2;
+    if (timeline.windowPerDevice > 0)
+        gconfig.daemon.windowPerDevice = timeline.windowPerDevice;
     Geomancy geomancy(*system, workload.files(), gconfig, run.dbPath());
-    GeomancyDynamicPolicy policy(geomancy);
+    geomancy.attachLedger(ledger_path);
+    FillCountingPolicy policy(geomancy);
 
     ExperimentConfig config;
     config.warmupRuns = 2;
-    config.measuredRuns = 8;
-    config.cadence = 2;
+    config.measuredRuns = timeline.measuredRuns;
+    config.cadence = timeline.cadence;
     config.seed = 99;
     ExperimentRunner runner(*system, workload, policy, config);
 
+    std::vector<storage::DeviceId> devices = system->deviceIds();
     if (resume) {
+        EXPECT_GT(geomancy.daemon().buildTrainingBatch(devices).dataset.size(),
+                  0u);
+        PerfRecord latest;
+        for (storage::FileId file : geomancy.managedFiles())
+            geomancy.replayDb().latestAccessForFile(file, latest);
         auto load = [&](util::StateReader &r) {
             geomancy.loadState(r);
             injector.loadState(r);
@@ -318,6 +376,7 @@ runPipeline(const std::string &dir, size_t abandonAfter, bool resume)
             ADD_FAILURE() << "no valid snapshot in " << dir;
             return out;
         }
+        out.cutBatch = geomancy.daemon().buildTrainingBatch(devices);
     }
 
     runner.setCheckpointHook([&](size_t done) {
@@ -331,12 +390,17 @@ runPipeline(const std::string &dir, size_t abandonAfter, bool resume)
         injector.saveState(w);
         workload.saveState(w);
         runner.saveState(w);
-        if (!abandonAfter || done <= abandonAfter)
-            run.commit(done, os.str(), injector);
+        out.snapshot = os.str();
+        if (!abandon || done <= timeline.snapshotRun)
+            run.commit(done, out.snapshot, injector);
+        if (!abandon && !resume && done == timeline.snapshotRun) {
+            out.cutBatch = geomancy.daemon().buildTrainingBatch(devices);
+            out.cutRows = geomancy.replayDb().accessCount();
+        }
     });
 
     while (runner.step()) {
-        if (abandonAfter && runner.measuredRunsDone() >= abandonAfter + 2)
+        if (abandon && runner.measuredRunsDone() >= timeline.snapshotRun + 2)
             return out; // "crash": leave post-snapshot DB rows behind
     }
     ExperimentResult result = runner.finish();
@@ -344,22 +408,32 @@ runPipeline(const std::string &dir, size_t abandonAfter, bool resume)
     out.series = result.throughputSeries;
     out.avg = result.averageThroughput;
     out.simTime = system->clock().now();
+    out.fillsAfterFirst = policy.fillsAfterFirst;
+    EXPECT_TRUE(util::readFileAll(ledger_path, out.ledger));
     return out;
 }
 
-TEST(CheckpointPipeline, ResumeReproducesUninterruptedRunExactly)
+/** The uninterrupted timeline, then the abandoned one resumed; `stem`
+ *  names their scratch directories. */
+std::pair<PipelineOutput, PipelineOutput>
+runAndResume(const Timeline &timeline, const std::string &stem)
 {
-    TempDir ref_dir("ckpt_pipe_ref");
-    TempDir crash_dir("ckpt_pipe_crash");
+    TempDir ref_dir((stem + "_ref").c_str());
+    TempDir crash_dir((stem + "_crash").c_str());
+    PipelineOutput ref = runPipeline(ref_dir.path, timeline, false, false);
+    PipelineOutput interrupted =
+        runPipeline(crash_dir.path, timeline, true, false);
+    EXPECT_FALSE(interrupted.completed);
+    PipelineOutput resumed =
+        runPipeline(crash_dir.path, timeline, false, true);
+    return {std::move(ref), std::move(resumed)};
+}
 
-    PipelineOutput ref = runPipeline(ref_dir.path, 0, false);
+void
+expectSameOutcome(const PipelineOutput &resumed, const PipelineOutput &ref)
+{
     ASSERT_TRUE(ref.completed);
     ASSERT_FALSE(ref.series.empty());
-
-    PipelineOutput interrupted = runPipeline(crash_dir.path, 3, false);
-    EXPECT_FALSE(interrupted.completed);
-
-    PipelineOutput resumed = runPipeline(crash_dir.path, 0, true);
     ASSERT_TRUE(resumed.completed);
 
     ASSERT_EQ(resumed.series.size(), ref.series.size());
@@ -367,6 +441,72 @@ TEST(CheckpointPipeline, ResumeReproducesUninterruptedRunExactly)
         ASSERT_EQ(resumed.series[i], ref.series[i]) << "sample " << i;
     EXPECT_EQ(resumed.avg, ref.avg);
     EXPECT_EQ(resumed.simTime, ref.simTime);
+    EXPECT_FALSE(ref.ledger.empty());
+    EXPECT_EQ(resumed.ledger, ref.ledger);
+    EXPECT_EQ(resumed.snapshot, ref.snapshot);
+}
+
+void
+expectSameMatrix(const nn::Matrix &got, const nn::Matrix &want,
+                 const char *what)
+{
+    ASSERT_EQ(got.rows(), want.rows()) << what;
+    ASSERT_EQ(got.cols(), want.cols()) << what;
+    for (size_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(got.data()[i], want.data()[i]) << what << " at " << i;
+}
+
+void
+expectSameRanges(const trace::MinMaxNormalizer &got,
+                 const trace::MinMaxNormalizer &want, const char *what)
+{
+    ASSERT_EQ(got.columns(), want.columns()) << what;
+    for (size_t c = 0; c < want.columns(); ++c) {
+        EXPECT_EQ(got.columnMin(c), want.columnMin(c)) << what << c;
+        EXPECT_EQ(got.columnMax(c), want.columnMax(c)) << what << c;
+    }
+}
+
+TEST(CheckpointPipeline, ResumeReproducesUninterruptedRunExactly)
+{
+    auto [ref, resumed] = runAndResume(Timeline{}, "ckpt_pipe");
+    expectSameOutcome(resumed, ref);
+}
+
+// The snapshot falls in the middle of a training window: some device's
+// window has wrapped, so the batch leaves older rows out, and the
+// resumed process holds the abandoned run's rows past the cut in the
+// ReplayDB's caches when the restore rewinds it.
+TEST(CheckpointPipeline, RestoreMidWindowTrainsOnTheUninterruptedBatch)
+{
+    Timeline mid_window;
+    mid_window.measuredRuns = 10;
+    mid_window.cadence = 1;
+    mid_window.snapshotRun = 5;
+    mid_window.windowPerDevice = 300;
+    auto [ref, resumed] = runAndResume(mid_window, "ckpt_mid_window");
+    expectSameOutcome(resumed, ref);
+
+    ASSERT_GT(ref.cutBatch.dataset.size(), 0u);
+    ASSERT_LT(static_cast<int64_t>(ref.cutBatch.dataset.size()),
+              ref.cutRows);
+    expectSameMatrix(resumed.cutBatch.dataset.inputs,
+                     ref.cutBatch.dataset.inputs, "inputs");
+    expectSameMatrix(resumed.cutBatch.dataset.targets,
+                     ref.cutBatch.dataset.targets, "targets");
+    expectSameRanges(resumed.cutBatch.featureNorm, ref.cutBatch.featureNorm,
+                     "feature column ");
+    expectSameRanges(resumed.cutBatch.targetNorm, ref.cutBatch.targetNorm,
+                     "target column ");
+
+    // Once the first decision has read the window and every file's
+    // latest row, later decisions find them all in memory.
+    for (const PipelineOutput *timeline : {&ref, &resumed}) {
+        ASSERT_GT(timeline->fillsAfterFirst.size(), 2u);
+        for (size_t d = 0; d < timeline->fillsAfterFirst.size(); ++d)
+            EXPECT_EQ(timeline->fillsAfterFirst[d], 0u)
+                << "decision " << d + 1 << " after the first";
+    }
 }
 
 } // namespace

@@ -164,7 +164,8 @@ TEST(CrashRecovery, ReplayDbSurvivesBitFlippedFile)
     rec.file = 1;
     rec.device = 2;
     rec.throughput = 42.0;
-    EXPECT_GT(reopened.insertAccess(rec), 0);
+    reopened.insertAccesses({rec});
+    EXPECT_EQ(reopened.watermark().accesses, 1);
     fs::remove(path);
 }
 
@@ -175,8 +176,7 @@ TEST(CrashRecovery, RewindReassignsIdenticalRowIds)
     rec.file = 1;
     rec.device = 0;
     rec.throughput = 100.0;
-    for (int i = 0; i < 3; ++i)
-        db.insertAccess(rec);
+    db.insertAccesses({rec, rec, rec});
     MovementRecord move;
     move.file = 1;
     move.toDevice = 2;
@@ -186,8 +186,8 @@ TEST(CrashRecovery, RewindReassignsIdenticalRowIds)
     EXPECT_EQ(wm.movements, 1);
 
     // A crashed process appended past the cut...
-    int64_t doomed = db.insertAccess(rec);
-    EXPECT_EQ(doomed, 4);
+    db.insertAccesses({rec});
+    EXPECT_EQ(db.watermark().accesses, 4);
     db.insertMovement(move);
 
     // ...and the rewind discards it so the resumed run's inserts land
@@ -195,7 +195,8 @@ TEST(CrashRecovery, RewindReassignsIdenticalRowIds)
     db.rewindTo(wm);
     EXPECT_EQ(db.accessCount(), 3);
     EXPECT_EQ(db.recentMovements(2).size(), 1u);
-    EXPECT_EQ(db.insertAccess(rec), 4);
+    db.insertAccesses({rec});
+    EXPECT_EQ(db.watermark().accesses, 4);
     EXPECT_EQ(db.insertMovement(move), 2);
 }
 
@@ -205,10 +206,11 @@ TEST(CrashRecovery, RewindToEmptyWatermarkClearsEverything)
     PerfRecord rec;
     rec.file = 1;
     rec.throughput = 1.0;
-    db.insertAccess(rec);
+    db.insertAccesses({rec});
     db.rewindTo({});
     EXPECT_EQ(db.accessCount(), 0);
-    EXPECT_EQ(db.insertAccess(rec), 1); // sequence reset too
+    db.insertAccesses({rec});
+    EXPECT_EQ(db.watermark().accesses, 1); // sequence reset too
 }
 
 // ---------------------------------------------------------------------

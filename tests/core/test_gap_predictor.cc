@@ -16,6 +16,7 @@ void
 insertPeriodic(ReplayDb &db, storage::FileId file, size_t count,
                double period, double busy, double start = 0.0)
 {
+    std::vector<PerfRecord> records;
     for (size_t i = 0; i < count; ++i) {
         PerfRecord rec;
         rec.file = file;
@@ -27,8 +28,9 @@ insertPeriodic(ReplayDb &db, storage::FileId file, size_t count,
         rec.cts = static_cast<int64_t>(open_time + busy);
         rec.ctms = 0;
         rec.throughput = 1000.0 / busy;
-        db.insertAccess(rec);
+        records.push_back(rec);
     }
+    db.insertAccesses(records);
 }
 
 TEST(GapPredictor, NoHistoryNoPrediction)

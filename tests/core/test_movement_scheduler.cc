@@ -65,6 +65,7 @@ TEST(MovementScheduler, GapCheckBlocksBusyFiles)
 {
     Fixture fx;
     // File accessed back to back: gaps ~0.
+    std::vector<PerfRecord> records;
     for (int i = 0; i < 20; ++i) {
         PerfRecord rec;
         rec.file = fx.file;
@@ -73,8 +74,9 @@ TEST(MovementScheduler, GapCheckBlocksBusyFiles)
         rec.ots = i;
         rec.cts = i + 1; // closes exactly when the next opens
         rec.throughput = 1000.0;
-        fx.db.insertAccess(rec);
+        records.push_back(rec);
     }
+    fx.db.insertAccesses(records);
     SchedulerConfig config;
     config.fileCooldownSeconds = 0.0;
     config.checkGaps = true;
