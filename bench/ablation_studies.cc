@@ -83,7 +83,7 @@ main()
     using namespace geo;
     bench::BenchObservability observability;
     bench::header("Ablation studies", "DESIGN.md Section 4");
-    const size_t runs = bench::knob("GEO_ABLATION_RUNS", 50, 150);
+    const size_t runs = bench::fullScale() ? 150 : 50;
 
     // ---- A. exploration rate -------------------------------------------
     {

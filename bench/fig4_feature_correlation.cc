@@ -24,7 +24,7 @@ main()
     bench::header("Fig. 4 - feature/throughput correlation",
                   "Section V-D, Fig. 4");
 
-    size_t records = bench::knob("GEO_TRACE_RECORDS", 30000, 200000);
+    size_t records = bench::fullScale() ? 200000 : 30000;
     trace::EosTraceConfig config;
     trace::EosTraceGenerator generator(config);
     std::vector<trace::AccessRecord> trace_records =

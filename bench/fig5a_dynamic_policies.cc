@@ -45,24 +45,15 @@ main()
     table.setHeader({"Policy", "Avg throughput (GB/s)", "accesses",
                      "files moved", "GB moved"});
 
-    // Every (policy, trial) pair is an independent deterministic
-    // simulation, so they all fan out across the pool; rows aggregate
-    // and print in fixed policy order. GEO_TRIALS=1 (the default)
-    // reproduces the paper run seed-for-seed; higher values average
-    // the throughput over extra seeds.
-    const size_t trials = bench::knob("GEO_TRIALS", 1, 1);
+    // Every policy's run is an independent deterministic simulation,
+    // so they all fan out across the pool; rows print in fixed policy
+    // order.
     util::ThreadPool &pool = util::ThreadPool::global();
-    std::vector<std::vector<std::future<core::ExperimentResult>>> runs;
+    std::vector<std::future<core::ExperimentResult>> runs;
     for (const Row &row : rows) {
-        std::vector<std::future<core::ExperimentResult>> per_policy;
-        per_policy.reserve(trials);
-        for (size_t t = 0; t < trials; ++t) {
-            PolicyKind kind = row.kind;
-            uint64_t seed = 7 + t * 101;
-            per_policy.push_back(pool.submit(
-                [kind, seed]() { return bench::runPolicy(kind, seed); }));
-        }
-        runs.push_back(std::move(per_policy));
+        PolicyKind kind = row.kind;
+        runs.push_back(
+            pool.submit([kind]() { return bench::runPolicy(kind, 7); }));
     }
 
     double geomancy_avg = 0.0, best_heuristic = 0.0;
@@ -70,31 +61,23 @@ main()
     std::vector<core::MoveEvent> geomancy_moves;
     for (size_t r = 0; r < std::size(rows); ++r) {
         const Row &row = rows[r];
-        // Counts and move events come from the first (paper) seed;
-        // extra trials only refine the throughput average.
-        core::ExperimentResult result = runs[r][0].get();
-        double mean_throughput = result.averageThroughput;
-        for (size_t t = 1; t < trials; ++t)
-            mean_throughput += runs[r][t].get().averageThroughput;
-        mean_throughput /= static_cast<double>(trials);
-        table.addRow({row.label, bench::gbps(mean_throughput),
+        core::ExperimentResult result = runs[r].get();
+        double throughput = result.averageThroughput;
+        table.addRow({row.label, bench::gbps(throughput),
                       std::to_string(result.totalAccesses),
                       std::to_string(result.filesMoved),
                       TextTable::num(
                           static_cast<double>(result.bytesMoved) / 1e9,
                           2)});
         if (row.kind == PolicyKind::GeomancyDynamic) {
-            geomancy_avg = mean_throughput;
+            geomancy_avg = throughput;
             geomancy_moves = result.moveEvents;
-        } else if (mean_throughput > best_heuristic) {
-            best_heuristic = mean_throughput;
+        } else if (throughput > best_heuristic) {
+            best_heuristic = throughput;
             best_heuristic_name = row.label;
         }
         std::cerr << "finished " << row.label << "\n";
     }
-    if (trials > 1)
-        std::cout << "(throughput averaged over " << trials
-                  << " seeds per policy)\n";
     table.print(std::cout);
 
     std::cout << "\nFile movements by Geomancy (the Fig. 5 bars):\n";

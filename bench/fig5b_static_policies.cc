@@ -54,7 +54,7 @@ main()
         bench::ExperimentSetup setup =
             bench::makeSetup(PolicyKind::GeomancyStatic, 7, 0, &configs);
         Rng shuffle_rng(99);
-        size_t pre_runs = bench::knob("GEO_STATIC_PRETRAIN_RUNS", 15, 30);
+        size_t pre_runs = bench::fullScale() ? 30 : 15;
         for (size_t run = 0; run < pre_runs; ++run) {
             setup.workload->executeRun();
             if ((run + 1) % 5 == 0) {

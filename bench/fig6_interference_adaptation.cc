@@ -78,7 +78,7 @@ main()
     core::ExperimentConfig config = bench::benchExperimentConfig();
     // Adaptation takes many decision cycles; give the disturbed phase
     // room to show both the dip and the climb back.
-    config.measuredRuns = bench::knob("GEO_FIG6_RUNS", 130, 300);
+    config.measuredRuns = bench::fullScale() ? 300 : 130;
     const size_t start_run = config.measuredRuns / 3;
 
     /**

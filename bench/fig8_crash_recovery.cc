@@ -175,7 +175,7 @@ main()
                   "checkpoint/restore extension (beyond the paper)");
 
     Scenario base;
-    base.runs = bench::knob("GEO_FIG8_RUNS", 18, 60);
+    base.runs = bench::fullScale() ? 60 : 18;
     base.epochs = bench::knob("GEO_DRL_EPOCHS", 8, 60);
     const std::string root = "fig8-work";
     std::error_code ec;

@@ -23,7 +23,7 @@ main()
 
     const size_t epochs = bench::knob("GEO_EPOCHS", 30, 200);
     const size_t max_entries = bench::knob("GEO_ENTRIES", 3000, 12000);
-    const size_t runs = bench::knob("GEO_RUNS", 60, 300);
+    const size_t runs = bench::fullScale() ? 300 : 60;
 
     bench::Telemetry telemetry = bench::collectTelemetry(runs);
 

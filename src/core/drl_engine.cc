@@ -21,7 +21,6 @@ DrlEngine::DrlEngine(const DrlConfig &config)
 {
     auto &registry = util::MetricRegistry::global();
     trainStepsMetric_ = &registry.counter("drl.train_steps");
-    divergedMetric_ = &registry.counter("drl.diverged");
     trainDivergedMetric_ = &registry.counter("drl.train.diverged");
     rollbackMetric_ = &registry.counter("drl.train.rollbacks");
     trainMsMetric_ = &registry.histogram("drl.train_ms");
@@ -87,7 +86,6 @@ DrlEngine::retrain(const TrainingBatch &batch)
     trainMsMetric_->record(result.seconds * 1e3);
     trainRowsMetric_->record(static_cast<double>(split_.train.size()));
     if (stats.diverged) {
-        divergedMetric_->inc();
         trainDivergedMetric_->inc();
         util::FlightRecorder::global().record(
             util::FlightKind::TrainDiverged, 0.0, config_.epochs);

@@ -153,7 +153,6 @@ class DrlEngine
 
     // Registry handles (resolved once; recording is lock-free).
     util::Counter *trainStepsMetric_;
-    util::Counter *divergedMetric_;
     util::Counter *trainDivergedMetric_;
     util::Counter *rollbackMetric_;
     util::Histogram *trainMsMetric_;

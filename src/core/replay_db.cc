@@ -227,63 +227,69 @@ ReplayDb::ReplayDb(const std::string &path)
          "  magnitude REAL NOT NULL"
          ");");
 
-    const char *insert_access =
+    insertAccessStmt_ = prepare(
         "INSERT INTO accesses (file_id, device_id, rb, wb, ots, otms, cts,"
         " ctms, throughput, failed)"
-        " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?);";
-    if (sqlite3_prepare_v2(db_, insert_access, -1, &insertAccessStmt_,
-                           nullptr) != SQLITE_OK)
-        fatal("ReplayDb: prepare insertAccess: %s", sqlite3_errmsg(db_));
-
+        " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?);");
     std::string insert_block =
         "INSERT INTO accesses (file_id, device_id, rb, wb, ots, otms, cts,"
         " ctms, throughput, failed) VALUES ";
     for (size_t r = 0; r < kInsertBlockRows; ++r)
         insert_block += r ? ", (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
                           : "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?)";
-    insert_block += ";";
-    if (sqlite3_prepare_v2(db_, insert_block.c_str(), -1,
-                           &insertBlockStmt_, nullptr) != SQLITE_OK ||
-        sqlite3_prepare_v2(db_, "BEGIN TRANSACTION;", -1, &beginStmt_,
-                           nullptr) != SQLITE_OK ||
-        sqlite3_prepare_v2(db_, "COMMIT;", -1, &commitStmt_, nullptr) !=
-            SQLITE_OK)
-        fatal("ReplayDb: prepare insertAccesses: %s", sqlite3_errmsg(db_));
-
-    const char *insert_movement =
+    insertBlockStmt_ = prepare(insert_block + ";");
+    beginStmt_ = prepare("BEGIN TRANSACTION;");
+    commitStmt_ = prepare("COMMIT;");
+    insertMovementStmt_ = prepare(
         "INSERT INTO movements (timestamp, file_id, from_device, to_device,"
-        " bytes, seconds) VALUES (?, ?, ?, ?, ?, ?);";
-    if (sqlite3_prepare_v2(db_, insert_movement, -1, &insertMovementStmt_,
-                           nullptr) != SQLITE_OK)
-        fatal("ReplayDb: prepare insertMovement: %s", sqlite3_errmsg(db_));
-
-    const char *insert_attempt =
+        " bytes, seconds) VALUES (?, ?, ?, ?, ?, ?);");
+    insertAttemptStmt_ = prepare(
         "INSERT INTO move_attempts (timestamp, file_id, from_device,"
         " to_device, attempt, outcome, reason, bytes_copied)"
-        " VALUES (?, ?, ?, ?, ?, ?, ?, ?);";
-    if (sqlite3_prepare_v2(db_, insert_attempt, -1, &insertAttemptStmt_,
-                           nullptr) != SQLITE_OK)
-        fatal("ReplayDb: prepare insertMoveAttempt: %s",
-              sqlite3_errmsg(db_));
-
-    const char *insert_fault =
+        " VALUES (?, ?, ?, ?, ?, ?, ?, ?);");
+    insertFaultStmt_ = prepare(
         "INSERT INTO fault_events (timestamp, device_id, kind, active,"
-        " magnitude) VALUES (?, ?, ?, ?, ?);";
-    if (sqlite3_prepare_v2(db_, insert_fault, -1, &insertFaultStmt_,
-                           nullptr) != SQLITE_OK)
-        fatal("ReplayDb: prepare insertFaultEvent: %s",
-              sqlite3_errmsg(db_));
+        " magnitude) VALUES (?, ?, ?, ?, ?);");
+
+    const std::string select_accesses =
+        std::string("SELECT ") + kAccessColumns + " FROM accesses WHERE ";
+    deviceRowsStmt_ = prepare(select_accesses +
+                              "device_id = ? ORDER BY id DESC LIMIT ?;");
+    fileRowsStmt_ = prepare(select_accesses +
+                            "file_id = ? ORDER BY id DESC LIMIT ?;");
+    countAccessesStmt_ = prepare("SELECT COUNT(*) FROM accesses;");
+    countAttemptsStmt_ = prepare("SELECT COUNT(*) FROM move_attempts;");
+    countFaultsStmt_ = prepare("SELECT COUNT(*) FROM fault_events;");
+    deviceThroughputStmt_ = prepare(
+        "SELECT device_id, AVG(throughput) FROM"
+        " (SELECT device_id, throughput FROM accesses"
+        "  ORDER BY id DESC LIMIT ?)"
+        " GROUP BY device_id;");
+    // A GROUP BY device_id would tempt the planner onto the
+    // (device_id, id) index — a full-index walk that grows with the
+    // table, not the tail. deviceThroughputSince range-scans the rowid
+    // tail and aggregates in C++ instead; the tail is one monitoring
+    // window (~1k rows).
+    throughputSinceStmt_ =
+        prepare("SELECT device_id, throughput FROM accesses WHERE id > ?;");
+    recentMovementsStmt_ = prepare(
+        "SELECT id, timestamp, file_id, from_device, to_device, bytes,"
+        " seconds FROM movements ORDER BY id DESC LIMIT ?;");
+    recentAttemptsStmt_ = prepare(
+        "SELECT id, timestamp, file_id, from_device, to_device, attempt,"
+        " outcome, reason, bytes_copied FROM move_attempts"
+        " ORDER BY id DESC LIMIT ?;");
+    watermarkStmt_ = prepare(
+        "SELECT (SELECT COALESCE(MAX(id), 0) FROM accesses),"
+        " (SELECT COALESCE(MAX(id), 0) FROM movements),"
+        " (SELECT COALESCE(MAX(id), 0) FROM move_attempts),"
+        " (SELECT COALESCE(MAX(id), 0) FROM fault_events);");
 }
 
 ReplayDb::~ReplayDb()
 {
-    sqlite3_finalize(insertAccessStmt_);
-    sqlite3_finalize(insertBlockStmt_);
-    sqlite3_finalize(beginStmt_);
-    sqlite3_finalize(commitStmt_);
-    sqlite3_finalize(insertMovementStmt_);
-    sqlite3_finalize(insertAttemptStmt_);
-    sqlite3_finalize(insertFaultStmt_);
+    for (sqlite3_stmt *stmt : statements_)
+        sqlite3_finalize(stmt);
     sqlite3_close(db_);
 }
 
@@ -300,6 +306,18 @@ ReplayDb::exec(const std::string &sql)
     }
 }
 
+sqlite3_stmt *
+ReplayDb::prepare(const std::string &sql)
+{
+    sqlite3_stmt *stmt = nullptr;
+    if (sqlite3_prepare_v2(db_, sql.c_str(), -1, &stmt, nullptr) !=
+        SQLITE_OK)
+        fatal("ReplayDb: prepare failed: %s (%s)", sqlite3_errmsg(db_),
+              sql.c_str());
+    statements_.push_back(stmt);
+    return stmt;
+}
+
 void
 ReplayDb::stepDone(sqlite3_stmt *stmt, const char *what)
 {
@@ -307,6 +325,33 @@ ReplayDb::stepDone(sqlite3_stmt *stmt, const char *what)
     sqlite3_reset(stmt);
     if (rc != SQLITE_DONE)
         fatal("ReplayDb: %s: %s", what, sqlite3_errmsg(db_));
+}
+
+template <typename RowFn>
+bool
+ReplayDb::forEachRow(sqlite3_stmt *stmt, const char *what,
+                     RowFn &&row) const
+{
+    int rc;
+    while ((rc = sqlite3_step(stmt)) == SQLITE_ROW)
+        row(stmt);
+    if (rc != SQLITE_DONE) {
+        warn("ReplayDb: %s: read ended early: %s (corrupt database?)",
+             what, sqlite3_errmsg(db_));
+        readCorruptMetric_->inc();
+    }
+    sqlite3_reset(stmt);
+    return rc == SQLITE_DONE;
+}
+
+int64_t
+ReplayDb::countOf(sqlite3_stmt *stmt, const char *what) const
+{
+    int64_t count = 0;
+    forEachRow(stmt, what, [&](sqlite3_stmt *row) {
+        count = sqlite3_column_int64(row, 0);
+    });
+    return count;
 }
 
 int64_t
@@ -354,50 +399,24 @@ ReplayDb::insertAccesses(const std::vector<PerfRecord> &records)
 int64_t
 ReplayDb::accessCount() const
 {
-    sqlite3_stmt *stmt = nullptr;
-    if (sqlite3_prepare_v2(db_, "SELECT COUNT(*) FROM accesses;", -1, &stmt,
-                           nullptr) != SQLITE_OK)
-        fatal("ReplayDb: accessCount: %s", sqlite3_errmsg(db_));
-    int64_t count = 0;
-    if (sqlite3_step(stmt) == SQLITE_ROW)
-        count = sqlite3_column_int64(stmt, 0);
-    sqlite3_finalize(stmt);
-    return count;
+    return countOf(countAccessesStmt_, "accessCount");
 }
 
 std::vector<PerfRecord>
-ReplayDb::queryAccesses(const char *key_column, int64_t key, size_t limit,
+ReplayDb::queryAccesses(sqlite3_stmt *stmt, int64_t key, size_t limit,
                         bool *complete) const
 {
-    std::string sql = strprintf("SELECT %s FROM accesses WHERE %s = ?"
-                                " ORDER BY id DESC LIMIT ?;",
-                                kAccessColumns, key_column);
-    sqlite3_stmt *stmt = nullptr;
-    if (sqlite3_prepare_v2(db_, sql.c_str(), -1, &stmt, nullptr) !=
-        SQLITE_OK)
-        fatal("ReplayDb: query: %s", sqlite3_errmsg(db_));
     sqlite3_bind_int64(stmt, 1, key);
     sqlite3_bind_int64(stmt, 2, static_cast<int64_t>(limit));
     std::vector<PerfRecord> records;
-    int rc;
-    while ((rc = sqlite3_step(stmt)) == SQLITE_ROW)
-        records.push_back(readAccessRow(stmt));
-    if (rc != SQLITE_DONE)
-        noteReadCorrupt("queryAccesses");
+    bool done = forEachRow(stmt, "queryAccesses", [&](sqlite3_stmt *row) {
+        records.push_back(readAccessRow(row));
+    });
     if (complete)
-        *complete = rc == SQLITE_DONE;
-    sqlite3_finalize(stmt);
+        *complete = done;
     // Queries select newest-first for the LIMIT; return oldest-first.
     std::reverse(records.begin(), records.end());
     return records;
-}
-
-std::vector<PerfRecord>
-ReplayDb::recentAccessesForDevice(storage::DeviceId device, size_t limit,
-                                  bool *complete) const
-{
-    return queryAccesses("device_id", static_cast<int64_t>(device), limit,
-                         complete);
 }
 
 AccessWindow
@@ -411,8 +430,9 @@ ReplayDb::deviceWindow(storage::DeviceId device, size_t limit) const
         // Filled with fewer rows than asked for, the ring holds every
         // row of the device until it is full.
         bool complete = false;
-        std::vector<PerfRecord> rows =
-            recentAccessesForDevice(device, limit, &complete);
+        std::vector<PerfRecord> rows = queryAccesses(
+            deviceRowsStmt_, static_cast<int64_t>(device), limit,
+            &complete);
         cacheFillsMetric_->inc();
         it = rings_.try_emplace(device).first;
         DeviceRing &ring = it->second;
@@ -444,7 +464,7 @@ ReplayDb::deviceWindow(storage::DeviceId device, size_t limit) const
 std::vector<PerfRecord>
 ReplayDb::recentAccessesForFile(storage::FileId file, size_t limit) const
 {
-    return queryAccesses("file_id", static_cast<int64_t>(file), limit);
+    return queryAccesses(fileRowsStmt_, static_cast<int64_t>(file), limit);
 }
 
 bool
@@ -454,7 +474,7 @@ ReplayDb::latestAccessForFile(storage::FileId file, PerfRecord &out) const
     if (it == latest_.end()) {
         bool complete = false;
         std::vector<PerfRecord> rows = queryAccesses(
-            "file_id", static_cast<int64_t>(file), 1, &complete);
+            fileRowsStmt_, static_cast<int64_t>(file), 1, &complete);
         cacheFillsMetric_->inc();
         PerfRecord latest; // id 0: the file has no rows
         if (!rows.empty())
@@ -474,52 +494,30 @@ ReplayDb::latestAccessForFile(storage::FileId file, PerfRecord &out) const
 std::vector<std::pair<storage::DeviceId, double>>
 ReplayDb::deviceThroughput(size_t limit) const
 {
-    const char *sql =
-        "SELECT device_id, AVG(throughput) FROM"
-        " (SELECT device_id, throughput FROM accesses"
-        "  ORDER BY id DESC LIMIT ?)"
-        " GROUP BY device_id;";
-    sqlite3_stmt *stmt = nullptr;
-    if (sqlite3_prepare_v2(db_, sql, -1, &stmt, nullptr) != SQLITE_OK)
-        fatal("ReplayDb: deviceThroughput: %s", sqlite3_errmsg(db_));
-    sqlite3_bind_int64(stmt, 1, static_cast<int64_t>(limit));
+    sqlite3_bind_int64(deviceThroughputStmt_, 1,
+                       static_cast<int64_t>(limit));
     std::vector<std::pair<storage::DeviceId, double>> result;
-    int rc;
-    while ((rc = sqlite3_step(stmt)) == SQLITE_ROW) {
-        result.emplace_back(
-            static_cast<storage::DeviceId>(sqlite3_column_int64(stmt, 0)),
-            sqlite3_column_double(stmt, 1));
-    }
-    if (rc != SQLITE_DONE)
-        noteReadCorrupt("deviceThroughput");
-    sqlite3_finalize(stmt);
+    forEachRow(deviceThroughputStmt_, "deviceThroughput",
+               [&](sqlite3_stmt *row) {
+                   result.emplace_back(static_cast<storage::DeviceId>(
+                                           sqlite3_column_int64(row, 0)),
+                                       sqlite3_column_double(row, 1));
+               });
     return result;
 }
 
 std::vector<std::tuple<storage::DeviceId, double, int64_t>>
 ReplayDb::deviceThroughputSince(int64_t min_id) const
 {
-    // A GROUP BY device_id would tempt the planner onto the
-    // (device_id, id) index — a full-index walk that grows with the
-    // table, not the tail.  Range-scan the rowid tail and aggregate
-    // here instead; the tail is one monitoring window (~1k rows).
-    const char *sql =
-        "SELECT device_id, throughput FROM accesses WHERE id > ?;";
-    sqlite3_stmt *stmt = nullptr;
-    if (sqlite3_prepare_v2(db_, sql, -1, &stmt, nullptr) != SQLITE_OK)
-        fatal("ReplayDb: deviceThroughputSince: %s", sqlite3_errmsg(db_));
-    sqlite3_bind_int64(stmt, 1, min_id);
+    sqlite3_bind_int64(throughputSinceStmt_, 1, min_id);
     std::map<storage::DeviceId, std::pair<double, int64_t>> acc;
-    int rc;
-    while ((rc = sqlite3_step(stmt)) == SQLITE_ROW) {
-        auto &slot = acc[static_cast<storage::DeviceId>(
-            sqlite3_column_int64(stmt, 0))];
-        slot.first += sqlite3_column_double(stmt, 1);
-        ++slot.second;
-    }
-    if (rc != SQLITE_DONE)
-        noteReadCorrupt("deviceThroughputSince");
-    sqlite3_finalize(stmt);
+    forEachRow(throughputSinceStmt_, "deviceThroughputSince",
+               [&](sqlite3_stmt *row) {
+                   auto &slot = acc[static_cast<storage::DeviceId>(
+                       sqlite3_column_int64(row, 0))];
+                   slot.first += sqlite3_column_double(row, 1);
+                   ++slot.second;
+               });
     std::vector<std::tuple<storage::DeviceId, double, int64_t>> result;
     result.reserve(acc.size());
     for (const auto &[device, slot] : acc)
@@ -532,7 +530,6 @@ ReplayDb::deviceThroughputSince(int64_t min_id) const
 int64_t
 ReplayDb::insertMovement(const MovementRecord &movement)
 {
-    sqlite3_reset(insertMovementStmt_);
     sqlite3_bind_double(insertMovementStmt_, 1, movement.timestamp);
     sqlite3_bind_int64(insertMovementStmt_, 2,
                        static_cast<int64_t>(movement.file));
@@ -543,8 +540,7 @@ ReplayDb::insertMovement(const MovementRecord &movement)
     sqlite3_bind_int64(insertMovementStmt_, 5,
                        static_cast<int64_t>(movement.bytes));
     sqlite3_bind_double(insertMovementStmt_, 6, movement.seconds);
-    if (sqlite3_step(insertMovementStmt_) != SQLITE_DONE)
-        fatal("ReplayDb: insertMovement: %s", sqlite3_errmsg(db_));
+    stepDone(insertMovementStmt_, "insertMovement");
     return sqlite3_last_insert_rowid(db_);
 }
 
@@ -572,20 +568,12 @@ readMovementRow(sqlite3_stmt *stmt)
 std::vector<MovementRecord>
 ReplayDb::recentMovements(size_t limit) const
 {
-    const char *sql =
-        "SELECT id, timestamp, file_id, from_device, to_device, bytes,"
-        " seconds FROM movements ORDER BY id DESC LIMIT ?;";
-    sqlite3_stmt *stmt = nullptr;
-    if (sqlite3_prepare_v2(db_, sql, -1, &stmt, nullptr) != SQLITE_OK)
-        fatal("ReplayDb: recentMovements: %s", sqlite3_errmsg(db_));
-    sqlite3_bind_int64(stmt, 1, static_cast<int64_t>(limit));
+    sqlite3_bind_int64(recentMovementsStmt_, 1, static_cast<int64_t>(limit));
     std::vector<MovementRecord> records;
-    int rc;
-    while ((rc = sqlite3_step(stmt)) == SQLITE_ROW)
-        records.push_back(readMovementRow(stmt));
-    if (rc != SQLITE_DONE)
-        noteReadCorrupt("recentMovements");
-    sqlite3_finalize(stmt);
+    forEachRow(recentMovementsStmt_, "recentMovements",
+               [&](sqlite3_stmt *row) {
+                   records.push_back(readMovementRow(row));
+               });
     std::reverse(records.begin(), records.end());
     return records;
 }
@@ -614,16 +602,11 @@ readAttemptRow(sqlite3_stmt *stmt)
     return rec;
 }
 
-constexpr const char *kAttemptColumns =
-    "id, timestamp, file_id, from_device, to_device, attempt, outcome,"
-    " reason, bytes_copied";
-
 } // namespace
 
 int64_t
 ReplayDb::insertMoveAttempt(const MoveAttemptRecord &attempt)
 {
-    sqlite3_reset(insertAttemptStmt_);
     sqlite3_bind_double(insertAttemptStmt_, 1, attempt.timestamp);
     sqlite3_bind_int64(insertAttemptStmt_, 2,
                        static_cast<int64_t>(attempt.file));
@@ -638,43 +621,25 @@ ReplayDb::insertMoveAttempt(const MoveAttemptRecord &attempt)
                        static_cast<int64_t>(attempt.reason));
     sqlite3_bind_int64(insertAttemptStmt_, 8,
                        static_cast<int64_t>(attempt.bytesCopied));
-    if (sqlite3_step(insertAttemptStmt_) != SQLITE_DONE)
-        fatal("ReplayDb: insertMoveAttempt: %s", sqlite3_errmsg(db_));
+    stepDone(insertAttemptStmt_, "insertMoveAttempt");
     return sqlite3_last_insert_rowid(db_);
 }
 
 int64_t
 ReplayDb::moveAttemptCount() const
 {
-    sqlite3_stmt *stmt = nullptr;
-    if (sqlite3_prepare_v2(db_, "SELECT COUNT(*) FROM move_attempts;", -1,
-                           &stmt, nullptr) != SQLITE_OK)
-        fatal("ReplayDb: moveAttemptCount: %s", sqlite3_errmsg(db_));
-    int64_t count = 0;
-    if (sqlite3_step(stmt) == SQLITE_ROW)
-        count = sqlite3_column_int64(stmt, 0);
-    sqlite3_finalize(stmt);
-    return count;
+    return countOf(countAttemptsStmt_, "moveAttemptCount");
 }
 
 std::vector<MoveAttemptRecord>
 ReplayDb::recentMoveAttempts(size_t limit) const
 {
-    std::string sql = strprintf(
-        "SELECT %s FROM move_attempts ORDER BY id DESC LIMIT ?;",
-        kAttemptColumns);
-    sqlite3_stmt *stmt = nullptr;
-    if (sqlite3_prepare_v2(db_, sql.c_str(), -1, &stmt, nullptr) !=
-        SQLITE_OK)
-        fatal("ReplayDb: recentMoveAttempts: %s", sqlite3_errmsg(db_));
-    sqlite3_bind_int64(stmt, 1, static_cast<int64_t>(limit));
+    sqlite3_bind_int64(recentAttemptsStmt_, 1, static_cast<int64_t>(limit));
     std::vector<MoveAttemptRecord> records;
-    int rc;
-    while ((rc = sqlite3_step(stmt)) == SQLITE_ROW)
-        records.push_back(readAttemptRow(stmt));
-    if (rc != SQLITE_DONE)
-        noteReadCorrupt("recentMoveAttempts");
-    sqlite3_finalize(stmt);
+    forEachRow(recentAttemptsStmt_, "recentMoveAttempts",
+               [&](sqlite3_stmt *row) {
+                   records.push_back(readAttemptRow(row));
+               });
     std::reverse(records.begin(), records.end());
     return records;
 }
@@ -682,30 +647,20 @@ ReplayDb::recentMoveAttempts(size_t limit) const
 int64_t
 ReplayDb::insertFaultEvent(const FaultEventRecord &event)
 {
-    sqlite3_reset(insertFaultStmt_);
     sqlite3_bind_double(insertFaultStmt_, 1, event.timestamp);
     sqlite3_bind_int64(insertFaultStmt_, 2,
                        static_cast<int64_t>(event.device));
     sqlite3_bind_int64(insertFaultStmt_, 3, event.kind);
     sqlite3_bind_int64(insertFaultStmt_, 4, event.active ? 1 : 0);
     sqlite3_bind_double(insertFaultStmt_, 5, event.magnitude);
-    if (sqlite3_step(insertFaultStmt_) != SQLITE_DONE)
-        fatal("ReplayDb: insertFaultEvent: %s", sqlite3_errmsg(db_));
+    stepDone(insertFaultStmt_, "insertFaultEvent");
     return sqlite3_last_insert_rowid(db_);
 }
 
 int64_t
 ReplayDb::faultEventCount() const
 {
-    sqlite3_stmt *stmt = nullptr;
-    if (sqlite3_prepare_v2(db_, "SELECT COUNT(*) FROM fault_events;", -1,
-                           &stmt, nullptr) != SQLITE_OK)
-        fatal("ReplayDb: faultEventCount: %s", sqlite3_errmsg(db_));
-    int64_t count = 0;
-    if (sqlite3_step(stmt) == SQLITE_ROW)
-        count = sqlite3_column_int64(stmt, 0);
-    sqlite3_finalize(stmt);
-    return count;
+    return countOf(countFaultsStmt_, "faultEventCount");
 }
 
 void
@@ -718,38 +673,16 @@ ReplayDb::removeFiles(const std::string &path)
         std::filesystem::remove(path + suffix, ec);
 }
 
-void
-ReplayDb::noteReadCorrupt(const char *where) const
-{
-    warn("ReplayDb: %s: read ended early: %s (corrupt database?)", where,
-         sqlite3_errmsg(db_));
-    readCorruptMetric_->inc();
-}
-
-int64_t
-ReplayDb::maxRowId(const char *table) const
-{
-    std::string sql =
-        strprintf("SELECT COALESCE(MAX(id), 0) FROM %s;", table);
-    sqlite3_stmt *stmt = nullptr;
-    if (sqlite3_prepare_v2(db_, sql.c_str(), -1, &stmt, nullptr) !=
-        SQLITE_OK)
-        fatal("ReplayDb: maxRowId(%s): %s", table, sqlite3_errmsg(db_));
-    int64_t id = 0;
-    if (sqlite3_step(stmt) == SQLITE_ROW)
-        id = sqlite3_column_int64(stmt, 0);
-    sqlite3_finalize(stmt);
-    return id;
-}
-
 ReplayDbWatermark
 ReplayDb::watermark() const
 {
     ReplayDbWatermark wm;
-    wm.accesses = maxRowId("accesses");
-    wm.movements = maxRowId("movements");
-    wm.moveAttempts = maxRowId("move_attempts");
-    wm.faultEvents = maxRowId("fault_events");
+    forEachRow(watermarkStmt_, "watermark", [&](sqlite3_stmt *row) {
+        wm.accesses = sqlite3_column_int64(row, 0);
+        wm.movements = sqlite3_column_int64(row, 1);
+        wm.moveAttempts = sqlite3_column_int64(row, 2);
+        wm.faultEvents = sqlite3_column_int64(row, 3);
+    });
     return wm;
 }
 

@@ -16,6 +16,11 @@
  * keeps both current after its COMMIT, and rewindTo() drops them. They
  * hold exactly what SQLite would return, so a decision reads the same
  * rows, in the same order, with the same bits.
+ *
+ * The constructor prepares every statement once, and the destructor
+ * finalizes them all. Every SELECT steps through one row loop, which
+ * resets its statement and, when a read ends early on an error, warns
+ * and counts replaydb.read.corrupt; a failed insert is fatal.
  */
 
 #ifndef GEO_CORE_REPLAY_DB_HH
@@ -265,6 +270,9 @@ class ReplayDb
     };
 
     sqlite3 *db_ = nullptr;
+    /** Every statement, prepared once by the constructor and
+     *  finalized by the destructor. */
+    std::vector<sqlite3_stmt *> statements_;
     sqlite3_stmt *insertAccessStmt_ = nullptr;
     sqlite3_stmt *insertBlockStmt_ = nullptr;
     sqlite3_stmt *beginStmt_ = nullptr;
@@ -272,6 +280,16 @@ class ReplayDb
     sqlite3_stmt *insertMovementStmt_ = nullptr;
     sqlite3_stmt *insertAttemptStmt_ = nullptr;
     sqlite3_stmt *insertFaultStmt_ = nullptr;
+    sqlite3_stmt *deviceRowsStmt_ = nullptr; ///< a device's newest rows
+    sqlite3_stmt *fileRowsStmt_ = nullptr;   ///< a file's newest rows
+    sqlite3_stmt *countAccessesStmt_ = nullptr;
+    sqlite3_stmt *countAttemptsStmt_ = nullptr;
+    sqlite3_stmt *countFaultsStmt_ = nullptr;
+    sqlite3_stmt *deviceThroughputStmt_ = nullptr;
+    sqlite3_stmt *throughputSinceStmt_ = nullptr;
+    sqlite3_stmt *recentMovementsStmt_ = nullptr;
+    sqlite3_stmt *recentAttemptsStmt_ = nullptr;
+    sqlite3_stmt *watermarkStmt_ = nullptr;
     bool openedCorrupt_ = false;
     util::Counter *readCorruptMetric_ = nullptr;
     util::Counter *cacheFillsMetric_ = nullptr;
@@ -284,24 +302,28 @@ class ReplayDb
      *  returns its row id. Caches are the caller's to update. */
     int64_t insertAccess(const PerfRecord &record);
 
-    /** Most recent `limit` accesses observed on one device: the ring
-     *  fill. */
-    std::vector<PerfRecord> recentAccessesForDevice(
-        storage::DeviceId device, size_t limit, bool *complete) const;
-
     void exec(const std::string &sql);
+    /** Prepare `sql` into statements_ (fatal on failure). */
+    sqlite3_stmt *prepare(const std::string &sql);
     /** Step a prepared statement that returns no rows, then reset it. */
     void stepDone(sqlite3_stmt *stmt, const char *what);
-    /** The newest `limit` access rows whose `key_column` equals
-     *  `key`, oldest first; `complete` (if given) says whether the
-     *  read ran to its end. */
-    std::vector<PerfRecord> queryAccesses(const char *key_column,
-                                          int64_t key, size_t limit,
+    /**
+     * The one row loop: step a bound SELECT, hand each row to
+     * `row(stmt)`, then reset the statement. A read that ends in an
+     * error instead of DONE is logged and counted in
+     * replaydb.read.corrupt. Returns whether the read ran to its end.
+     */
+    template <typename RowFn>
+    bool forEachRow(sqlite3_stmt *stmt, const char *what,
+                    RowFn &&row) const;
+    /** The newest `limit` access rows of `stmt` (deviceRowsStmt_ or
+     *  fileRowsStmt_) for `key`, oldest first; `complete` (if given)
+     *  says whether the read ran to its end. */
+    std::vector<PerfRecord> queryAccesses(sqlite3_stmt *stmt, int64_t key,
+                                          size_t limit,
                                           bool *complete = nullptr) const;
-    /** MAX(id) of one table (0 when empty). */
-    int64_t maxRowId(const char *table) const;
-    /** Log and count a SELECT loop that ended in an error, not DONE. */
-    void noteReadCorrupt(const char *where) const;
+    /** The single value of a COUNT(*) statement. */
+    int64_t countOf(sqlite3_stmt *stmt, const char *what) const;
 };
 
 } // namespace core

@@ -21,29 +21,6 @@ DenseLayer::DenseLayer(size_t input_size, size_t output_size, Activation act,
         weights_.fillXavierUniform(rng, input_size, output_size);
 }
 
-Matrix
-DenseLayer::forward(const Matrix &input, bool training)
-{
-    if (!training) {
-        Matrix out;
-        forwardInto(input, false, out);
-        return out;
-    }
-    // backward() reads the input and output after this returns, and
-    // `input` may be a temporary: park copies in the layer.
-    parkedInput_ = input;
-    forwardInto(parkedInput_, true, parkedOutput_);
-    return parkedOutput_;
-}
-
-Matrix
-DenseLayer::backward(const Matrix &grad_output)
-{
-    Matrix grad_input;
-    backwardInto(grad_output, grad_input);
-    return grad_input;
-}
-
 void
 DenseLayer::forwardInto(const Matrix &input, bool training, Matrix &out)
 {

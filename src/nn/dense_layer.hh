@@ -30,13 +30,9 @@ class DenseLayer : public Layer
     DenseLayer(size_t input_size, size_t output_size, Activation act,
                Rng &rng);
 
-    Matrix forward(const Matrix &input, bool training) override;
-    Matrix backward(const Matrix &grad_output) override;
-
-    // Allocation-free hot-path variants (Sequential's scratch arena
-    // owns `out` / `grad_input`; all intermediates live in member
-    // scratch buffers sized on first use). A training forwardInto
-    // keeps pointers to its input and output (see Layer).
+    // All intermediates live in member scratch buffers sized on first
+    // use. A training forwardInto keeps pointers to its input and
+    // output (see Layer).
     void forwardInto(const Matrix &input, bool training,
                      Matrix &out) override;
     void backwardInto(const Matrix &grad_output,
@@ -72,9 +68,6 @@ class DenseLayer : public Layer
     // The last training forward's input and (post-activation) output.
     const Matrix *input_ = nullptr;
     const Matrix *output_ = nullptr;
-    // Where the copying forward(x, true) parks them.
-    Matrix parkedInput_;
-    Matrix parkedOutput_;
 
     // Reused backward-pass scratch (kills per-batch allocations).
     Matrix gradScratch_;    ///< weight-gradient accumulator input

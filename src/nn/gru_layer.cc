@@ -34,8 +34,8 @@ GruLayer::GruLayer(size_t features_per_step, size_t timesteps,
         *g = Matrix(1, hidden_);
 }
 
-Matrix
-GruLayer::forward(const Matrix &input, bool training)
+void
+GruLayer::forwardInto(const Matrix &input, bool training, Matrix &out)
 {
     if (input.cols() != inputSize())
         panic("GruLayer::forward: input width %zu != %zu", input.cols(),
@@ -90,17 +90,17 @@ GruLayer::forward(const Matrix &input, bool training)
         }
         h = std::move(h_next);
     }
-    return h;
+    out = std::move(h);
 }
 
-Matrix
-GruLayer::backward(const Matrix &grad_output)
+void
+GruLayer::backwardInto(const Matrix &grad_output, Matrix &grad_input)
 {
     if (cache_.size() != timesteps_)
         panic("GruLayer::backward without a training forward pass");
     size_t batch = grad_output.rows();
-    Matrix grad_input(batch, inputSize());
     Matrix dh = grad_output;
+    grad_input.reshape(batch, inputSize());
 
     for (size_t t = timesteps_; t-- > 0;) {
         const StepCache &sc = cache_[t];
@@ -163,8 +163,6 @@ GruLayer::backward(const Matrix &grad_output)
 
         dh = std::move(dh_prev);
     }
-    (void)batch;
-    return grad_input;
 }
 
 std::vector<Matrix *>

@@ -2,9 +2,11 @@
  * @file
  * Abstract layer interface for the Sequential model.
  *
- * A layer owns its parameters and their gradient buffers. A training
- * forward keeps whatever state backward() needs, so the usual call
- * pattern is forward -> backward -> (optimizer step) -> zeroGrad.
+ * A layer owns its parameters and their gradient buffers, and writes
+ * its outputs into buffers its caller owns (Sequential's scratch
+ * arena). A training forward keeps whatever state the backward pass
+ * needs, so the usual call pattern is forwardInto -> backwardInto ->
+ * (optimizer step) -> zeroGrad.
  */
 
 #ifndef GEO_NN_LAYER_HH
@@ -30,47 +32,26 @@ class Layer
     virtual ~Layer() = default;
 
     /**
-     * Run the layer on a (batch x inputSize) matrix.
+     * Run the layer on a (batch x inputSize) matrix into `out`, which
+     * the layer reshapes to batch x outputSize.
      *
-     * @param input batch of row-vector inputs.
-     * @param training when true, cache activations for backward().
-     * @return (batch x outputSize) activations.
+     * A training call (training == true) keeps what backwardInto()
+     * needs, and may keep pointers to `input` and `out` instead of
+     * copies: both must stay alive and unmodified until the matching
+     * backwardInto().
      */
-    virtual Matrix forward(const Matrix &input, bool training) = 0;
+    virtual void forwardInto(const Matrix &input, bool training,
+                             Matrix &out) = 0;
 
     /**
-     * Backpropagate: accumulate parameter gradients and return the
-     * gradient with respect to this layer's input.
+     * Backpropagate: accumulate parameter gradients and write the
+     * gradient with respect to this layer's input into `grad_input`.
      *
-     * Must be called after a forward(input, true) with a gradient of the
-     * same shape as that forward's output.
+     * Must follow a forwardInto(input, true, out), with a gradient of
+     * the same shape as that forward's output.
      */
-    virtual Matrix backward(const Matrix &grad_output) = 0;
-
-    /**
-     * forward() computed into a caller-owned buffer (reshaped by the
-     * layer). Layers on the training hot path override this to avoid
-     * per-call allocations; the default delegates to forward() and
-     * moves the result, so overriding is optional.
-     *
-     * A training call (training == true) may keep pointers to `input`
-     * and `out` instead of copies: both must stay alive and unmodified
-     * until the matching backwardInto(). forward(input, true) may be
-     * passed a temporary, so there a layer keeps copies.
-     */
-    virtual void
-    forwardInto(const Matrix &input, bool training, Matrix &out)
-    {
-        out = forward(input, training);
-    }
-
-    /** backward() computed into a caller-owned gradient buffer; same
-     *  contract and default-delegation as forwardInto(). */
-    virtual void
-    backwardInto(const Matrix &grad_output, Matrix &grad_input)
-    {
-        grad_input = backward(grad_output);
-    }
+    virtual void backwardInto(const Matrix &grad_output,
+                              Matrix &grad_input) = 0;
 
     /**
      * backwardInto() for a caller that discards the input gradient, as

@@ -41,8 +41,8 @@ LstmLayer::concat(const Matrix &h_prev, const Matrix &x_t) const
     return z;
 }
 
-Matrix
-LstmLayer::forward(const Matrix &input, bool training)
+void
+LstmLayer::forwardInto(const Matrix &input, bool training, Matrix &out)
 {
     if (input.cols() != inputSize())
         panic("LstmLayer::forward: input width %zu != %zu", input.cols(),
@@ -95,17 +95,17 @@ LstmLayer::forward(const Matrix &input, bool training)
         c = std::move(c_next);
         h = std::move(h_next);
     }
-    return h;
+    out = std::move(h);
 }
 
-Matrix
-LstmLayer::backward(const Matrix &grad_output)
+void
+LstmLayer::backwardInto(const Matrix &grad_output, Matrix &grad_input)
 {
     if (cache_.size() != timesteps_)
         panic("LstmLayer::backward without a training forward pass");
     size_t batch = grad_output.rows();
-    Matrix grad_input(batch, inputSize());
     Matrix dh = grad_output;
+    grad_input.reshape(batch, inputSize());
     Matrix dc(batch, hidden_);
 
     for (size_t t = timesteps_; t-- > 0;) {
@@ -167,7 +167,6 @@ LstmLayer::backward(const Matrix &grad_output)
                             dz.colRange(hidden_, hidden_ + features_));
         dc = std::move(dc_prev);
     }
-    return grad_input;
 }
 
 std::vector<Matrix *>

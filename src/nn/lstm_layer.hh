@@ -31,8 +31,10 @@ class LstmLayer : public Layer
     LstmLayer(size_t features_per_step, size_t timesteps, size_t hidden_size,
               Activation act, Rng &rng);
 
-    Matrix forward(const Matrix &input, bool training) override;
-    Matrix backward(const Matrix &grad_output) override;
+    void forwardInto(const Matrix &input, bool training,
+                     Matrix &out) override;
+    void backwardInto(const Matrix &grad_output,
+                      Matrix &grad_input) override;
 
     std::vector<Matrix *> parameters() override;
     std::vector<Matrix *> gradients() override;

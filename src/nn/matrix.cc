@@ -103,53 +103,25 @@ panelStride(size_t w)
 constexpr double kParallelMinFlops = 8e6;
 
 /**
- * Shape-dependent kernel selection — the single source of truth.
+ * Kernel selection, one rule: a product with a single output column
+ * (n == 1) takes a plain loop; every other shape, in all three
+ * orientations, takes the packed tile. Routing never changes a
+ * result: both kernels are bitwise equal to matmulNaive.
  *
- * The packed kernel pays one pass over B (and, for AtB, one over A) to
- * lay panels out contiguously, and one pass per output row to list
- * its nonzero depth indices; then it writes each output element
- * exactly once from a register accumulator. The plain loops skip
- * those tolls but re-walk the output (AB, AtB) or serialize on a
- * dot-product chain (ABt), and branch on every lhs element, so they
- * win only while the packing cannot be amortized. Shapes are
- * m x k x n of the *output-shaped* product: out is m x n and k is the
- * depth axis. What stays plain:
- *
- *   AB   a single output column; fewer than 4 rows; k*n < 64, where
- *        tile setup dominates; and 4..15 rows once B leaves L2
- *        (k*n > 16K doubles).
- *   ABt  n = 1, where the panel is padded 1 -> 8 wide; and n = 2-3
- *        unless the lhs traffic m*k dwarfs the pack pass.
- *   AtB  fewer than 4 output rows or columns, or under 64 output
- *        elements: both operands are packed, so small outputs never
- *        amortize the two passes.
- *
- * These thresholds were fitted to 1-core timings of the earlier
- * branching two-lane tiles, which did not list nonzeros; they have
- * not been re-fitted since. Routing never changes a result: both
- * kernels are bitwise equal to matmulNaive.
+ * Measured on a 4-core AVX2 Xeon, packed time over plain time at both
+ * widths: model 1's one-column products (its output layer's forward
+ * and weight gradient) take 2-3.5x as long packed, so they stay
+ * plain. The per-shape rules this one replaced also kept plain some
+ * products the tile runs in 0.24-0.76x the time (fewer than 4 rows,
+ * 4..15 rows once B leaves L2, k*n < 64) and some it runs in 0.6-1.6x
+ * (A*B^T with n = 2-3, small A^T*B outputs). None of those shapes
+ * occurs in the workloads, and each takes a few microseconds, so none
+ * earns a rule of its own.
  */
 bool
-usePackedKernel(GemmOp op, size_t m, size_t k, size_t n)
+usePackedKernel(size_t n)
 {
-    switch (op) {
-      case GemmOp::AB:
-        // k*n >= 64 keeps tile setup from dominating tiny products;
-        // few-row products amortize the B pack only while B stays
-        // L2-resident (16K doubles = 128 KiB).
-        return n >= 2 && k * n >= 64 &&
-               (m >= 16 || (m >= 4 && k * n <= 16384));
-      case GemmOp::ABt:
-        // The plain loop serializes on one dot-product chain per
-        // output element, so even one output row wins; n = 2-3 pays
-        // only when the a-side traffic dwarfs the pack pass.
-        return n >= 4 || (n >= 2 && m * k >= 2048);
-      case GemmOp::AtB:
-        // Both operands are packed here, so the output has to be
-        // large enough in both directions to amortize two passes.
-        return m >= 4 && n >= 4 && m * n >= 64;
-    }
-    return false;
+    return n != 1;
 }
 
 /** Doubles needed to hold all packed panels of a K x N operand. */
@@ -361,10 +333,10 @@ packedRows4(const double *__restrict a, const double *__restrict packed,
 
 /**
  * Plain ikj kernel over output rows [row_begin, row_end) — the
- * below-crossover path. Identical loop to matmulNaive restricted to a
+ * single-column path. Identical loop to matmulNaive restricted to a
  * row range.
  */
-// noinline: inlining into matmulInto discards the __restrict
+// noinline: inlining into its caller discards the __restrict
 // qualification and the inner-loop bound spills to the stack.
 __attribute__((noinline)) void
 matmulRows(const double *__restrict a, const double *__restrict b,
@@ -404,6 +376,17 @@ dispatchRows(size_t rows, size_t K, size_t N, const RowKernel &kernel)
     } else {
         kernel(0, rows);
     }
+}
+
+/** out (m x 1) = a (m x K) times the K-long column b: the plain loop
+ *  over row chunks, split across the pool like the packed path. */
+void
+columnProduct(const double *a, const double *b, double *o, size_t m,
+              size_t K)
+{
+    dispatchRows(m, K, 1, [&](size_t begin, size_t end) {
+        matmulRows(a, b, o, begin, end, K, 1);
+    });
 }
 
 } // namespace
@@ -512,20 +495,14 @@ Matrix::matmulInto(const Matrix &other, Matrix &out) const
     if (&out == this || &out == &other)
         panic("matmulInto: output must not alias an operand");
     out.reshape(rows_, other.cols_);
-    if (rows_ == 0 || other.cols_ == 0)
+    if (rows_ == 0 || cols_ == 0 || other.cols_ == 0)
         return;
-    const size_t K = cols_, N = other.cols_;
-    if (K > 0 && usePackedKernel(GemmOp::AB, rows_, K, N)) {
+    if (usePackedKernel(other.cols_))
         detail::packedGemmInto(GemmOp::AB, *this, other, out,
                                detail::packedLanes());
-        return;
-    }
-    const double *a = data_.data();
-    const double *b = other.data_.data();
-    double *o = out.data_.data();
-    dispatchRows(rows_, K, N, [&](size_t begin, size_t end) {
-        matmulRows(a, b, o, begin, end, K, N);
-    });
+    else
+        columnProduct(data_.data(), other.data_.data(), out.data_.data(),
+                      rows_, cols_);
 }
 
 Matrix
@@ -569,35 +546,16 @@ Matrix::matmulTransposedInto(const Matrix &other, Matrix &out) const
     if (&out == this || &out == &other)
         panic("matmulTransposedInto: output must not alias an operand");
     out.reshape(rows_, other.rows_);
-    if (rows_ == 0 || other.rows_ == 0)
+    if (rows_ == 0 || cols_ == 0 || other.rows_ == 0)
         return;
-    const size_t K = cols_, N = other.rows_;
-    if (K > 0 && usePackedKernel(GemmOp::ABt, rows_, K, N)) {
+    // With one output column, B^T's single row is laid out as the
+    // K x 1 column an A*B product reads, so the plain A*B loop serves.
+    if (usePackedKernel(other.rows_))
         detail::packedGemmInto(GemmOp::ABt, *this, other, out,
                                detail::packedLanes());
-        return;
-    }
-    // Row-by-row dot products: both operands are read contiguously and
-    // k ascends per element, matching a.matmulNaive(b.transposed())
-    // bit-for-bit (including its zero-lhs skip).
-    const double *__restrict a = data_.data();
-    const double *__restrict b = other.data_.data();
-    double *__restrict o = out.data_.data();
-    for (size_t i = 0; i < rows_; ++i) {
-        const double *a_row = &a[i * K];
-        double *out_row = &o[i * N];
-        for (size_t j = 0; j < N; ++j) {
-            const double *b_row = &b[j * K];
-            double acc = 0.0;
-            for (size_t k = 0; k < K; ++k) {
-                const double lhs = a_row[k];
-                if (lhs == 0.0)
-                    continue;
-                acc += lhs * b_row[k];
-            }
-            out_row[j] = acc;
-        }
-    }
+    else
+        columnProduct(data_.data(), other.data_.data(), out.data_.data(),
+                      rows_, cols_);
 }
 
 void
@@ -609,10 +567,10 @@ Matrix::transposedMatmulInto(const Matrix &other, Matrix &out) const
     if (&out == this || &out == &other)
         panic("transposedMatmulInto: output must not alias an operand");
     out.reshape(cols_, other.cols_);
-    if (cols_ == 0 || other.cols_ == 0)
+    if (rows_ == 0 || cols_ == 0 || other.cols_ == 0)
         return;
     const size_t K = cols_, N = other.cols_;
-    if (rows_ > 0 && usePackedKernel(GemmOp::AtB, cols_, rows_, N)) {
+    if (usePackedKernel(N)) {
         detail::packedGemmInto(GemmOp::AtB, *this, other, out,
                                detail::packedLanes());
         return;

@@ -7,22 +7,22 @@
  * transpose, elementwise arithmetic, row/column reductions and random
  * initialization. All shape violations are programming errors and panic.
  *
- * Performance notes: above measured shape crossovers (usePackedKernel
- * in matrix.cc — the single source of truth), matmul and both
- * transposed products run a register-blocked micro-kernel over B
- * panels packed into contiguous column strips. Each output row first
- * lists its nonzero lhs depth indices, without a branch on the data,
- * and the kernel walks only those, so the zero-lhs skip costs no
- * mispredicted branches on ReLU-sparse activations. The kernel is
- * 4 lanes wide on hosts with AVX2 (chosen once at run time) and 2
- * lanes otherwise. Above a flop threshold the rows are split across
- * the global thread pool. Every transform preserves the per-element
- * ascending-k accumulation order, the zero-lhs skip and the separate
- * multiply and add (no FMA), so results are bit-identical to the
- * naive serial loop (matmulNaive, kept as the test reference) at every
- * width. Element bounds checks are compiled in only when
- * GEO_CHECK_BOUNDS is defined (the default build); GEO_NATIVE release
- * builds drop them from the hot loops.
+ * Performance notes: every product with more than one output column
+ * (usePackedKernel in matrix.cc, the one routing rule) runs, in all
+ * three orientations, a register-blocked micro-kernel over B panels
+ * packed into contiguous column strips; a single output column takes
+ * a plain loop. Each output row first lists its nonzero lhs depth
+ * indices, without a branch on the data, and the kernel walks only
+ * those, so the zero-lhs skip costs no mispredicted branches on
+ * ReLU-sparse activations. The kernel is 4 lanes wide on hosts with
+ * AVX2 (chosen once at run time) and 2 lanes otherwise. Above a flop
+ * threshold the rows are split across the global thread pool. Every
+ * transform preserves the per-element ascending-k accumulation order,
+ * the zero-lhs skip and the separate multiply and add (no FMA), so
+ * results are bit-identical to the naive serial loop (matmulNaive,
+ * kept as the test reference) at every width. Element bounds checks
+ * are compiled in only when GEO_CHECK_BOUNDS is defined (the default
+ * build); GEO_NATIVE release builds drop them from the hot loops.
  *
  * Every acquisition of a fresh element buffer (constructor, copy,
  * growth in reshape/assignment) bumps a process-wide counter,

@@ -3,10 +3,10 @@
  * Internal: the packed GEMM path behind Matrix's three products.
  *
  * Matrix::matmulInto, matmulTransposedInto and transposedMatmulInto
- * send every shape above the crossover (usePackedKernel in matrix.cc)
- * through packedGemmInto at packedLanes() lanes. Library code calls
- * the Matrix products, not this header; tests include it to check
- * every lane width against matmulNaive on one host.
+ * send every product with more than one output column (usePackedKernel
+ * in matrix.cc) through packedGemmInto at packedLanes() lanes. Library
+ * code calls the Matrix products, not this header; tests include it to
+ * check every lane width against matmulNaive on one host.
  */
 
 #ifndef GEO_NN_PACKED_GEMM_HH

@@ -24,8 +24,8 @@ SimpleRnnLayer::SimpleRnnLayer(size_t features_per_step, size_t timesteps,
     wh_.fillNormal(rng, 0.5 / std::sqrt(static_cast<double>(hidden_)));
 }
 
-Matrix
-SimpleRnnLayer::forward(const Matrix &input, bool training)
+void
+SimpleRnnLayer::forwardInto(const Matrix &input, bool training, Matrix &out)
 {
     if (input.cols() != inputSize())
         panic("SimpleRnnLayer::forward: input width %zu != %zu",
@@ -54,17 +54,17 @@ SimpleRnnLayer::forward(const Matrix &input, bool training)
             cachedHidden_.push_back(hidden);
         }
     }
-    return hidden;
+    out = std::move(hidden);
 }
 
-Matrix
-SimpleRnnLayer::backward(const Matrix &grad_output)
+void
+SimpleRnnLayer::backwardInto(const Matrix &grad_output, Matrix &grad_input)
 {
     if (cachedPreActs_.size() != timesteps_)
         panic("SimpleRnnLayer::backward without a training forward pass");
     size_t batch = grad_output.rows();
-    Matrix grad_input(batch, inputSize());
     Matrix dh = grad_output;
+    grad_input.reshape(batch, inputSize());
     for (size_t t = timesteps_; t-- > 0;) {
         Matrix dpre = activationDerivative(act_, cachedPreActs_[t]);
         dpre.hadamardInPlace(dh);
@@ -79,7 +79,6 @@ SimpleRnnLayer::backward(const Matrix &grad_output)
                             dpre.matmulTransposed(wx_));
         dh = dpre.matmulTransposed(wh_);
     }
-    return grad_input;
 }
 
 std::vector<Matrix *>

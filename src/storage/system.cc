@@ -141,38 +141,18 @@ StorageSystem::location(FileId id) const
 AccessObservation
 StorageSystem::access(FileId id, uint64_t bytes, bool is_read)
 {
-    const FileObject &f = file(id);
-    StorageDevice &dev = device(f.location);
-
-    double start = clock_.now();
-    if (injector_)
-        injector_->advanceTo(start);
-    DeviceAccess result;
-    if (!dev.available() ||
-        (injector_ && injector_->shouldFailAccess(dev.id()))) {
-        result = dev.failAccess(start);
-    } else {
-        result = dev.access(bytes, is_read, start);
-    }
-    clock_.advance(result.duration);
-
-    AccessObservation obs;
-    obs.file = id;
-    obs.device = f.location;
-    obs.readBytes = is_read ? bytes : 0;
-    obs.writtenBytes = is_read ? 0 : bytes;
-    obs.startTime = start;
-    obs.endTime = clock_.now();
-    obs.throughput = result.throughput;
-    obs.failed = result.failed;
-
-    for (const auto &observer : accessObservers_)
-        observer(obs);
-    return obs;
+    return serve(id, bytes, is_read, /*advance_clock=*/true);
 }
 
 AccessObservation
 StorageSystem::accessConcurrent(FileId id, uint64_t bytes, bool is_read)
+{
+    return serve(id, bytes, is_read, /*advance_clock=*/false);
+}
+
+AccessObservation
+StorageSystem::serve(FileId id, uint64_t bytes, bool is_read,
+                     bool advance_clock)
 {
     const FileObject &f = file(id);
     StorageDevice &dev = device(f.location);
@@ -187,7 +167,6 @@ StorageSystem::accessConcurrent(FileId id, uint64_t bytes, bool is_read)
     } else {
         result = dev.access(bytes, is_read, start);
     }
-    // Overlapping client: the device pays, the global clock does not.
 
     AccessObservation obs;
     obs.file = id;
@@ -195,7 +174,13 @@ StorageSystem::accessConcurrent(FileId id, uint64_t bytes, bool is_read)
     obs.readBytes = is_read ? bytes : 0;
     obs.writtenBytes = is_read ? 0 : bytes;
     obs.startTime = start;
-    obs.endTime = start + result.duration;
+    if (advance_clock) {
+        clock_.advance(result.duration);
+        obs.endTime = clock_.now();
+    } else {
+        // Overlapping client: the device pays, the global clock does not.
+        obs.endTime = start + result.duration;
+    }
     obs.throughput = result.throughput;
     obs.failed = result.failed;
 

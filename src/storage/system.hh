@@ -228,6 +228,11 @@ class StorageSystem
     void loadState(util::StateReader &r);
 
   private:
+    /** The body of access() and accessConcurrent(): only a primary
+     *  access (`advance_clock`) moves the simulated clock. */
+    AccessObservation serve(FileId id, uint64_t bytes, bool is_read,
+                            bool advance_clock);
+
     SystemConfig config_;
     std::vector<StorageDevice> devices_;
     std::vector<FileObject> files_; ///< index = FileId

@@ -4,12 +4,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include <fcntl.h>
 #include <unistd.h>
-
-#include "util/logging.hh"
 
 namespace geo {
 namespace util {
@@ -31,13 +28,6 @@ steadyNowNs()
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
-}
-
-/** Shortest %g form that still round-trips enough for a trace view. */
-std::string
-traceNumber(double v)
-{
-    return strprintf("%.6g", v);
 }
 
 } // namespace
@@ -114,6 +104,51 @@ TraceCollector::eventCount() const
     return events_.size();
 }
 
+template <typename Sink>
+bool
+TraceCollector::formatJson(const Event *events, size_t count, Sink &&sink)
+{
+    char buf[512];
+    // A chunk that does not fit is an error, not a cut line.
+    auto emit = [&](int len) {
+        return len >= 0 && static_cast<size_t>(len) < sizeof buf &&
+               sink(buf, static_cast<size_t>(len));
+    };
+    // Process metadata so Perfetto labels the two time domains.
+    if (!emit(std::snprintf(
+            buf, sizeof buf,
+            "{\"traceEvents\":[\n"
+            "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
+            "\"args\":{\"name\":\"geomancy host (steady clock)\"}},\n"
+            "{\"ph\":\"M\",\"pid\":2,\"tid\":0,\"name\":\"process_name\","
+            "\"args\":{\"name\":\"geomancy sim (SimClock)\"}}")))
+        return false;
+    for (size_t i = 0; i < count; ++i) {
+        const Event &event = events[i];
+        if (!event.cat || !event.name)
+            continue; // torn slot: the pointers are set on push
+        const bool sim = event.domain == TimeDomain::Sim;
+        // Sim timestamps are seconds; the trace format wants us.
+        const double scale = sim ? 1e6 : 1.0;
+        if (!emit(std::snprintf(buf, sizeof buf,
+                                ",\n{\"ph\":\"%c\",\"pid\":%d,\"tid\":%u,"
+                                "\"ts\":%.6g,\"cat\":\"%s\",\"name\":\"%s\"",
+                                event.phase, sim ? 2 : 1,
+                                sim ? 0 : event.tid, event.ts * scale,
+                                event.cat, event.name)))
+            return false;
+        const int len =
+            event.phase == 'X'
+                ? std::snprintf(buf, sizeof buf, ",\"dur\":%.6g}",
+                                event.dur * scale)
+                : std::snprintf(buf, sizeof buf, ",\"s\":\"t\"}");
+        if (!emit(len))
+            return false;
+    }
+    return emit(std::snprintf(buf, sizeof buf,
+                              "\n],\"displayTimeUnit\":\"ms\"}\n"));
+}
+
 std::string
 TraceCollector::toJson() const
 {
@@ -122,34 +157,13 @@ TraceCollector::toJson() const
         std::lock_guard<std::mutex> lock(mutex_);
         events = events_;
     }
-
-    std::ostringstream out;
-    out << "{\"traceEvents\":[\n";
-    // Process metadata so Perfetto labels the two time domains.
-    out << "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":"
-           "\"process_name\",\"args\":{\"name\":"
-           "\"geomancy host (steady clock)\"}},\n";
-    out << "{\"ph\":\"M\",\"pid\":2,\"tid\":0,\"name\":"
-           "\"process_name\",\"args\":{\"name\":"
-           "\"geomancy sim (SimClock)\"}}";
-    for (const Event &event : events) {
-        const bool sim = event.domain == TimeDomain::Sim;
-        const int pid = sim ? 2 : 1;
-        // Sim timestamps are seconds; the trace format wants us.
-        const double scale = sim ? 1e6 : 1.0;
-        out << ",\n{\"ph\":\"" << event.phase << "\",\"pid\":" << pid
-            << ",\"tid\":" << (sim ? 0 : event.tid)
-            << ",\"ts\":" << traceNumber(event.ts * scale)
-            << ",\"cat\":\"" << event.cat << "\",\"name\":\""
-            << event.name << "\"";
-        if (event.phase == 'X')
-            out << ",\"dur\":" << traceNumber(event.dur * scale);
-        else if (event.phase == 'i')
-            out << ",\"s\":\"t\"";
-        out << "}";
-    }
-    out << "\n],\"displayTimeUnit\":\"ms\"}\n";
-    return out.str();
+    std::string out;
+    formatJson(events.data(), events.size(),
+               [&out](const char *chunk, size_t len) {
+                   out.append(chunk, len);
+                   return true;
+               });
+    return out;
 }
 
 bool
@@ -172,18 +186,6 @@ TraceCollector::setCrashFlushPath(const std::string &path)
     crashPath_[n] = '\0';
 }
 
-namespace {
-
-/** write(2) a snprintf-formatted chunk; false on short write. */
-bool
-writeAll(int fd, const char *buf, int len)
-{
-    return len >= 0 &&
-           ::write(fd, buf, static_cast<size_t>(len)) == len;
-}
-
-} // namespace
-
 bool
 TraceCollector::crashFlushTo(int fd) const
 {
@@ -197,41 +199,9 @@ TraceCollector::crashFlushTo(int fd) const
     if (count > events_.capacity())
         count = 0; // size read mid-update: give up on the body
 
-    char buf[512];
-    int len = std::snprintf(
-        buf, sizeof buf,
-        "{\"traceEvents\":[\n"
-        "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
-        "\"args\":{\"name\":\"geomancy host (steady clock)\"}},\n"
-        "{\"ph\":\"M\",\"pid\":2,\"tid\":0,\"name\":\"process_name\","
-        "\"args\":{\"name\":\"geomancy sim (SimClock)\"}}");
-    if (!writeAll(fd, buf, len))
-        return false;
-    for (size_t i = 0; i < count; ++i) {
-        const Event &event = events[i];
-        if (!event.cat || !event.name)
-            continue; // torn slot: the pointers are set on push
-        const bool sim = event.domain == TimeDomain::Sim;
-        const double scale = sim ? 1e6 : 1.0;
-        len = std::snprintf(buf, sizeof buf,
-                            ",\n{\"ph\":\"%c\",\"pid\":%d,\"tid\":%u,"
-                            "\"ts\":%.6g,\"cat\":\"%s\",\"name\":\"%s\"",
-                            event.phase, sim ? 2 : 1,
-                            sim ? 0 : event.tid, event.ts * scale,
-                            event.cat, event.name);
-        if (!writeAll(fd, buf, len))
-            return false;
-        if (event.phase == 'X')
-            len = std::snprintf(buf, sizeof buf, ",\"dur\":%.6g}",
-                                event.dur * scale);
-        else
-            len = std::snprintf(buf, sizeof buf, ",\"s\":\"t\"}");
-        if (!writeAll(fd, buf, len))
-            return false;
-    }
-    len = std::snprintf(buf, sizeof buf,
-                        "\n],\"displayTimeUnit\":\"ms\"}\n");
-    return writeAll(fd, buf, len);
+    return formatJson(events, count, [fd](const char *chunk, size_t len) {
+        return ::write(fd, chunk, len) == static_cast<ssize_t>(len);
+    });
 }
 
 bool

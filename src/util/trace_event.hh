@@ -136,6 +136,18 @@ class TraceCollector
 
     void push(const Event &event);
 
+    /**
+     * The one trace formatter: the Chrome trace JSON of `count`
+     * events, snprintf'd chunk by chunk into a stack buffer and handed
+     * to `sink(chunk, len)`, which returns false to stop. It allocates
+     * and locks nothing, so crashFlushTo() runs it on fatal-signal
+     * paths; toJson() runs it over a copy taken under the lock.
+     * @return false when a chunk did not fit its buffer or the sink
+     * stopped.
+     */
+    template <typename Sink>
+    static bool formatJson(const Event *events, size_t count, Sink &&sink);
+
     std::atomic<bool> enabled_{false};
     std::atomic<uint64_t> dropped_{0};
     std::atomic<int64_t> epochNs_{0};

@@ -25,7 +25,8 @@ namespace testutil {
 inline double
 lossOf(Layer &layer, const Matrix &input, const Matrix &weights)
 {
-    Matrix out = layer.forward(input, /*training=*/false);
+    Matrix out;
+    layer.forwardInto(input, /*training=*/false, out);
     double loss = 0.0;
     for (size_t i = 0; i < out.size(); ++i)
         loss += out.data()[i] * weights.data()[i];
@@ -41,14 +42,15 @@ inline void
 checkGradients(Layer &layer, const Matrix &input, uint64_t seed,
                double tolerance = 2e-5)
 {
-    Matrix probe = layer.forward(input, /*training=*/true);
-    Matrix weights(probe.rows(), probe.cols());
+    Matrix out, grad_input;
+    layer.forwardInto(input, /*training=*/true, out);
+    Matrix weights(out.rows(), out.cols());
     Rng rng(seed);
     weights.fillNormal(rng, 1.0);
 
     layer.zeroGrad();
-    layer.forward(input, /*training=*/true);
-    Matrix grad_input = layer.backward(weights);
+    layer.forwardInto(input, /*training=*/true, out);
+    layer.backwardInto(weights, grad_input);
 
     const double eps = 1e-6;
 

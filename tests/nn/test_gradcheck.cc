@@ -61,21 +61,22 @@ TEST_P(LayerGradCheck, GradientsAccumulateAcrossBackwards)
 
     Matrix input(2, layer_case.inputWidth);
     input.fillNormal(rng, 1.0);
-    Matrix out = layer->forward(input, true);
+    Matrix out, grad_input;
+    layer->forwardInto(input, true, out);
     Matrix grad(out.rows(), out.cols(), 1.0);
 
     layer->zeroGrad();
-    layer->backward(grad);
+    layer->backwardInto(grad, grad_input);
     std::vector<double> once;
     for (Matrix *g : layer->gradients())
         for (double v : g->data())
             once.push_back(v);
 
     layer->zeroGrad();
-    layer->forward(input, true);
-    layer->backward(grad);
-    layer->forward(input, true);
-    layer->backward(grad);
+    layer->forwardInto(input, true, out);
+    layer->backwardInto(grad, grad_input);
+    layer->forwardInto(input, true, out);
+    layer->backwardInto(grad, grad_input);
     size_t index = 0;
     for (Matrix *g : layer->gradients())
         for (double v : g->data())
@@ -90,8 +91,9 @@ TEST_P(LayerGradCheck, ZeroGradClears)
 
     Matrix input(1, layer_case.inputWidth);
     input.fillNormal(rng, 1.0);
-    Matrix out = layer->forward(input, true);
-    layer->backward(Matrix(out.rows(), out.cols(), 1.0));
+    Matrix out, grad_input;
+    layer->forwardInto(input, true, out);
+    layer->backwardInto(Matrix(out.rows(), out.cols(), 1.0), grad_input);
     layer->zeroGrad();
     for (Matrix *g : layer->gradients())
         for (double v : g->data())

@@ -81,10 +81,11 @@ TEST(NumericalStability, LongLstmRecurrenceStaysFinite)
     LstmLayer lstm(2, 200, 8, Activation::Tanh, rng);
     Matrix input(2, 400);
     input.fillNormal(rng, 2.0);
-    Matrix out = lstm.forward(input, true);
+    Matrix out, grad_in;
+    lstm.forwardInto(input, true, out);
     EXPECT_FALSE(out.hasNonFinite());
     Matrix grad(2, 8, 1.0);
-    Matrix grad_in = lstm.backward(grad);
+    lstm.backwardInto(grad, grad_in);
     EXPECT_FALSE(grad_in.hasNonFinite());
 }
 

@@ -2,10 +2,11 @@
  * @file
  * Bit-identity tests for the packed register-blocked GEMM paths.
  *
- * test_matrix_parallel.cc covers small and boundary shapes that mostly
- * stay on the plain kernels; the shapes here sit above the measured
- * crossovers in matrix.cc's kernel plan, forcing the B-panel packing
- * and micro-tile code for all three products. Each product is also run
+ * test_matrix_parallel.cc covers small and boundary shapes; the shapes
+ * here have more than one output column, so the Matrix products run
+ * the B-panel packing and micro-tile code for all three orientations
+ * (only a single output column takes matrix.cc's plain loops, which
+ * NonFiniteRhsUnderZeroLhsIsSkipped also covers). Each product is also run
  * through detail::packedGemmInto, the entry point the Matrix products
  * dispatch to, at every lane width this host supports (2, and 4 with
  * AVX2), so the width the host does not pick is checked too. The
@@ -99,9 +100,8 @@ TEST(PackedKernels, HostWithAvx2RunsFourLanes)
 TEST(PackedKernels, MatmulAboveCrossoverMatchesNaive)
 {
     Rng rng(2024);
-    // All shapes clear the packed-kernel plan for A*B; widths exercise
-    // full panels, a narrow tail panel (n % 8 != 0) and row tails
-    // (m % 4 != 0).
+    // Widths exercise full panels, a narrow tail panel (n % 8 != 0)
+    // and row tails (m % 4 != 0).
     const std::vector<std::array<size_t, 3>> shapes = {
         {128, 128, 128}, {130, 128, 121}, {64, 300, 37},
         {17, 256, 260},  {256, 64, 128},  {101, 101, 101},
@@ -199,12 +199,15 @@ TEST(PackedKernels, NonFiniteRhsUnderZeroLhsIsSkipped)
     // entries -0.0) and a rhs slice of +inf, -inf and NaN, so every
     // result is finite exactly when the skip holds. The rest of the lhs
     // is ReLU-sparse, and the widths leave full, partial (> 8) and
-    // half (<= 8) panels.
+    // half (<= 8) panels. The last shape is model 1's output layer: one
+    // output column, so every product takes a plain loop (A*B and A*B^T
+    // matmulRows, A^T*B the rank-1 loop) and the skip there is pinned
+    // too.
     const double inf = std::numeric_limits<double>::infinity();
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double poison[] = {inf, -inf, nan};
     const std::vector<std::array<size_t, 3>> shapes = {
-        {37, 40, 29}, {20, 33, 21}, {64, 96, 48}};
+        {37, 40, 29}, {20, 33, 21}, {64, 96, 48}, {64, 24, 1}};
     Rng rng(2028);
     for (const auto &[m, k, n] : shapes) {
         auto dead = [](size_t d) { return d % 5 == 2; };
@@ -268,9 +271,8 @@ TEST(PackedKernels, NonFiniteRhsUnderZeroLhsIsSkipped)
 
 TEST(PackedKernels, RandomizedShapesAllProducts)
 {
-    // Fuzz across the crossover: shapes land on both sides of the
-    // kernel plan, so this continuously re-checks that plan selection
-    // never changes results.
+    // Fuzz over random shapes: whichever kernel a shape takes, the
+    // result must not change.
     Rng rng(424242);
     for (int iter = 0; iter < 25; ++iter) {
         const size_t m = static_cast<size_t>(rng.uniformInt(1, 128));

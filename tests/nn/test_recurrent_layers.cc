@@ -43,9 +43,9 @@ TEST_P(RecurrentLayerTest, ShapesMatchWindowedInput)
     auto layer = makeRecurrent(GetParam(), 3, 5, 7, rng);
     EXPECT_EQ(layer->inputSize(), 15u);
     EXPECT_EQ(layer->outputSize(), 7u);
-    Matrix x(4, 15);
+    Matrix x(4, 15), y;
     x.fillNormal(rng, 1.0);
-    Matrix y = layer->forward(x, false);
+    layer->forwardInto(x, false, y);
     EXPECT_EQ(y.rows(), 4u);
     EXPECT_EQ(y.cols(), 7u);
 }
@@ -62,8 +62,9 @@ TEST_P(RecurrentLayerTest, OutputDependsOnStepOrder)
         swapped.at(0, c) = x.at(0, 4 + c);
         swapped.at(0, 4 + c) = x.at(0, c);
     }
-    Matrix y1 = layer->forward(x, false);
-    Matrix y2 = layer->forward(swapped, false);
+    Matrix y1, y2;
+    layer->forwardInto(x, false, y1);
+    layer->forwardInto(swapped, false, y2);
     double diff = 0.0;
     for (size_t c = 0; c < y1.cols(); ++c)
         diff += std::fabs(y1.at(0, c) - y2.at(0, c));
@@ -81,7 +82,8 @@ TEST_P(RecurrentLayerTest, LastStepDominatesWithShortWindow)
         x.at(0, c) = 0.3 * static_cast<double>(c);
         x.at(1, c) = 0.3 * static_cast<double>(c);
     }
-    Matrix y = layer->forward(x, false);
+    Matrix y;
+    layer->forwardInto(x, false, y);
     for (size_t c = 0; c < y.cols(); ++c)
         EXPECT_DOUBLE_EQ(y.at(0, c), y.at(1, c));
 }
@@ -90,25 +92,25 @@ TEST_P(RecurrentLayerTest, WrongWidthPanics)
 {
     Rng rng(64);
     auto layer = makeRecurrent(GetParam(), 3, 4, 2, rng);
-    Matrix x(1, 11);
-    EXPECT_DEATH(layer->forward(x, false), "input width");
+    Matrix x(1, 11), y;
+    EXPECT_DEATH(layer->forwardInto(x, false, y), "input width");
 }
 
 TEST_P(RecurrentLayerTest, BackwardWithoutForwardPanics)
 {
     Rng rng(65);
     auto layer = makeRecurrent(GetParam(), 2, 2, 2, rng);
-    Matrix grad(1, 2);
-    EXPECT_DEATH(layer->backward(grad), "without");
+    Matrix grad(1, 2), dx;
+    EXPECT_DEATH(layer->backwardInto(grad, dx), "without");
 }
 
 TEST_P(RecurrentLayerTest, BoundedActivationsStayFinite)
 {
     Rng rng(66);
     auto layer = makeRecurrent(GetParam(), 2, 50, 8, rng);
-    Matrix x(1, 100);
+    Matrix x(1, 100), y;
     x.fillNormal(rng, 3.0);
-    Matrix y = layer->forward(x, false);
+    layer->forwardInto(x, false, y);
     EXPECT_FALSE(y.hasNonFinite());
 }
 

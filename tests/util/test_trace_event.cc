@@ -5,6 +5,10 @@
  * concurrent writers.
  */
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -102,6 +106,39 @@ TEST(TraceCollector, ReenableClearsOldEvents)
     collector.enable(8);
     EXPECT_EQ(collector.eventCount(), 0u);
     EXPECT_EQ(collector.droppedCount(), 0u);
+}
+
+TEST(TraceCollector, CrashFlushWritesTheBytesOfToJson)
+{
+    // crashFlush() formats for fatal-signal paths, without allocating
+    // or locking; the file it leaves must be exactly toJson().
+    TraceCollector collector;
+    collector.enable(16);
+    EXPECT_FALSE(collector.crashFlush()) << "no crash path registered";
+    collector.completeEvent("cycle", "train", TimeDomain::Host, 12.5,
+                            3.25);
+    std::thread([&collector] {
+        collector.completeEvent("pool", "retrain", TimeDomain::Host,
+                                20.0, 0.125);
+    }).join();
+    collector.completeEvent("migrate", "move", TimeDomain::Sim, 2.0, 0.5);
+    collector.completeEvent("migrate", "chunk", TimeDomain::Sim, 1e-7,
+                            123456.789);
+    collector.instantEvent("fault", "begins", TimeDomain::Sim, 120.0);
+    collector.instantEvent("guardrail", "hold", TimeDomain::Host, 33.0);
+    ASSERT_EQ(collector.eventCount(), 6u);
+
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "geo_trace_crash.json")
+            .string();
+    collector.setCrashFlushPath(path);
+    ASSERT_TRUE(collector.crashFlush());
+    std::ifstream in(path, std::ios::binary);
+    const std::string flushed((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
+    EXPECT_EQ(flushed, collector.toJson());
+    EXPECT_TRUE(validJson(flushed)) << flushed;
 }
 
 TEST(TraceCollector, ConcurrentSpansProduceWellFormedJson)
