@@ -37,21 +37,25 @@ reluInPlace(double *p, size_t n)
         p[i] = p[i] > 0.0 ? p[i] : 0.0;
 }
 
+/** grad_pre = (src > 0 ? 1.0 : 0.0) * grad_output, two lanes at a
+ *  time: the same mask as the scalar select, then the same multiply. */
 inline void
-reluMaskInto(const double *src, double *dst, size_t n)
+reluGradient(const double *src, const double *grad_output, double *grad_pre,
+             size_t n)
 {
     const v2df zero = {0.0, 0.0};
     const v2df one = {1.0, 1.0};
     size_t i = 0;
     for (; i + 2 <= n; i += 2) {
-        v2df x;
+        v2df x, g;
         __builtin_memcpy(&x, src + i, sizeof(x));
+        __builtin_memcpy(&g, grad_output + i, sizeof(g));
         const v2di keep = (x > zero);
-        const v2df r = (v2df)((v2di)one & keep);
-        __builtin_memcpy(dst + i, &r, sizeof(r));
+        const v2df r = (v2df)((v2di)one & keep) * g;
+        __builtin_memcpy(grad_pre + i, &r, sizeof(r));
     }
     for (; i < n; ++i)
-        dst[i] = src[i] > 0.0 ? 1.0 : 0.0;
+        grad_pre[i] = (src[i] > 0.0 ? 1.0 : 0.0) * grad_output[i];
 }
 
 } // namespace
@@ -111,19 +115,25 @@ activateDerivative(Activation act, double x)
 void
 applyActivationInPlace(Activation act, Matrix &values)
 {
+    applyActivationInPlace(act, values.data().data(), values.size());
+}
+
+void
+applyActivationInPlace(Activation act, double *values, size_t n)
+{
     switch (act) {
       case Activation::Linear:
         return;
       case Activation::ReLU:
-        reluInPlace(values.data().data(), values.size());
+        reluInPlace(values, n);
         return;
       case Activation::Sigmoid:
-        for (double &x : values.data())
-            x = 1.0 / (1.0 + std::exp(-x));
+        for (size_t i = 0; i < n; ++i)
+            values[i] = 1.0 / (1.0 + std::exp(-values[i]));
         return;
       case Activation::Tanh:
-        for (double &x : values.data())
-            x = std::tanh(x);
+        for (size_t i = 0; i < n; ++i)
+            values[i] = std::tanh(values[i]);
         return;
     }
     panic("unknown activation %d", static_cast<int>(act));
@@ -139,28 +149,26 @@ activationDerivative(Activation act, const Matrix &pre_activation)
 }
 
 void
-activationDerivativeFromOutput(Activation act, const Matrix &output,
-                               Matrix &out)
+preActivationGradient(Activation act, const double *output,
+                      const double *grad_output, double *grad_pre, size_t n)
 {
-    out.reshape(output.rows(), output.cols());
-    double *dst = out.data().data();
-    const double *src = output.data().data();
-    const size_t n = output.size();
+    // Derivative first, then `derivative * grad`: the operands in the
+    // order the unfused derivative matrix and Hadamard product used.
     switch (act) {
       case Activation::Linear:
         for (size_t i = 0; i < n; ++i)
-            dst[i] = 1.0;
+            grad_pre[i] = 1.0 * grad_output[i];
         return;
       case Activation::ReLU:
-        reluMaskInto(src, dst, n);
+        reluGradient(output, grad_output, grad_pre, n);
         return;
       case Activation::Sigmoid:
         for (size_t i = 0; i < n; ++i)
-            dst[i] = src[i] * (1.0 - src[i]);
+            grad_pre[i] = (output[i] * (1.0 - output[i])) * grad_output[i];
         return;
       case Activation::Tanh:
         for (size_t i = 0; i < n; ++i)
-            dst[i] = 1.0 - src[i] * src[i];
+            grad_pre[i] = (1.0 - output[i] * output[i]) * grad_output[i];
         return;
     }
     panic("unknown activation %d", static_cast<int>(act));

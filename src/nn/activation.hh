@@ -31,6 +31,9 @@ std::string activationName(Activation act);
 /** Apply the activation in place (no temporary matrix). */
 void applyActivationInPlace(Activation act, Matrix &values);
 
+/** applyActivationInPlace over n contiguous values (a row range). */
+void applyActivationInPlace(Activation act, double *values, size_t n);
+
 /**
  * Elementwise derivative evaluated from the *pre-activation* values.
  *
@@ -40,16 +43,18 @@ void applyActivationInPlace(Activation act, Matrix &values);
 Matrix activationDerivative(Activation act, const Matrix &pre_activation);
 
 /**
- * activationDerivative computed into `out` (reshaped first) from the
- * activation's *output* — the allocation-free variant the dense
- * layer's backward pass uses, so it needs no copy of the
- * pre-activations. Bitwise equal to activationDerivative of the
- * pre-activations for all four functions: ReLU's output is > 0
- * exactly where its input is, and sigmoid and tanh derive from the
- * very value the forward expression produced.
+ * The backward pass's pre-activation gradient over n contiguous
+ * values: grad_pre[i] = derivative * grad_output[i], the derivative
+ * taken from the activation's *output*, so the dense layer needs no
+ * copy of the pre-activations. grad_pre may be grad_output (in place).
+ * The derivative is bitwise that of activationDerivative at the
+ * pre-activations for all four functions: ReLU's output is > 0 exactly
+ * where its input is, and sigmoid and tanh derive from the very value
+ * the forward expression produced.
  */
-void activationDerivativeFromOutput(Activation act, const Matrix &output,
-                                    Matrix &out);
+void preActivationGradient(Activation act, const double *output,
+                           const double *grad_output, double *grad_pre,
+                           size_t n);
 
 /** Scalar forms (used by the streaming predictors and tests). */
 double activate(Activation act, double x);

@@ -30,14 +30,24 @@ class DenseLayer : public Layer
     DenseLayer(size_t input_size, size_t output_size, Activation act,
                Rng &rng);
 
-    // All intermediates live in member scratch buffers sized on first
-    // use. A training forwardInto keeps pointers to its input and
-    // output (see Layer).
+    // The whole-batch pair runs the row-range body over every row. A
+    // training forwardInto keeps pointers to its input and output for
+    // backwardInto (see Layer).
     void forwardInto(const Matrix &input, bool training,
                      Matrix &out) override;
     void backwardInto(const Matrix &grad_output,
                       Matrix &grad_input) override;
-    void backwardParams(const Matrix &grad_output, Matrix &) override;
+
+    bool rowLocal() const override { return true; }
+    void forwardRows(const Matrix &input, Matrix &out, size_t begin,
+                     size_t end) override;
+    void backwardRows(const Matrix &output, const Matrix &grad_output,
+                      Matrix &grad_pre, Matrix *grad_input, size_t begin,
+                      size_t end) override;
+    /** Share `share` of `shares` takes that share of the weight
+     *  gradient's rows and of the bias gradient's columns. */
+    void accumulateGradients(const Matrix &input, const Matrix &grad_pre,
+                             size_t share, size_t shares) override;
 
     std::vector<Matrix *> parameters() override;
     std::vector<Matrix *> gradients() override;
@@ -60,19 +70,17 @@ class DenseLayer : public Layer
     Matrix gradBias_;
     Activation act_;
 
-    /** Accumulate the weight and bias gradients into gradWeights_ /
-     *  gradBias_, leaving the pre-activation gradient in
-     *  gradPreScratch_. */
-    void accumulateGradients(const Matrix &grad_output);
-
-    // The last training forward's input and (post-activation) output.
+    // The last training forwardInto's input and (post-activation)
+    // output, for backwardInto.
     const Matrix *input_ = nullptr;
     const Matrix *output_ = nullptr;
 
-    // Reused backward-pass scratch (kills per-batch allocations).
-    Matrix gradScratch_;    ///< weight-gradient accumulator input
-    Matrix gradPreScratch_; ///< activation derivative / pre-act grad
-    Matrix biasScratch_;    ///< column sums for the bias gradient
+    // Scratch sized at construction: a share's rows of X^T * dY and
+    // columns of the bias gradient land here before they are added,
+    // so each element is 0.0 plus the full sum, as it always was.
+    Matrix gradScratch_;    ///< input_size x output_size
+    Matrix biasScratch_;    ///< 1 x output_size
+    Matrix gradPreScratch_; ///< backwardInto's pre-activation gradient
 };
 
 } // namespace nn

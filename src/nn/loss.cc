@@ -42,14 +42,18 @@ MseLoss::gradient(const Matrix &predictions, const Matrix &targets)
 
 void
 MseLoss::gradientInto(const Matrix &predictions, const Matrix &targets,
-                      Matrix &out)
+                      Matrix &out, size_t begin, size_t end)
 {
     checkShapes(predictions, targets, "MseLoss::gradientInto");
-    out.reshape(predictions.rows(), predictions.cols());
+    checkShapes(predictions, out, "MseLoss::gradientInto");
+    if (begin > end || end > predictions.rows())
+        panic("MseLoss::gradientInto: rows [%zu, %zu) of %zu", begin, end,
+              predictions.rows());
     const double scale = 2.0 / static_cast<double>(predictions.size());
     // Per element: subtract, then scale — the same two operations in
     // the same order as the allocating variant, so bit-identical.
-    for (size_t i = 0; i < predictions.size(); ++i)
+    const size_t width = predictions.cols();
+    for (size_t i = begin * width; i < end * width; ++i)
         out.data()[i] =
             (predictions.data()[i] - targets.data()[i]) * scale;
 }

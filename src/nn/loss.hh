@@ -23,10 +23,12 @@ class MseLoss
     /** Gradient of the loss with respect to the predictions. */
     static Matrix gradient(const Matrix &predictions, const Matrix &targets);
 
-    /** gradient computed into `out` (reshaped first) — the
-     *  allocation-free variant used by the training hot path. */
+    /** Rows [begin, end) of gradient() into `out`, which already has
+     *  the predictions' shape: the training hot path, one row range
+     *  per team member. The scale is the whole batch's. */
     static void gradientInto(const Matrix &predictions,
-                             const Matrix &targets, Matrix &out);
+                             const Matrix &targets, Matrix &out,
+                             size_t begin, size_t end);
 };
 
 } // namespace nn

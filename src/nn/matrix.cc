@@ -134,10 +134,10 @@ packedPanelDoubles(size_t K, size_t N)
 
 /**
  * Per-thread kernel scratch: two panel buffers (AtB packs both
- * operands) and the current lhs row's nonzero depth indices, which
- * every pool worker keeps for the rows of its own chunk. Capacity
- * persists across calls, so steady-state training loops never
- * allocate here.
+ * operands) and the current lhs row's nonzero depth indices. Every
+ * thread that runs a row range (a pool worker's chunk, a training
+ * team's member) packs into its own. Capacity persists across calls,
+ * so steady-state training loops never allocate here.
  */
 std::vector<double> &
 packScratchA()
@@ -209,15 +209,16 @@ packTransposedPanels(const double *__restrict b, size_t depth, size_t N,
     }
 }
 
-/** Transpose A (rows x K) into pack (K x rows, row-major). */
+/** Rows [k_begin, k_end) of the transpose of A (depth x K) into pack
+ *  ((k_end - k_begin) x depth, row-major). */
 void
-packTransposedLhs(const double *__restrict a, size_t rows, size_t K,
-                  double *__restrict pack)
+packTransposedLhs(const double *__restrict a, size_t depth, size_t K,
+                  size_t k_begin, size_t k_end, double *__restrict pack)
 {
-    for (size_t i = 0; i < rows; ++i) {
+    for (size_t i = 0; i < depth; ++i) {
         const double *src = a + i * K;
-        for (size_t k = 0; k < K; ++k)
-            pack[k * rows + i] = src[k];
+        for (size_t k = k_begin; k < k_end; ++k)
+            pack[(k - k_begin) * depth + i] = src[k];
     }
 }
 
@@ -262,24 +263,25 @@ microTile(const double *__restrict a, const uint32_t *__restrict nz,
 }
 
 /**
- * Register-blocked product over pre-packed column panels for output
- * rows [row_begin, row_end). `a` is the (possibly packed-transposed)
- * lhs with row stride K; `packed` holds ceil(N / kMicroCols) panels
- * from packColumnPanels / packTransposedPanels; `nz` has room for K
- * indices. Each row first lists its nonzero depth indices, once and
- * without a branch on the data, and every panel of the row then walks
- * that list. A per-element `lhs == 0` branch mispredicts on ReLU
- * activations, which are about half zeros in a new pattern every
- * batch. Each output element still sees the full ascending walk, so
- * the order of rows and panels cannot change any value.
+ * Register-blocked product over pre-packed column panels for `rows`
+ * output rows. `a` is the (possibly packed-transposed) lhs with row
+ * stride K and `out` the first output row; `packed` holds
+ * ceil(N / kMicroCols) panels from packColumnPanels /
+ * packTransposedPanels; `nz` has room for K indices. Each row first
+ * lists its nonzero depth indices, once and without a branch on the
+ * data, and every panel of the row then walks that list. A
+ * per-element `lhs == 0` branch mispredicts on ReLU activations, which
+ * are about half zeros in a new pattern every batch. Each output
+ * element still sees the full ascending walk, so the order of rows and
+ * panels cannot change any value.
  */
 template <size_t Lanes>
 __attribute__((always_inline)) inline void
 packedRows(const double *__restrict a, const double *__restrict packed,
-           double *__restrict out, size_t row_begin, size_t row_end,
-           size_t K, size_t N, uint32_t *__restrict nz)
+           double *__restrict out, size_t rows, size_t K, size_t N,
+           uint32_t *__restrict nz)
 {
-    for (size_t i = row_begin; i < row_end; ++i) {
+    for (size_t i = 0; i < rows; ++i) {
         const double *__restrict row = a + i * K;
         size_t count = 0;
         for (size_t k = 0; k < K; ++k) {
@@ -306,17 +308,17 @@ packedRows(const double *__restrict a, const double *__restrict packed,
 }
 
 using PackedRowsFn = void (*)(const double *, const double *, double *,
-                              size_t, size_t, size_t, size_t, uint32_t *);
+                              size_t, size_t, size_t, uint32_t *);
 
 /** Two lanes: baseline x86-64, the only width on hosts without AVX2. */
 // noinline: keeps the __restrict qualification from being discarded
-// when inlined into the dispatching lambda.
+// when inlined into its caller.
 __attribute__((noinline)) void
 packedRows2(const double *__restrict a, const double *__restrict packed,
-            double *__restrict out, size_t row_begin, size_t row_end,
-            size_t K, size_t N, uint32_t *__restrict nz)
+            double *__restrict out, size_t rows, size_t K, size_t N,
+            uint32_t *__restrict nz)
 {
-    packedRows<2>(a, packed, out, row_begin, row_end, K, N, nz);
+    packedRows<2>(a, packed, out, rows, K, N, nz);
 }
 
 #if defined(__x86_64__)
@@ -324,17 +326,17 @@ packedRows2(const double *__restrict a, const double *__restrict packed,
  *  time on hosts that have it. */
 __attribute__((noinline, target("avx2"))) void
 packedRows4(const double *__restrict a, const double *__restrict packed,
-            double *__restrict out, size_t row_begin, size_t row_end,
-            size_t K, size_t N, uint32_t *__restrict nz)
+            double *__restrict out, size_t rows, size_t K, size_t N,
+            uint32_t *__restrict nz)
 {
-    packedRows<4>(a, packed, out, row_begin, row_end, K, N, nz);
+    packedRows<4>(a, packed, out, rows, K, N, nz);
 }
 #endif
 
 /**
- * Plain ikj kernel over output rows [row_begin, row_end) — the
- * single-column path. Identical loop to matmulNaive restricted to a
- * row range.
+ * Plain ikj kernel over output rows [row_begin, row_end), accumulating
+ * into them: the single-column path. Identical loop to matmulNaive
+ * restricted to a row range.
  */
 // noinline: inlining into its caller discards the __restrict
 // qualification and the inner-loop bound spills to the stack.
@@ -357,36 +359,98 @@ matmulRows(const double *__restrict a, const double *__restrict b,
     }
 }
 
-/** Row-parallel dispatch shared by the packed and plain kernels. */
-template <typename RowKernel>
+/**
+ * Output rows [row_begin, row_end) of a (depth x K)^T * b (depth x N)
+ * as rank-1 updates in ascending depth order, accumulating into them:
+ * per output element the shared depth index ascends exactly as in
+ * transposed().matmulNaive(b).
+ */
 void
-dispatchRows(size_t rows, size_t K, size_t N, const RowKernel &kernel)
+rankOneRows(const double *__restrict a, const double *__restrict b,
+            double *__restrict out, size_t row_begin, size_t row_end,
+            size_t depth, size_t K, size_t N)
 {
+    for (size_t i = 0; i < depth; ++i) {
+        const double *a_row = a + i * K;
+        const double *b_row = b + i * N;
+        for (size_t k = row_begin; k < row_end; ++k) {
+            const double lhs = a_row[k];
+            if (lhs == 0.0)
+                continue;
+            double *out_row = out + k * N;
+            for (size_t j = 0; j < N; ++j)
+                out_row[j] += lhs * b_row[j];
+        }
+    }
+}
+
+/**
+ * Output rows [begin, end) of op(a, b) into `out`, which has the
+ * product's shape, on the calling thread. The plain single-column
+ * loops accumulate, so they and a zero-depth product start from
+ * zeroed rows; the packed tile overwrites every element of its rows.
+ */
+void
+productRows(GemmOp op, const Matrix &a, const Matrix &b, Matrix &out,
+            size_t begin, size_t end)
+{
+    const size_t K = op == GemmOp::AtB ? a.rows() : a.cols();
+    const size_t N = out.cols();
+    if (begin == end)
+        return;
+    if (K > 0 && usePackedKernel(N)) {
+        detail::packedGemmInto(op, a, b, out, detail::packedLanes(), begin,
+                               end);
+        return;
+    }
+    double *o = out.data().data();
+    std::fill(o + begin * N, o + end * N, 0.0);
+    if (K == 0)
+        return;
+    // With one output column, B^T's single row is laid out as the
+    // K x 1 column an A*B product reads, so the plain A*B loop serves.
+    if (op == GemmOp::AtB)
+        rankOneRows(a.data().data(), b.data().data(), o, begin, end,
+                    a.rows(), a.cols(), N);
+    else
+        matmulRows(a.data().data(), b.data().data(), o, begin, end, K, N);
+}
+
+/**
+ * A whole product: out's rows in one productRows call, or, above
+ * kParallelMinFlops, in row chunks across the global pool (each chunk
+ * packs its own panels). Rows are independent, so chunking cannot
+ * change results.
+ */
+void
+wholeProduct(GemmOp op, const Matrix &a, const Matrix &b, Matrix &out)
+{
+    const size_t rows = out.rows();
+    const size_t K = op == GemmOp::AtB ? a.rows() : a.cols();
     util::ThreadPool &pool = util::ThreadPool::global();
     const double flops = 2.0 * static_cast<double>(rows) *
-                         static_cast<double>(K) * static_cast<double>(N);
+                         static_cast<double>(K) *
+                         static_cast<double>(out.cols());
     if (pool.workerCount() > 1 && flops >= kParallelMinFlops && rows > 1) {
-        // Rows are independent, so chunking cannot change results.
         size_t grain =
             std::max<size_t>(1, rows / (4 * pool.workerCount()));
         pool.parallelFor(rows, grain,
                          [&](size_t, size_t begin, size_t end) {
-                             kernel(begin, end);
+                             productRows(op, a, b, out, begin, end);
                          });
     } else {
-        kernel(0, rows);
+        productRows(op, a, b, out, 0, rows);
     }
 }
 
-/** out (m x 1) = a (m x K) times the K-long column b: the plain loop
- *  over row chunks, split across the pool like the packed path. */
+/** Panic unless `out` has the m x n shape and [begin, end) is in it. */
 void
-columnProduct(const double *a, const double *b, double *o, size_t m,
-              size_t K)
+checkRowRange(const char *who, const Matrix &out, size_t m, size_t n,
+              size_t begin, size_t end)
 {
-    dispatchRows(m, K, 1, [&](size_t begin, size_t end) {
-        matmulRows(a, b, o, begin, end, K, 1);
-    });
+    if (out.rows() != m || out.cols() != n || begin > end || end > m)
+        panic("%s: rows [%zu, %zu) of a %zux%zu product into %zux%zu", who,
+              begin, end, m, n, out.rows(), out.cols());
 }
 
 } // namespace
@@ -423,7 +487,7 @@ packedLanes()
 
 void
 packedGemmInto(GemmOp op, const Matrix &a, const Matrix &b, Matrix &out,
-               size_t lanes)
+               size_t lanes, size_t row_begin, size_t row_end)
 {
     // The product in output orientation: m x K times K x N.
     const bool lhs_transposed = op == GemmOp::AtB;
@@ -431,9 +495,11 @@ packedGemmInto(GemmOp op, const Matrix &a, const Matrix &b, Matrix &out,
     const size_t K = lhs_transposed ? a.rows() : a.cols();
     const size_t N = op == GemmOp::ABt ? b.rows() : b.cols();
     const size_t b_depth = op == GemmOp::ABt ? b.cols() : b.rows();
-    if (b_depth != K || out.rows() != m || out.cols() != N)
-        panic("packedGemmInto: %zux%zu and %zux%zu into %zux%zu", a.rows(),
-              a.cols(), b.rows(), b.cols(), out.rows(), out.cols());
+    if (b_depth != K || out.rows() != m || out.cols() != N ||
+        row_begin > row_end || row_end > m)
+        panic("packedGemmInto: rows [%zu, %zu) of %zux%zu and %zux%zu into "
+              "%zux%zu", row_begin, row_end, a.rows(), a.cols(), b.rows(),
+              b.cols(), out.rows(), out.cols());
     PackedRowsFn kernel = nullptr;
     if (lanes == 2)
         kernel = packedRows2;
@@ -443,11 +509,10 @@ packedGemmInto(GemmOp op, const Matrix &a, const Matrix &b, Matrix &out,
 #endif
     if (!kernel)
         panic("packedGemmInto: no %zu-lane kernel on this host", lanes);
-    if (m == 0 || N == 0)
+    if (row_begin == row_end || N == 0)
         return;
 
-    // Pack once on the caller thread; row workers share the panels.
-    const double *lhs = a.data().data();
+    const double *lhs = a.data().data() + row_begin * K;
     std::vector<double> &pack = packScratchB();
     pack.resize(packedPanelDoubles(K, N));
     if (op == GemmOp::ABt) {
@@ -458,22 +523,21 @@ packedGemmInto(GemmOp op, const Matrix &a, const Matrix &b, Matrix &out,
         packColumnPanels(b.data().data(), N, K, N, pack.data());
     }
     if (lhs_transposed) {
-        // The micro-tile reads lhs rows contiguously, so A^T is packed
-        // explicitly; the shared row index still ascends per output
-        // element exactly as in transposed().matmulNaive(b).
+        // The micro-tile reads lhs rows contiguously, so the range's
+        // rows of A^T are packed explicitly; the shared row index
+        // still ascends per output element exactly as in
+        // transposed().matmulNaive(b).
         std::vector<double> &at = packScratchA();
-        at.resize(K * m);
-        packTransposedLhs(lhs, K, m, at.data());
+        at.resize(K * (row_end - row_begin));
+        packTransposedLhs(a.data().data(), K, m, row_begin, row_end,
+                          at.data());
         lhs = at.data();
     }
-    const double *pk = pack.data();
-    double *o = out.data().data();
-    dispatchRows(m, K, N, [&](size_t begin, size_t end) {
-        std::vector<uint32_t> &nz = nonzeroScratch();
-        if (nz.size() < K)
-            nz.resize(K);
-        kernel(lhs, pk, o, begin, end, K, N, nz.data());
-    });
+    std::vector<uint32_t> &nz = nonzeroScratch();
+    if (nz.size() < K)
+        nz.resize(K);
+    kernel(lhs, pack.data(), out.data().data() + row_begin * N,
+           row_end - row_begin, K, N, nz.data());
 }
 
 } // namespace detail
@@ -495,14 +559,18 @@ Matrix::matmulInto(const Matrix &other, Matrix &out) const
     if (&out == this || &out == &other)
         panic("matmulInto: output must not alias an operand");
     out.reshape(rows_, other.cols_);
-    if (rows_ == 0 || cols_ == 0 || other.cols_ == 0)
-        return;
-    if (usePackedKernel(other.cols_))
-        detail::packedGemmInto(GemmOp::AB, *this, other, out,
-                               detail::packedLanes());
-    else
-        columnProduct(data_.data(), other.data_.data(), out.data_.data(),
-                      rows_, cols_);
+    wholeProduct(GemmOp::AB, *this, other, out);
+}
+
+void
+Matrix::matmulInto(const Matrix &other, Matrix &out, size_t begin,
+                   size_t end) const
+{
+    if (cols_ != other.rows_ || &out == this || &out == &other)
+        panic("matmulInto: %zux%zu * %zux%zu", rows_, cols_, other.rows_,
+              other.cols_);
+    checkRowRange("matmulInto", out, rows_, other.cols_, begin, end);
+    productRows(GemmOp::AB, *this, other, out, begin, end);
 }
 
 Matrix
@@ -513,15 +581,16 @@ Matrix::matmulNaive(const Matrix &other) const
               other.rows_, other.cols_);
     Matrix out(rows_, other.cols_);
     // ikj loop order: the inner loop strides contiguously through both
-    // the output row and the rhs row.
+    // the output row and the rhs row. Pointer arithmetic, not &v[i]:
+    // a zero-depth operand has no element to index.
     for (size_t i = 0; i < rows_; ++i) {
-        const double *lhs_row = &data_[i * cols_];
-        double *out_row = &out.data_[i * other.cols_];
+        const double *lhs_row = data_.data() + i * cols_;
+        double *out_row = out.data_.data() + i * other.cols_;
         for (size_t k = 0; k < cols_; ++k) {
             double lhs = lhs_row[k];
             if (lhs == 0.0)
                 continue;
-            const double *rhs_row = &other.data_[k * other.cols_];
+            const double *rhs_row = other.data_.data() + k * other.cols_;
             for (size_t j = 0; j < other.cols_; ++j)
                 out_row[j] += lhs * rhs_row[j];
         }
@@ -546,16 +615,19 @@ Matrix::matmulTransposedInto(const Matrix &other, Matrix &out) const
     if (&out == this || &out == &other)
         panic("matmulTransposedInto: output must not alias an operand");
     out.reshape(rows_, other.rows_);
-    if (rows_ == 0 || cols_ == 0 || other.rows_ == 0)
-        return;
-    // With one output column, B^T's single row is laid out as the
-    // K x 1 column an A*B product reads, so the plain A*B loop serves.
-    if (usePackedKernel(other.rows_))
-        detail::packedGemmInto(GemmOp::ABt, *this, other, out,
-                               detail::packedLanes());
-    else
-        columnProduct(data_.data(), other.data_.data(), out.data_.data(),
-                      rows_, cols_);
+    wholeProduct(GemmOp::ABt, *this, other, out);
+}
+
+void
+Matrix::matmulTransposedInto(const Matrix &other, Matrix &out, size_t begin,
+                             size_t end) const
+{
+    if (cols_ != other.cols_ || &out == this || &out == &other)
+        panic("matmulTransposedInto: %zux%zu * (%zux%zu)^T", rows_, cols_,
+              other.rows_, other.cols_);
+    checkRowRange("matmulTransposedInto", out, rows_, other.rows_, begin,
+                  end);
+    productRows(GemmOp::ABt, *this, other, out, begin, end);
 }
 
 void
@@ -567,32 +639,19 @@ Matrix::transposedMatmulInto(const Matrix &other, Matrix &out) const
     if (&out == this || &out == &other)
         panic("transposedMatmulInto: output must not alias an operand");
     out.reshape(cols_, other.cols_);
-    if (rows_ == 0 || cols_ == 0 || other.cols_ == 0)
-        return;
-    const size_t K = cols_, N = other.cols_;
-    if (usePackedKernel(N)) {
-        detail::packedGemmInto(GemmOp::AtB, *this, other, out,
-                               detail::packedLanes());
-        return;
-    }
-    // Accumulate rank-1 updates in ascending row order: per output
-    // element the shared row index ascends exactly as in
-    // transposed().matmulNaive(other).
-    const double *__restrict a = data_.data();
-    const double *__restrict b = other.data_.data();
-    double *__restrict o = out.data_.data();
-    for (size_t i = 0; i < rows_; ++i) {
-        const double *a_row = &a[i * K];
-        const double *b_row = &b[i * N];
-        for (size_t k = 0; k < K; ++k) {
-            const double lhs = a_row[k];
-            if (lhs == 0.0)
-                continue;
-            double *out_row = &o[k * N];
-            for (size_t j = 0; j < N; ++j)
-                out_row[j] += lhs * b_row[j];
-        }
-    }
+    wholeProduct(GemmOp::AtB, *this, other, out);
+}
+
+void
+Matrix::transposedMatmulInto(const Matrix &other, Matrix &out, size_t begin,
+                             size_t end) const
+{
+    if (rows_ != other.rows_ || &out == this || &out == &other)
+        panic("transposedMatmulInto: (%zux%zu)^T * %zux%zu", rows_, cols_,
+              other.rows_, other.cols_);
+    checkRowRange("transposedMatmulInto", out, cols_, other.cols_, begin,
+                  end);
+    productRows(GemmOp::AtB, *this, other, out, begin, end);
 }
 
 Matrix
@@ -701,16 +760,20 @@ Matrix::columnSums() const
 }
 
 void
-Matrix::columnSumsInto(Matrix &out) const
+Matrix::columnSumsInto(Matrix &out, size_t begin, size_t end) const
 {
     if (&out == this)
         panic("columnSumsInto: output must not alias the source");
-    out.reshape(1, cols_);
+    if (out.rows_ != 1 || out.cols_ != cols_ || begin > end || end > cols_)
+        panic("columnSumsInto: columns [%zu, %zu) of %zu into %zux%zu",
+              begin, end, cols_, out.rows_, out.cols_);
     // Same ascending-row accumulation as columnSums, so the result is
     // bit-identical to the allocating variant.
+    double *sums = out.data_.data();
+    std::fill(sums + begin, sums + end, 0.0);
     for (size_t r = 0; r < rows_; ++r)
-        for (size_t c = 0; c < cols_; ++c)
-            out.data_[c] += data_[r * cols_ + c];
+        for (size_t c = begin; c < end; ++c)
+            sums[c] += data_[r * cols_ + c];
 }
 
 Matrix
@@ -786,13 +849,13 @@ Matrix::zero()
 void
 Matrix::reshape(size_t rows, size_t cols)
 {
-    // vector::assign reuses the buffer when capacity suffices; only a
+    // vector::resize reuses the buffer when capacity suffices; only a
     // genuine regrow counts as an acquisition.
     if (rows * cols > data_.capacity())
         countAllocation();
     rows_ = rows;
     cols_ = cols;
-    data_.assign(rows * cols, 0.0);
+    data_.resize(rows * cols);
 }
 
 void

@@ -15,8 +15,11 @@
  * indices, without a branch on the data, and the kernel walks only
  * those, so the zero-lhs skip costs no mispredicted branches on
  * ReLU-sparse activations. The kernel is 4 lanes wide on hosts with
- * AVX2 (chosen once at run time) and 2 lanes otherwise. Above a flop
- * threshold the rows are split across the global thread pool. Every
+ * AVX2 (chosen once at run time) and 2 lanes otherwise. Each product
+ * also comes in a row-range form that computes some output rows on
+ * the calling thread, which is how a training team splits a batch
+ * (Sequential); above a flop threshold a whole product splits its
+ * rows across the global thread pool. Every
  * transform preserves the per-element ascending-k accumulation order,
  * the zero-lhs skip and the separate multiply and add (no FMA), so
  * results are bit-identical to the naive serial loop (matmulNaive,
@@ -105,8 +108,16 @@ class Matrix
     /** Matrix product this(r,k) * other(k,c) (tiled, pool-parallel). */
     Matrix matmul(const Matrix &other) const;
 
-    /** matmul computed into `out` (reshaped and zeroed first). */
+    /** matmul computed into `out` (reshaped first). */
     void matmulInto(const Matrix &other, Matrix &out) const;
+
+    /**
+     * Rows [begin, end) of matmulInto, on the calling thread: `out`
+     * must already have the product's shape, and its other rows are
+     * left as they are. The two other products have the same form.
+     */
+    void matmulInto(const Matrix &other, Matrix &out, size_t begin,
+                    size_t end) const;
 
     /**
      * Reference serial ikj product — the oracle the tiled/parallel
@@ -118,10 +129,15 @@ class Matrix
      *  transpose (backward-pass hot path). */
     Matrix matmulTransposed(const Matrix &other) const;
     void matmulTransposedInto(const Matrix &other, Matrix &out) const;
+    void matmulTransposedInto(const Matrix &other, Matrix &out,
+                              size_t begin, size_t end) const;
 
     /** Product this(r,k)^T * other(r,c) without materializing the
-     *  transpose (weight-gradient hot path). */
+     *  transpose (weight-gradient hot path). The row-range form
+     *  computes output rows [begin, end), i.e. columns of this. */
     void transposedMatmulInto(const Matrix &other, Matrix &out) const;
+    void transposedMatmulInto(const Matrix &other, Matrix &out,
+                              size_t begin, size_t end) const;
 
     /** Transposed copy. */
     Matrix transposed() const;
@@ -148,9 +164,10 @@ class Matrix
     /** Column-wise sums as a 1 x cols matrix. */
     Matrix columnSums() const;
 
-    /** columnSums computed into `out` (reshaped first) — the
-     *  allocation-free variant used by the training hot path. */
-    void columnSumsInto(Matrix &out) const;
+    /** Columns [begin, end) of columnSums into `out`, which must
+     *  already be 1 x cols — the training hot path, one column range
+     *  per team member. */
+    void columnSumsInto(Matrix &out, size_t begin, size_t end) const;
 
     /** Copy of row r as a 1 x cols matrix. */
     Matrix row(size_t r) const;
@@ -174,8 +191,9 @@ class Matrix
     /** Set every element to zero. */
     void zero();
 
-    /** Re-shape to rows x cols, zero-filled, reusing the allocation
-     *  when capacity allows (scratch-buffer workhorse). */
+    /** Re-shape to rows x cols, reusing the allocation when capacity
+     *  allows (scratch-buffer workhorse). The contents are left
+     *  unspecified: a caller that needs zeros calls zero(). */
     void reshape(size_t rows, size_t cols);
 
     /** Fill with N(0, stddev) noise. */

@@ -39,6 +39,22 @@ class SgdOptimizer
     void step(const std::vector<Matrix *> &params,
               const std::vector<Matrix *> &grads);
 
+    /**
+     * step() in pieces, for a team that splits it (Sequential::train):
+     * when clips(), each gradient's Matrix::norm(); then clipScale()
+     * of those norms in tensor order; then updateRange() over every
+     * tensor's elements. Any split of the ranges gives step()'s bits.
+     */
+    bool clips() const { return clipNorm_ > 0.0; }
+
+    /** The factor every gradient is scaled by, from each tensor's
+     *  norm (read only when clips()). */
+    double clipScale(const double *norms, size_t count) const;
+
+    /** Elements [begin, end) of one tensor's update: p -= lr*scale*g. */
+    void updateRange(Matrix &param, const Matrix &grad, double scale,
+                     size_t begin, size_t end) const;
+
     /** Serialize the learning rate (`opt.lr`) for checkpointing. */
     void saveState(util::StateWriter &w) const;
 
@@ -48,6 +64,7 @@ class SgdOptimizer
   private:
     double lr_;
     double clipNorm_;
+    std::vector<double> norms_; ///< step()'s per-tensor norms
 };
 
 } // namespace nn

@@ -6,11 +6,25 @@
  * regression of access throughput. Divergence detection matches the
  * paper's Table II reporting (a model that collapses to a constant or
  * produces non-finite values is flagged as diverged).
+ *
+ * train() runs every mini-batch, and each epoch's validation
+ * evaluate(), on a team (util::ThreadPool::runTeam): the caller plus
+ * the idle workers of the global pool, or the caller alone when the
+ * pool is busy, when it is called from a worker, or when a layer is
+ * not row-local (see layer.hh). Each member owns a fixed slice of the
+ * batch rows through every layer's forward, the loss gradient and the
+ * input-gradient chain. After a barrier the members split the
+ * parameter gradients by output element, each element still the same
+ * ascending sum over all rows, and then the SGD step, so weights,
+ * losses and divergence are bitwise those of a team of one at every
+ * team size. The gauge `nn.train.team` holds the last train()'s team
+ * size.
  */
 
 #ifndef GEO_NN_SEQUENTIAL_HH
 #define GEO_NN_SEQUENTIAL_HH
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +34,10 @@
 #include "nn/optimizer.hh"
 
 namespace geo {
+namespace util {
+class Team;
+} // namespace util
+
 namespace nn {
 
 /** Result of a full training run. */
@@ -110,7 +128,8 @@ class Sequential
     TrainResult train(const Dataset &train, const Dataset &validation,
                       SgdOptimizer &opt, const TrainOptions &options);
 
-    /** One gradient step on a single batch; returns the batch loss. */
+    /** One gradient step on a single batch, with train()'s batch body
+     *  on a team of one; returns the batch loss. */
     double trainBatch(const Matrix &inputs, const Matrix &targets,
                       SgdOptimizer &opt);
 
@@ -130,28 +149,56 @@ class Sequential
     bool looksDiverged(const Dataset &probe);
 
   private:
-    /** Arena-backed forward pass: layer i writes outputs_[i], so after
-     *  a training pass every layer's input and output are still there
-     *  for its backward (the layers keep pointers, not copies). Returns
-     *  the final activations, which live in the arena. */
-    const Matrix &runForward(const Matrix &inputs, bool training);
+    /** Arena-backed inference forward pass: layer i writes
+     *  outputs_[i]. Returns the final activations, which live in the
+     *  arena. */
+    const Matrix &runForward(const Matrix &inputs);
 
-    /** Arena-backed backward pass (bwdA_/bwdB_ ping-pong) that
-     *  accumulates every layer's parameter gradients. The first
-     *  layer's input gradient is never formed: nothing reads it. */
-    void runBackward(const Matrix &grad_output);
+    /** The batch size a member last saw the arena shaped for, and
+     *  whether for training; each member keeps its own copy. */
+    struct ArenaShape
+    {
+        size_t rows = SIZE_MAX;
+        bool training = false;
+    };
+
+    /** Reshape the arena for `rows` rows (member 0 only, between two
+     *  barriers; the training buffers only when `training`). */
+    void shapeArena(size_t rows, bool training);
+
+    /**
+     * One mini-batch, run by every member of `team`: gradients zeroed
+     * and n rows trained, the rows of `inputs`/`targets` listed in
+     * `rows` (staged through the arena), or all of them as they stand
+     * when `rows` is null. Returns the batch loss, the same value on
+     * every member; the step is taken even when it is not finite.
+     */
+    double teamBatch(size_t member, util::Team &team, ArenaShape &shape,
+                     const Matrix &inputs, const Matrix &targets,
+                     const size_t *rows, size_t n, SgdOptimizer &opt);
+
+    /** evaluate() run by every member of `team`; the same MSE on
+     *  every member. */
+    double teamEvaluate(size_t member, util::Team &team, ArenaShape &shape,
+                        const Dataset &data);
 
     std::vector<std::unique_ptr<Layer>> layers_;
 
     // Scratch arena for the training/inference hot paths: sized by the
     // first epoch, reused (capacity is never released) afterwards —
     // steady-state epochs allocate nothing (pinned by
-    // tests/nn/test_alloc_regression.cc).
+    // tests/nn/test_alloc_regression.cc). A team's members write
+    // their own rows of the batch-shaped buffers.
     std::vector<Matrix> outputs_; ///< one output buffer per layer
-    Matrix bwdA_, bwdB_;       ///< backward gradient ping-pong
-    Matrix lossGrad_;          ///< MSE gradient buffer
+    /// Per layer: the loss gradient w.r.t. its output, turned in place
+    /// into the gradient w.r.t. its pre-activation.
+    std::vector<Matrix> deltas_;
     Matrix batchIn_, batchTgt_; ///< staged mini-batch rows
     std::vector<size_t> order_; ///< train()'s row order
+    std::vector<double> gradNorms_; ///< per tensor, for the clip scale
+    std::vector<double> evalTerms_; ///< evaluate()'s squared errors
+    double batchLoss_ = 0.0;        ///< the batch loss member 0 summed
+    double evalLoss_ = 0.0;         ///< the MSE member 0 summed
 
     std::vector<Matrix *> paramCache_;
     std::vector<Matrix *> gradCache_;

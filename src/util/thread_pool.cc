@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "util/logging.hh"
 #include "util/parse.hh"
@@ -65,20 +66,60 @@ ThreadPool::enqueue(std::function<void()> task)
 }
 
 void
+Team::barrier()
+{
+    if (members_ == 1)
+        return;
+    // The generation cannot move on before this member arrives, so a
+    // relaxed read sees the current one.
+    const size_t generation = generation_.load(std::memory_order_relaxed);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == members_) {
+        arrived_.store(0, std::memory_order_relaxed);
+        generation_.store(generation + 1, std::memory_order_release);
+        return;
+    }
+    size_t reads = 0;
+    while (generation_.load(std::memory_order_acquire) == generation) {
+        if (++reads > kSpinReads)
+            std::this_thread::yield();
+    }
+}
+
+void
 ThreadPool::workerLoop()
 {
     t_worker_pool = this;
     for (;;) {
         std::function<void()> task;
+        const std::function<void(size_t, Team &)> *team_fn = nullptr;
+        Team *team = nullptr;
+        size_t member = 0;
         {
             std::unique_lock<std::mutex> lock(mutex_);
-            wake_.wait(lock,
-                       [this]() { return stopping_ || !queue_.empty(); });
-            if (queue_.empty())
+            wake_.wait(lock, [this]() {
+                return stopping_ || !queue_.empty() || teamSlots_ > 0;
+            });
+            if (teamSlots_ > 0) {
+                --teamSlots_;
+                member = team_->size() - 1 - teamSlots_;
+                team_fn = teamFn_;
+                team = team_;
+            } else if (queue_.empty()) {
                 return; // stopping and drained
-            task = std::move(queue_.front());
-            queue_.pop_front();
-            queueDepthMetric_->set(static_cast<double>(queue_.size()));
+            } else {
+                task = std::move(queue_.front());
+                queue_.pop_front();
+                queueDepthMetric_->set(static_cast<double>(queue_.size()));
+            }
+            ++running_;
+        }
+        if (team) {
+            (*team_fn)(member, *team);
+            std::lock_guard<std::mutex> lock(mutex_);
+            --running_;
+            if (++teamReturned_ == team->size() - 1)
+                teamDone_.notify_one();
+            continue;
         }
         auto start = std::chrono::steady_clock::now();
         task();
@@ -86,7 +127,36 @@ ThreadPool::workerLoop()
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - start)
                 .count());
+        std::lock_guard<std::mutex> lock(mutex_);
+        --running_;
     }
+}
+
+void
+ThreadPool::runTeam(const std::function<void(size_t, Team &)> &fn)
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    // Idle: not a worker, nothing queued or running, no team formed.
+    const bool idle = !onWorkerThread() && queue_.empty() &&
+                      running_ == 0 && team_ == nullptr;
+    Team team(idle ? workers_.size() : 1);
+    if (team.size() == 1) {
+        lock.unlock();
+        fn(0, team);
+        return;
+    }
+    teamFn_ = &fn;
+    team_ = &team;
+    teamSlots_ = team.size() - 1;
+    teamReturned_ = 0;
+    lock.unlock();
+    wake_.notify_all();
+    fn(0, team);
+    lock.lock();
+    teamDone_.wait(lock,
+                   [&]() { return teamReturned_ == team.size() - 1; });
+    teamFn_ = nullptr;
+    team_ = nullptr;
 }
 
 void

@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 #include "core/drl_engine.hh"
+#include "nn/model_zoo.hh"
+#include "util/metrics.hh"
+#include "util/thread_pool.hh"
 
 namespace geo {
 namespace core {
@@ -155,6 +161,78 @@ TEST(DrlEngine, RepeatedRetrainImproves)
     ASSERT_TRUE(first.trained);
     ASSERT_TRUE(second.trained);
     EXPECT_LE(second.meanAbsRelError, first.meanAbsRelError * 1.5);
+}
+
+TEST(DrlEngine, ValidationOverflowRollsBackBitForBitOnEveryTeam)
+{
+    // A retrain whose validation rows overflow the loss while its
+    // training rows keep the weights finite: only the per-epoch
+    // validation loss is non-finite (ROADMAP item 3(a)'s open case).
+    // The rows' features are finite, ~1e200, so no inf - inf turns
+    // into a NaN that ReLU would zero; the squared errors overflow.
+    TrainingBatch good = syntheticBatch();
+    TrainingBatch poisoned = syntheticBatch();
+    const nn::DataSplit rows = nn::chronologicalSplit(
+        poisoned.dataset, DrlConfig::trainFraction, DrlConfig::valFraction);
+    const size_t val_begin = rows.train.size();
+    for (size_t r = val_begin; r < val_begin + rows.validation.size(); ++r)
+        for (size_t c = 0; c < poisoned.dataset.inputs.cols(); ++c)
+            poisoned.dataset.inputs(r, c) =
+                ((r + c) % 3 ? 1e200 : -1e200) * static_cast<double>(c + 1);
+
+    // The case itself: the first epoch's validation loss is not finite,
+    // the weights are, and the test split looks healthy.
+    {
+        const nn::DataSplit split = nn::chronologicalSplit(
+            poisoned.dataset, DrlConfig::trainFraction,
+            DrlConfig::valFraction);
+        Rng rng(5);
+        nn::Sequential model = nn::buildModel(1, 6, rng);
+        nn::SgdOptimizer opt(DrlConfig::learningRate, DrlConfig::clipNorm);
+        nn::TrainOptions options;
+        options.epochs = 3;
+        options.batchSize = DrlConfig::batchSize;
+        nn::TrainResult result =
+            model.train(split.train, split.validation, opt, options);
+        EXPECT_TRUE(result.diverged);
+        ASSERT_EQ(result.trainLoss.size(), 1u);
+        EXPECT_TRUE(std::isfinite(result.trainLoss[0]));
+        ASSERT_EQ(result.validationLoss.size(), 1u);
+        EXPECT_FALSE(std::isfinite(result.validationLoss[0]));
+        for (const nn::Matrix *p : model.parameters())
+            EXPECT_FALSE(p->hasNonFinite());
+        EXPECT_FALSE(model.looksDiverged(split.test));
+    }
+
+    // One good retrain, then the poisoned one, which must report
+    // divergence and restore the weights it started from, bit for bit.
+    auto retrainTwice = [&]() {
+        DrlConfig config;
+        config.epochs = 3;
+        DrlEngine engine(config);
+        EXPECT_FALSE(engine.retrain(good).diverged);
+        std::vector<nn::Matrix> before;
+        for (const nn::Matrix *p : engine.model().parameters())
+            before.push_back(*p);
+        RetrainStats bad = engine.retrain(poisoned);
+        EXPECT_TRUE(bad.trained);
+        EXPECT_TRUE(bad.diverged);
+        EXPECT_FALSE(engine.ready());
+        const std::vector<nn::Matrix *> &after = engine.model().parameters();
+        EXPECT_EQ(after.size(), before.size());
+        for (size_t i = 0; i < before.size() && i < after.size(); ++i)
+            EXPECT_EQ(std::memcmp(after[i]->data().data(),
+                                  before[i].data().data(),
+                                  before[i].size() * sizeof(double)),
+                      0)
+                << "parameter " << i;
+        return util::MetricRegistry::global().gauge("nn.train.team").value();
+    };
+    // A full team on the test thread first, then a team of one on a
+    // pool worker.
+    util::ThreadPool &pool = util::ThreadPool::global();
+    EXPECT_EQ(retrainTwice(), static_cast<double>(pool.workerCount()));
+    EXPECT_EQ(pool.submit(retrainTwice).get(), 1.0);
 }
 
 } // namespace

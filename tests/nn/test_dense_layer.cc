@@ -62,28 +62,41 @@ TEST(DenseLayer, BatchRowsIndependent)
         EXPECT_DOUBLE_EQ(both.at(0, c), first.at(0, c));
 }
 
-TEST(DenseLayer, BackwardParamsAccumulatesWhatBackwardIntoDoes)
+TEST(DenseLayer, RowRangesAccumulateWhatBackwardIntoDoes)
 {
-    // Sequential skips its first layer's input gradient; the parameter
-    // gradients must not notice.
+    // A training team runs the layer in row slices, skips the first
+    // layer's input gradient and splits the parameter gradients into
+    // shares; every bit must match the whole-batch pair.
     Rng init_a(61), init_b(61);
     DenseLayer full(4, 6, Activation::ReLU, init_a);
-    DenseLayer params_only(4, 6, Activation::ReLU, init_b);
+    DenseLayer split(4, 6, Activation::ReLU, init_b);
     Rng data(62);
     Matrix x(8, 4);
     x.fillNormal(data, 1.0);
     Matrix grad(8, 6);
     grad.fillNormal(data, 1.0);
 
-    Matrix y_full, y_params, dx, unused;
+    Matrix y_full, dx;
     full.forwardInto(x, true, y_full);
     full.backwardInto(grad, dx);
-    params_only.forwardInto(x, true, y_params);
-    params_only.backwardParams(grad, unused);
 
-    EXPECT_EQ(*full.gradients()[0], *params_only.gradients()[0]);
-    EXPECT_EQ(*full.gradients()[1], *params_only.gradients()[1]);
-    EXPECT_TRUE(unused.empty());
+    const size_t cuts[] = {0, 3, 3, 8}; // an empty slice too
+    Matrix y_split(8, 6), grad_pre = grad, dx_split(8, 4);
+    for (size_t s = 0; s + 1 < 4; ++s)
+        split.forwardRows(x, y_split, cuts[s], cuts[s + 1]);
+    for (size_t s = 0; s + 1 < 4; ++s) {
+        split.backwardRows(y_split, grad_pre, grad_pre, nullptr, cuts[s],
+                           cuts[s + 1]);
+        split.backwardRows(y_split, grad, grad_pre, &dx_split, cuts[s],
+                           cuts[s + 1]);
+    }
+    for (size_t share = 0; share < 3; ++share)
+        split.accumulateGradients(x, grad_pre, share, 3);
+
+    EXPECT_EQ(y_split, y_full);
+    EXPECT_EQ(dx_split, dx);
+    EXPECT_EQ(*full.gradients()[0], *split.gradients()[0]);
+    EXPECT_EQ(*full.gradients()[1], *split.gradients()[1]);
 }
 
 TEST(DenseLayerDeathTest, WrongInputWidth)

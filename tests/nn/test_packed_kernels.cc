@@ -74,19 +74,56 @@ laneWidths()
 
 using Compare = void (*)(const Matrix &, const Matrix &, const char *);
 
-/** op(a, b) on the packed path at every lane width must match
- *  `reference` (bitwise, unless `compare` says otherwise). */
+/** `reference`'s shape with every element NaN: an element a product
+ *  leaves unwritten shows against a finite reference. */
+Matrix
+nanLike(const Matrix &reference)
+{
+    return Matrix(reference.rows(), reference.cols(),
+                  std::numeric_limits<double>::quiet_NaN());
+}
+
+/** op(a, b) on the packed path at every lane width, whole and in three
+ *  row ranges (a short product leaves one empty), into an output of
+ *  NaN, must match `reference` (bitwise, unless `compare` says
+ *  otherwise). */
 void
 expectPackedWidthsMatch(GemmOp op, const Matrix &a, const Matrix &b,
                         const Matrix &reference, const char *what,
                         Compare compare = expectBitwiseEqual)
 {
+    const size_t m = reference.rows();
     for (size_t lanes : laneWidths()) {
         SCOPED_TRACE(testing::Message() << lanes << " lanes");
-        Matrix out(reference.rows(), reference.cols());
-        detail::packedGemmInto(op, a, b, out, lanes);
-        compare(out, reference, what);
+        for (size_t parts : {1u, 3u}) {
+            Matrix out = nanLike(reference);
+            for (size_t p = 0; p < parts; ++p)
+                detail::packedGemmInto(op, a, b, out, lanes, m * p / parts,
+                                       m * (p + 1) / parts);
+            compare(out, reference, what);
+        }
     }
+}
+
+/**
+ * A Matrix product into outputs that start out NaN, whole (`whole`,
+ * which reshapes to the shape the output already has) and in three
+ * row ranges (`rows`): both must equal `reference` bitwise, so a path
+ * that leaves an element unwritten fails.
+ */
+template <typename Whole, typename Rows>
+void
+expectEveryElementWritten(const Matrix &reference, Whole whole, Rows rows,
+                          const char *what)
+{
+    Matrix out = nanLike(reference);
+    whole(out);
+    expectBitwiseEqual(out, reference, what);
+    const size_t m = reference.rows();
+    Matrix parts = nanLike(reference);
+    for (size_t p = 0; p < 3; ++p)
+        rows(parts, m * p / 3, m * (p + 1) / 3);
+    expectBitwiseEqual(parts, reference, what);
 }
 
 #if defined(__x86_64__)
@@ -271,35 +308,63 @@ TEST(PackedKernels, NonFiniteRhsUnderZeroLhsIsSkipped)
 
 TEST(PackedKernels, RandomizedShapesAllProducts)
 {
-    // Fuzz over random shapes: whichever kernel a shape takes, the
-    // result must not change.
+    // Fuzz over random shapes, then one shape of each class the fuzz
+    // rarely or never draws: a single output column (the plain loops,
+    // rank-1 for A^T*B) and zero depth. Whichever kernel a shape
+    // takes, the result must not change, and every product, whole or
+    // by row range, must write each element of an output that starts
+    // out NaN.
     Rng rng(424242);
+    auto check = [&](size_t m, size_t k, size_t n) {
+        SCOPED_TRACE(testing::Message() << m << "x" << k << "x" << n);
+        Matrix a = randomMatrix(m, k, rng);
+        Matrix b = randomMatrix(k, n, rng);
+        const Matrix ab = a.matmulNaive(b);
+        expectEveryElementWritten(
+            ab, [&](Matrix &out) { a.matmulInto(b, out); },
+            [&](Matrix &out, size_t r0, size_t r1) {
+                a.matmulInto(b, out, r0, r1);
+            },
+            "fuzz AB");
+        expectPackedWidthsMatch(GemmOp::AB, a, b, ab, "fuzz AB");
+        Matrix bt = randomMatrix(n, k, rng);
+        const Matrix abt = a.matmulNaive(bt.transposed());
+        expectEveryElementWritten(
+            abt, [&](Matrix &out) { a.matmulTransposedInto(bt, out); },
+            [&](Matrix &out, size_t r0, size_t r1) {
+                a.matmulTransposedInto(bt, out, r0, r1);
+            },
+            "fuzz ABt");
+        expectPackedWidthsMatch(GemmOp::ABt, a, bt, abt, "fuzz ABt");
+        Matrix b2 = randomMatrix(m, n, rng);
+        const Matrix atb = a.transposed().matmulNaive(b2);
+        expectEveryElementWritten(
+            atb, [&](Matrix &out) { a.transposedMatmulInto(b2, out); },
+            [&](Matrix &out, size_t r0, size_t r1) {
+                a.transposedMatmulInto(b2, out, r0, r1);
+            },
+            "fuzz AtB");
+        expectPackedWidthsMatch(GemmOp::AtB, a, b2, atb, "fuzz AtB");
+    };
     for (int iter = 0; iter < 25; ++iter) {
         const size_t m = static_cast<size_t>(rng.uniformInt(1, 128));
         const size_t k = static_cast<size_t>(rng.uniformInt(1, 128));
         const size_t n = static_cast<size_t>(rng.uniformInt(1, 128));
-        Matrix a = randomMatrix(m, k, rng);
-        Matrix b = randomMatrix(k, n, rng);
-        const Matrix ab = a.matmulNaive(b);
-        expectBitwiseEqual(a.matmul(b), ab, "fuzz AB");
-        expectPackedWidthsMatch(GemmOp::AB, a, b, ab, "fuzz AB");
-        Matrix bt = randomMatrix(n, k, rng);
-        const Matrix abt = a.matmulNaive(bt.transposed());
-        expectBitwiseEqual(a.matmulTransposed(bt), abt, "fuzz ABt");
-        expectPackedWidthsMatch(GemmOp::ABt, a, bt, abt, "fuzz ABt");
-        Matrix b2 = randomMatrix(m, n, rng);
-        const Matrix atb = a.transposed().matmulNaive(b2);
-        expectBitwiseEqual(transposedProduct(a, b2), atb, "fuzz AtB");
-        expectPackedWidthsMatch(GemmOp::AtB, a, b2, atb, "fuzz AtB");
+        check(m, k, n);
     }
+    for (const auto &[m, k, n] : std::vector<std::array<size_t, 3>>{
+             {64, 24, 1}, {1, 7, 1}, {9, 0, 7}, {9, 0, 1}, {0, 5, 3}})
+        check(m, k, n);
 }
 
 TEST(PackedKernels, ColumnSumsIntoMatchesColumnSums)
 {
     Rng rng(7);
     Matrix a = randomMatrix(33, 21, rng);
-    Matrix out(1, 1, 5.0); // wrong shape, stale values
-    a.columnSumsInto(out);
+    Matrix out(1, 21, 5.0); // stale values
+    a.columnSumsInto(out, 0, 8);
+    a.columnSumsInto(out, 8, 8);
+    a.columnSumsInto(out, 8, 21);
     expectBitwiseEqual(out, a.columnSums(), "columnSumsInto");
 }
 

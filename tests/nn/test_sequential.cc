@@ -8,6 +8,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <future>
 #include <limits>
 #include <memory>
 
@@ -15,8 +17,10 @@
 #include "nn/loss.hh"
 #include "nn/model_zoo.hh"
 #include "nn/sequential.hh"
+#include "util/metrics.hh"
 #include "util/random.hh"
 #include "util/stats.hh"
+#include "util/thread_pool.hh"
 
 namespace geo {
 namespace nn {
@@ -251,6 +255,145 @@ TEST(Sequential, TrainBatchReturnsLoss)
     double loss2 = model.trainBatch(data.inputs, data.targets, opt);
     EXPECT_GT(loss1, 0.0);
     EXPECT_LT(loss2, loss1);
+}
+
+/** What one training run leaves: its result and every weight. */
+struct TrainedRun
+{
+    TrainResult result;
+    std::vector<Matrix> weights;
+};
+
+/** Model 1 with the DrlEngine's SGD configuration, trained on the
+ *  calling thread. */
+TrainedRun
+trainModelOne(const Dataset &train, const Dataset &validation,
+              const TrainOptions &options)
+{
+    Rng rng(91);
+    Sequential model = buildModel(1, 6, rng);
+    SgdOptimizer opt(0.05, 5.0);
+    TrainedRun run;
+    run.result = model.train(train, validation, opt, options);
+    for (const Matrix *p : model.parameters())
+        run.weights.push_back(*p);
+    return run;
+}
+
+/** Same bits, except that NaN matches NaN when `nan_matches`. */
+void
+expectSameBits(const std::vector<double> &a, const std::vector<double> &b,
+               const char *what, bool nan_matches = false)
+{
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (size_t i = 0; i < a.size(); ++i) {
+        if (nan_matches && std::isnan(a[i]) && std::isnan(b[i]))
+            continue;
+        EXPECT_EQ(std::bit_cast<uint64_t>(a[i]), std::bit_cast<uint64_t>(b[i]))
+            << what << " [" << i << "]: " << a[i] << " vs " << b[i];
+    }
+}
+
+void
+expectSameRun(const TrainedRun &team, const TrainedRun &solo,
+              bool nan_matches = false)
+{
+    EXPECT_EQ(team.result.diverged, solo.result.diverged);
+    expectSameBits(team.result.trainLoss, solo.result.trainLoss,
+                   "trainLoss");
+    expectSameBits(team.result.validationLoss, solo.result.validationLoss,
+                   "validationLoss");
+    ASSERT_EQ(team.weights.size(), solo.weights.size());
+    for (size_t i = 0; i < team.weights.size(); ++i)
+        expectSameBits(team.weights[i].data(), solo.weights[i].data(),
+                       "weights", nan_matches);
+}
+
+double
+trainTeamGauge()
+{
+    return util::MetricRegistry::global().gauge("nn.train.team").value();
+}
+
+TEST(SequentialParallelTeam, MatchesTeamOfOneBitForBit)
+{
+    // Every run trains once on the test thread, a team of all the
+    // pool's workers, and once on a pool worker, a team of one. The
+    // team runs go first: a worker is back in the pool only after its
+    // task's future is ready. 103 rows leave a tail batch at every
+    // batch size; sizes 1, 3 and 5 leave members without rows; size 3
+    // shuffles; the validation set runs the team's evaluate.
+    util::ThreadPool &pool = util::ThreadPool::global();
+    Rng rng(90);
+    Dataset train = randomDataset(rng, 103, 6);
+    Dataset validation = randomDataset(rng, 37, 6);
+    // A NaN target makes its batch's loss non-finite: the batch is
+    // stepped and training stops there, in both runs.
+    Dataset poisoned = train;
+    poisoned.targets.at(40, 0) = std::numeric_limits<double>::quiet_NaN();
+    const size_t batches[] = {1, 3, 5, 64};
+    auto optionsFor = [](size_t batch) {
+        TrainOptions options;
+        options.epochs = 2;
+        options.batchSize = batch;
+        options.shuffle = batch == 3;
+        return options;
+    };
+
+    std::vector<TrainedRun> team;
+    for (size_t batch : batches) {
+        team.push_back(trainModelOne(train, validation, optionsFor(batch)));
+        EXPECT_EQ(trainTeamGauge(),
+                  static_cast<double>(pool.workerCount()));
+    }
+    team.push_back(trainModelOne(poisoned, validation, optionsFor(5)));
+    std::vector<TrainedRun> solo =
+        pool.submit([&]() {
+                std::vector<TrainedRun> runs;
+                for (size_t batch : batches)
+                    runs.push_back(
+                        trainModelOne(train, validation, optionsFor(batch)));
+                runs.push_back(
+                    trainModelOne(poisoned, validation, optionsFor(5)));
+                return runs;
+            }).get();
+    EXPECT_EQ(trainTeamGauge(), 1.0);
+
+    for (size_t i = 0; i < 4; ++i) {
+        SCOPED_TRACE(testing::Message() << "batch " << batches[i]);
+        EXPECT_FALSE(team[i].result.diverged);
+        EXPECT_EQ(team[i].result.validationLoss.size(), 2u);
+        expectSameRun(team[i], solo[i]);
+    }
+    // Stopping a batch later would turn more weights into NaN, so equal
+    // finite weights show both runs stopped at the same batch.
+    EXPECT_TRUE(team[4].result.diverged);
+    EXPECT_TRUE(team[4].result.trainLoss.empty());
+    expectSameRun(team[4], solo[4], /*nan_matches=*/true);
+}
+
+TEST(SequentialParallelTeam, GaugeShowsTheTeamThatTrained)
+{
+    util::ThreadPool &pool = util::ThreadPool::global();
+    Rng rng(92);
+    Dataset train = randomDataset(rng, 70, 6);
+    TrainOptions options;
+    options.epochs = 1;
+    options.batchSize = 16;
+    auto run = [&]() { trainModelOne(train, {}, options); };
+
+    run(); // an idle caller: itself plus every worker but one
+    EXPECT_EQ(trainTeamGauge(), static_cast<double>(pool.workerCount()));
+    pool.submit(run).get(); // on a worker
+    EXPECT_EQ(trainTeamGauge(), 1.0);
+    // While a pool task is queued or runs, the caller trains alone.
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    std::future<void> blocker = pool.submit([gate]() { gate.wait(); });
+    run();
+    EXPECT_EQ(trainTeamGauge(), 1.0);
+    release.set_value();
+    blocker.get();
 }
 
 TEST(SequentialDeathTest, EmptyModelPanics)

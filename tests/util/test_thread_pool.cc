@@ -145,6 +145,66 @@ TEST(ThreadPool, NestedParallelForRunsInline)
     EXPECT_DOUBLE_EQ(outer.get(), 45.0);
 }
 
+TEST(ThreadPool, TeamBarrierPublishesEveryMembersWrites)
+{
+    // Teams of 1 to 4, many rounds: after each barrier every member
+    // reads, through plain memory, what each member wrote before it.
+    for (size_t workers = 1; workers <= 4; ++workers) {
+        ThreadPool pool(workers);
+        std::vector<size_t> slots(workers, 0);
+        std::atomic<size_t> size{0}, mismatches{0};
+        pool.runTeam([&](size_t member, Team &team) {
+            if (member == 0)
+                size = team.size();
+            for (size_t round = 1; round <= 2000; ++round) {
+                slots[member] = round * 10 + member;
+                team.barrier();
+                for (size_t m = 0; m < team.size(); ++m)
+                    if (slots[m] != round * 10 + m)
+                        mismatches.fetch_add(1);
+                team.barrier();
+            }
+        });
+        EXPECT_EQ(size.load(), workers);
+        EXPECT_EQ(mismatches.load(), 0u) << workers << " members";
+    }
+}
+
+TEST(ThreadPool, TeamFormsOnlyOnAnIdlePool)
+{
+    ThreadPool pool(3);
+    auto teamSize = [&pool]() {
+        size_t size = 0;
+        pool.runTeam([&](size_t member, Team &team) {
+            if (member == 0)
+                size = team.size();
+        });
+        return size;
+    };
+    // An idle caller: itself plus every worker but one.
+    EXPECT_EQ(teamSize(), 3u);
+    // While a team runs its helpers are taken, so the caller of a
+    // second runTeam (here member 0 itself) runs alone.
+    size_t outer = 0, nested = 0;
+    pool.runTeam([&](size_t member, Team &team) {
+        if (member == 0) {
+            outer = team.size();
+            nested = teamSize();
+        }
+    });
+    EXPECT_EQ(outer, 3u);
+    EXPECT_EQ(nested, 1u);
+    // From a worker.
+    EXPECT_EQ(pool.submit(teamSize).get(), 1u);
+    // While a task is queued or running.
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    std::future<void> blocker = pool.submit([gate]() { gate.wait(); });
+    EXPECT_EQ(teamSize(), 1u);
+    release.set_value();
+    blocker.get();
+}
+
 TEST(ThreadPool, GlobalPoolIsSingleton)
 {
     EXPECT_EQ(&ThreadPool::global(), &ThreadPool::global());
