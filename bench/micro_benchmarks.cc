@@ -203,30 +203,86 @@ BM_LedgerOverhead(benchmark::State &state)
 BENCHMARK(BM_LedgerOverhead);
 
 /**
- * One device's 2000-row window. Warm, it is a read of the device's
- * ring; cold (arg 1), a rewind to the current watermark drops the
- * ring first, so each read pays the SQL fill the first decision after
- * an open or a restore pays.
+ * A ReplayDB of `rows` sampleRecord rows, except that every 200th row
+ * goes to device 6 and file 24 when `rare`: keys whose rows sit far
+ * apart, so a fill from SQLite walks the whole table back.
+ */
+void
+fillReplayDb(core::ReplayDb &db, uint64_t rows, bool rare)
+{
+    std::vector<core::PerfRecord> batch;
+    for (uint64_t i = 0; i < rows; ++i) {
+        batch.push_back(sampleRecord(i));
+        if (rare && i % 200 == 0) {
+            batch.back().device = 6;
+            batch.back().file = 24;
+        }
+    }
+    db.insertAccesses(batch);
+}
+
+/**
+ * Drop the ReplayDB's rings before each read when `cold`, with a
+ * rewind to the current watermark, so the read pays the SQL fill that
+ * the first decision after an open or a restore pays.
+ */
+void
+coldStart(benchmark::State &state, core::ReplayDb &db, bool cold)
+{
+    if (!cold)
+        return;
+    state.PauseTiming();
+    db.rewindTo(db.watermark());
+    state.ResumeTiming();
+}
+
+/**
+ * One device's 2000-row window, warm (a read of the device's ring) or
+ * cold. Uniform (rare:0), the device holds 1 row in 6 of 20,000;
+ * rare:1, device 6 holds 1 row in 200 of 120,000.
  */
 void
 BM_ReplayDbWindowQuery(benchmark::State &state)
 {
     core::ReplayDb db;
-    std::vector<core::PerfRecord> batch;
-    for (uint64_t i = 0; i < 20000; ++i)
-        batch.push_back(sampleRecord(i));
-    db.insertAccesses(batch);
-    bool cold = state.range(0) != 0;
+    bool rare = state.range(1) != 0;
+    fillReplayDb(db, rare ? 120000 : 20000, rare);
     for (auto _ : state) {
-        if (cold) {
-            state.PauseTiming();
-            db.rewindTo(db.watermark());
-            state.ResumeTiming();
-        }
-        benchmark::DoNotOptimize(db.deviceWindow(2, 2000).size());
+        coldStart(state, db, state.range(0) != 0);
+        benchmark::DoNotOptimize(db.deviceWindow(rare ? 6 : 2, 2000).size());
     }
 }
-BENCHMARK(BM_ReplayDbWindowQuery)->ArgName("cold")->Arg(0)->Arg(1);
+BENCHMARK(BM_ReplayDbWindowQuery)
+    ->ArgNames({"cold", "rare"})
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({0, 1})
+    ->Args({1, 1});
+
+/**
+ * One file's 64-row history, as the gap predictor reads it, warm (a
+ * read of the file's ring) or cold. Uniform (rare:0), the file holds
+ * 1 row in 24 of 20,000; rare:1, file 24 holds 1 row in 200 of
+ * 120,000.
+ */
+void
+BM_ReplayDbFileHistory(benchmark::State &state)
+{
+    core::ReplayDb db;
+    bool rare = state.range(1) != 0;
+    fillReplayDb(db, rare ? 120000 : 20000, rare);
+    for (auto _ : state) {
+        coldStart(state, db, state.range(0) != 0);
+        benchmark::DoNotOptimize(
+            db.recentAccessesForFile(rare ? 24 : 2, 64).size());
+    }
+}
+BENCHMARK(BM_ReplayDbFileHistory)
+    ->ArgNames({"cold", "rare"})
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({0, 1})
+    ->Args({1, 1});
 
 /** Full training-batch preparation (the Interface Daemon pipeline),
  *  warm and cold as for BM_ReplayDbWindowQuery. */
@@ -235,17 +291,9 @@ BM_TrainingBatchBuild(benchmark::State &state)
 {
     core::ReplayDb db;
     core::InterfaceDaemon daemon(db);
-    std::vector<core::PerfRecord> batch;
-    for (uint64_t i = 0; i < 12000; ++i)
-        batch.push_back(sampleRecord(i));
-    db.insertAccesses(batch);
-    bool cold = state.range(0) != 0;
+    fillReplayDb(db, 12000, false);
     for (auto _ : state) {
-        if (cold) {
-            state.PauseTiming();
-            db.rewindTo(db.watermark());
-            state.ResumeTiming();
-        }
+        coldStart(state, db, state.range(0) != 0);
         benchmark::DoNotOptimize(
             daemon.buildTrainingBatch({0, 1, 2, 3, 4, 5}));
     }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <map>
+#include <type_traits>
 
 #include "util/logging.hh"
 #include "util/metrics.hh"
@@ -77,22 +78,60 @@ storedRecord(const PerfRecord &record, int64_t id)
 
 } // namespace
 
+template <typename Row>
 void
-ReplayDb::DeviceRing::push(const PerfRecord &record)
+ReplayDb::Ring<Row>::pushOlder(const PerfRecord &record)
 {
-    if (ids.size() < capacity) {
-        ids.push_back(record.id);
-        features.push_back(record.features());
-        throughput.push_back(record.throughput);
+    if (count == slots.size())
+        return;
+    begin = (begin == 0 ? slots.size() : begin) - 1;
+    slots[begin] = Row(record);
+    ++count;
+}
+
+template <typename Row>
+void
+ReplayDb::Ring<Row>::pushNewer(const PerfRecord &record)
+{
+    if (count < slots.size()) {
+        slots[(begin + count) % slots.size()] = Row(record);
+        ++count;
         return;
     }
-    if (capacity == 0)
-        return;
-    ids[head] = record.id;
-    features[head] = record.features();
-    throughput[head] = record.throughput;
-    if (++head == capacity)
-        head = 0;
+    slots[begin] = Row(record);
+    if (++begin == slots.size())
+        begin = 0;
+}
+
+template <typename Row>
+size_t
+ReplayDb::Ring<Row>::first(size_t limit) const
+{
+    if (count == 0)
+        return 0;
+    return (begin + count - std::min(limit, count)) % slots.size();
+}
+
+template <typename Key, typename Row>
+void
+ReplayDb::RingSet<Key, Row>::pushNewer(const PerfRecord &record)
+{
+    if (byKey) {
+        auto ring = rings.find(record.*key);
+        if (ring != rings.end())
+            ring->second.pushNewer(record);
+    } else if (capacity > 0) {
+        rings.try_emplace(record.*key, capacity).first->second.pushNewer(
+            record);
+    }
+}
+
+template <typename Key, typename Row>
+void
+ReplayDb::RingSet<Key, Row>::drop(int64_t next)
+{
+    rings.clear();
+    below = next;
 }
 
 const char *
@@ -192,10 +231,6 @@ ReplayDb::ReplayDb(const std::string &path)
                          nullptr, nullptr, &err) != SQLITE_OK)
             sqlite3_free(err);
     }
-    exec("CREATE INDEX IF NOT EXISTS idx_accesses_device"
-         " ON accesses(device_id, id);");
-    exec("CREATE INDEX IF NOT EXISTS idx_accesses_file"
-         " ON accesses(file_id, id);");
     exec("CREATE TABLE IF NOT EXISTS movements ("
          "  id INTEGER PRIMARY KEY AUTOINCREMENT,"
          "  timestamp REAL NOT NULL,"
@@ -216,8 +251,6 @@ ReplayDb::ReplayDb(const std::string &path)
          "  reason INTEGER NOT NULL,"
          "  bytes_copied INTEGER NOT NULL"
          ");");
-    exec("CREATE INDEX IF NOT EXISTS idx_attempts_file"
-         " ON move_attempts(file_id, id);");
     exec("CREATE TABLE IF NOT EXISTS fault_events ("
          "  id INTEGER PRIMARY KEY AUTOINCREMENT,"
          "  timestamp REAL NOT NULL,"
@@ -226,6 +259,12 @@ ReplayDb::ReplayDb(const std::string &path)
          "  active INTEGER NOT NULL,"
          "  magnitude REAL NOT NULL"
          ");");
+    // The row id is every table's only index: each secondary index
+    // cost a B-tree insert per row, and the rings serve the reads it
+    // sped up. A file written by an older build drops them here.
+    for (const char *index :
+         {"idx_accesses_device", "idx_accesses_file", "idx_attempts_file"})
+        exec(std::string("DROP INDEX IF EXISTS ") + index + ";");
 
     insertAccessStmt_ = prepare(
         "INSERT INTO accesses (file_id, device_id, rb, wb, ots, otms, cts,"
@@ -253,10 +292,9 @@ ReplayDb::ReplayDb(const std::string &path)
 
     const std::string select_accesses =
         std::string("SELECT ") + kAccessColumns + " FROM accesses WHERE ";
-    deviceRowsStmt_ = prepare(select_accesses +
-                              "device_id = ? ORDER BY id DESC LIMIT ?;");
-    fileRowsStmt_ = prepare(select_accesses +
-                            "file_id = ? ORDER BY id DESC LIMIT ?;");
+    devices_.fill = prepare(select_accesses +
+                            "device_id = ? ORDER BY id DESC LIMIT ?;");
+    files_.fill = prepare(select_accesses + "id < ? ORDER BY id DESC;");
     countAccessesStmt_ = prepare("SELECT COUNT(*) FROM accesses;");
     countAttemptsStmt_ = prepare("SELECT COUNT(*) FROM move_attempts;");
     countFaultsStmt_ = prepare("SELECT COUNT(*) FROM fault_events;");
@@ -265,11 +303,8 @@ ReplayDb::ReplayDb(const std::string &path)
         " (SELECT device_id, throughput FROM accesses"
         "  ORDER BY id DESC LIMIT ?)"
         " GROUP BY device_id;");
-    // A GROUP BY device_id would tempt the planner onto the
-    // (device_id, id) index — a full-index walk that grows with the
-    // table, not the tail. deviceThroughputSince range-scans the rowid
-    // tail and aggregates in C++ instead; the tail is one monitoring
-    // window (~1k rows).
+    // A range scan of the row-id tail, one monitoring window (~1k
+    // rows), aggregated in C++ in row-id order.
     throughputSinceStmt_ =
         prepare("SELECT device_id, throughput FROM accesses WHERE id > ?;");
     recentMovementsStmt_ = prepare(
@@ -284,6 +319,7 @@ ReplayDb::ReplayDb(const std::string &path)
         " (SELECT COALESCE(MAX(id), 0) FROM movements),"
         " (SELECT COALESCE(MAX(id), 0) FROM move_attempts),"
         " (SELECT COALESCE(MAX(id), 0) FROM fault_events);");
+    newestAccess_ = watermark().accesses;
 }
 
 ReplayDb::~ReplayDb()
@@ -333,9 +369,15 @@ ReplayDb::forEachRow(sqlite3_stmt *stmt, const char *what,
                      RowFn &&row) const
 {
     int rc;
-    while ((rc = sqlite3_step(stmt)) == SQLITE_ROW)
-        row(stmt);
-    if (rc != SQLITE_DONE) {
+    while ((rc = sqlite3_step(stmt)) == SQLITE_ROW) {
+        if constexpr (std::is_same_v<decltype(row(stmt)), bool>) {
+            if (!row(stmt))
+                break;
+        } else {
+            row(stmt);
+        }
+    }
+    if (rc != SQLITE_DONE && rc != SQLITE_ROW) {
         warn("ReplayDb: %s: read ended early: %s (corrupt database?)",
              what, sqlite3_errmsg(db_));
         readCorruptMetric_->inc();
@@ -384,15 +426,14 @@ ReplayDb::insertAccesses(const std::vector<PerfRecord> &records)
     for (; i < records.size(); ++i)
         ids[i] = insertAccess(records[i]);
     stepDone(commitStmt_, "COMMIT");
+    newestAccess_ = ids.back();
 
-    // The rows are durable; the caches follow. A device's ring only
-    // exists once it was filled, so an unfilled one stays for its fill.
+    // The rows are durable; the rings follow. Each row is its
+    // device's and its file's newest.
     for (size_t r = 0; r < records.size(); ++r) {
         PerfRecord stored = storedRecord(records[r], ids[r]);
-        auto ring = rings_.find(stored.device);
-        if (ring != rings_.end())
-            ring->second.push(stored);
-        latest_[stored.file] = stored;
+        devices_.pushNewer(stored);
+        files_.pushNewer(stored);
     }
 }
 
@@ -402,21 +443,54 @@ ReplayDb::accessCount() const
     return countOf(countAccessesStmt_, "accessCount");
 }
 
-std::vector<PerfRecord>
-ReplayDb::queryAccesses(sqlite3_stmt *stmt, int64_t key, size_t limit,
-                        bool *complete) const
+template <typename Key, typename Row>
+const ReplayDb::Ring<Row> &
+ReplayDb::ringFor(RingSet<Key, Row> &set, Key key, size_t limit) const
 {
-    sqlite3_bind_int64(stmt, 1, key);
-    sqlite3_bind_int64(stmt, 2, static_cast<int64_t>(limit));
-    std::vector<PerfRecord> records;
-    bool done = forEachRow(stmt, "queryAccesses", [&](sqlite3_stmt *row) {
-        records.push_back(readAccessRow(row));
-    });
-    if (complete)
-        *complete = done;
-    // Queries select newest-first for the LIMIT; return oldest-first.
-    std::reverse(records.begin(), records.end());
-    return records;
+    if (limit > set.capacity) {
+        set.drop(newestAccess_ + 1);
+        set.capacity = limit;
+    }
+    auto ring = set.rings.find(key);
+    if (set.byKey) {
+        if (ring != set.rings.end())
+            return ring->second;
+        cacheFillsMetric_->inc();
+        Ring<Row> filled(set.capacity);
+        sqlite3_bind_int64(set.fill, 1, static_cast<int64_t>(key));
+        sqlite3_bind_int64(set.fill, 2, static_cast<int64_t>(set.capacity));
+        bool ended = forEachRow(set.fill, "ring fill", [&](sqlite3_stmt *row) {
+            filled.pushOlder(readAccessRow(row));
+        });
+        if (!ended) {
+            set.unkept = std::move(filled);
+            return set.unkept;
+        }
+        return set.rings.emplace(key, std::move(filled)).first->second;
+    }
+    if (set.below != 0 &&
+        (ring == set.rings.end() || ring->second.count < limit)) {
+        cacheFillsMetric_->inc();
+        sqlite3_bind_int64(set.fill, 1, set.below);
+        bool enough = false;
+        bool ended = forEachRow(set.fill, "ring fill", [&](sqlite3_stmt *row) {
+            auto k =
+                static_cast<Key>(sqlite3_column_int64(row, set.column));
+            Ring<Row> &r =
+                set.rings.try_emplace(k, set.capacity).first->second;
+            // A full ring holds newer rows than this one.
+            if (r.count < r.slots.size())
+                r.pushOlder(readAccessRow(row));
+            set.below = sqlite3_column_int64(row, 0);
+            enough = k == key && r.count >= limit;
+            return !enough;
+        });
+        if (ended && !enough)
+            set.below = 0; // the pass offered the first row
+        ring = set.rings.find(key);
+    }
+    static const Ring<Row> none(0);
+    return ring == set.rings.end() ? none : ring->second;
 }
 
 AccessWindow
@@ -425,69 +499,38 @@ ReplayDb::deviceWindow(storage::DeviceId device, size_t limit) const
     AccessWindow window;
     if (limit == 0)
         return window;
-    auto it = rings_.find(device);
-    if (it == rings_.end() || limit > it->second.capacity) {
-        // Filled with fewer rows than asked for, the ring holds every
-        // row of the device until it is full.
-        bool complete = false;
-        std::vector<PerfRecord> rows = queryAccesses(
-            deviceRowsStmt_, static_cast<int64_t>(device), limit,
-            &complete);
-        cacheFillsMetric_->inc();
-        it = rings_.try_emplace(device).first;
-        DeviceRing &ring = it->second;
-        ring = DeviceRing{};
-        ring.capacity = limit;
-        ring.ids.reserve(rows.size());
-        ring.features.reserve(rows.size());
-        ring.throughput.reserve(rows.size());
-        for (const PerfRecord &rec : rows)
-            ring.push(rec);
-        // A read that ended early is served, not kept: capacity 0
-        // takes no inserts and refills on the next request.
-        if (!complete)
-            ring.capacity = 0;
-    }
-    const DeviceRing &ring = it->second;
-    size_t held = ring.ids.size();
-    window.ids_ = ring.ids.data();
-    window.features_ = ring.features.data();
-    window.throughput_ = ring.throughput.data();
-    window.slots_ = held;
-    window.size_ = std::min(limit, held);
-    window.first_ = ring.head + (held - window.size_);
-    if (window.first_ >= held)
-        window.first_ -= held;
+    const Ring<AccessWindow::Row> &ring = ringFor(devices_, device, limit);
+    window.rows_ = ring.slots.data();
+    window.slots_ = ring.slots.size();
+    window.first_ = ring.first(limit);
+    window.size_ = std::min(limit, ring.count);
     return window;
 }
 
 std::vector<PerfRecord>
 ReplayDb::recentAccessesForFile(storage::FileId file, size_t limit) const
 {
-    return queryAccesses(fileRowsStmt_, static_cast<int64_t>(file), limit);
+    std::vector<PerfRecord> records;
+    if (limit == 0)
+        return records;
+    const Ring<PerfRecord> &ring = ringFor(files_, file, limit);
+    const size_t count = std::min(limit, ring.count);
+    records.reserve(count);
+    for (size_t i = 0, slot = ring.first(limit); i < count; ++i) {
+        records.push_back(ring.slots[slot]);
+        if (++slot == ring.slots.size())
+            slot = 0;
+    }
+    return records;
 }
 
 bool
 ReplayDb::latestAccessForFile(storage::FileId file, PerfRecord &out) const
 {
-    auto it = latest_.find(file);
-    if (it == latest_.end()) {
-        bool complete = false;
-        std::vector<PerfRecord> rows = queryAccesses(
-            fileRowsStmt_, static_cast<int64_t>(file), 1, &complete);
-        cacheFillsMetric_->inc();
-        PerfRecord latest; // id 0: the file has no rows
-        if (!rows.empty())
-            latest = rows.front();
-        if (!complete) { // served, not kept, like a partial ring fill
-            out = latest;
-            return latest.id != 0;
-        }
-        it = latest_.emplace(file, latest).first;
-    }
-    if (it->second.id == 0)
+    const Ring<PerfRecord> &ring = ringFor(files_, file, 1);
+    if (ring.count == 0)
         return false;
-    out = it->second;
+    out = ring.slots[ring.first(1)];
     return true;
 }
 
@@ -706,8 +749,9 @@ ReplayDb::rewindTo(const ReplayDbWatermark &wm)
                        static_cast<long long>(cut.id), cut.table));
     }
     exec("COMMIT;");
-    rings_.clear();
-    latest_.clear();
+    newestAccess_ = watermark().accesses;
+    devices_.drop(newestAccess_ + 1);
+    files_.drop(newestAccess_ + 1);
 }
 
 } // namespace core

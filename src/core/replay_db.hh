@@ -8,14 +8,19 @@
  * evolution of layout vs. performance can be replayed. Training batches
  * are windows of the most recent accesses.
  *
- * SQLite is the system of record. In front of it sit two caches of
- * rows this instance read or wrote itself: per device, a ring of the
- * newest accesses stored as columns (row id, the six features, the
- * throughput), which serves the training window; and per file, its
- * newest access. Each fills from SQLite on first use, insertAccesses()
- * keeps both current after its COMMIT, and rewindTo() drops them. They
- * hold exactly what SQLite would return, so a decision reads the same
- * rows, in the same order, with the same bits.
+ * SQLite is the system of record, and the row id is each table's only
+ * index: a monitoring batch pays one B-tree insert per row. In front
+ * of SQLite sit rings of the newest rows this instance read or wrote
+ * itself, one kind of cache under two keys: per device, the newest
+ * accesses as training rows (row id, the six features, the
+ * throughput), which serve the training window; and per file, its
+ * newest accesses, which serve its latest row and the gap predictor's
+ * history. A device's ring fills on a miss from a read of that
+ * device's rows, the file rings from one backward pass over the table
+ * that fills every file ring it passes; insertAccesses() keeps them
+ * current after its COMMIT, and rewindTo() drops them. The rings hold
+ * exactly what SQLite would return, so a decision reads the same rows,
+ * in the same order, with the same bits.
  *
  * The constructor prepares every statement once, and the destructor
  * finalizes them all. Every SELECT steps through one row loop, which
@@ -117,35 +122,49 @@ struct ReplayDbWatermark
 /**
  * The newest accesses of one device, oldest first, as a view into
  * ReplayDb's ring for that device. Valid until the next insert or
- * rewind, or until a window request refills this device's ring.
+ * rewind, or until a window request asks for more rows than any
+ * request before it.
  */
 class AccessWindow
 {
   public:
     size_t size() const { return size_; }
-    int64_t id(size_t i) const { return ids_[slot(i)]; }
+    int64_t id(size_t i) const { return row(i).id; }
     /** The row's PerfRecord::features(). */
     const std::array<double, kLiveFeatureCount> &
     features(size_t i) const
     {
-        return features_[slot(i)];
+        return row(i).features;
     }
-    double throughput(size_t i) const { return throughput_[slot(i)]; }
+    double throughput(size_t i) const { return row(i).throughput; }
 
   private:
     friend class ReplayDb;
-    const int64_t *ids_ = nullptr;
-    const std::array<double, kLiveFeatureCount> *features_ = nullptr;
-    const double *throughput_ = nullptr;
-    size_t slots_ = 0; ///< slots in use; the window wraps at this
+
+    /** What a training row reads of one access. */
+    struct Row
+    {
+        Row() = default;
+        explicit Row(const PerfRecord &record)
+            : id(record.id), features(record.features()),
+              throughput(record.throughput)
+        {
+        }
+        int64_t id = 0;
+        std::array<double, kLiveFeatureCount> features{};
+        double throughput = 0.0;
+    };
+
+    const Row *rows_ = nullptr;
+    size_t slots_ = 0; ///< the ring's slots; the window wraps at this
     size_t first_ = 0; ///< slot of the window's oldest row
     size_t size_ = 0;
 
-    size_t
-    slot(size_t i) const
+    const Row &
+    row(size_t i) const
     {
         size_t s = first_ + i;
-        return s < slots_ ? s : s - slots_;
+        return rows_[s < slots_ ? s : s - slots_];
     }
 };
 
@@ -172,7 +191,7 @@ class ReplayDb
     /**
      * Insert samples in one transaction, each full block of
      * kInsertBlockRows through one multi-row INSERT and the rest one
-     * by one; then bring the caches up to date. Row ids follow the
+     * by one; then bring the rings up to date. Row ids follow the
      * order of `records`.
      */
     void insertAccesses(const std::vector<PerfRecord> &records);
@@ -185,17 +204,21 @@ class ReplayDb
 
     /**
      * The most recent `limit` accesses observed on one device, from
-     * the device's ring. The ring fills from SQLite when first asked,
-     * and again when asked for more rows than it was filled for.
+     * the device's ring. The ring fills from SQLite when first asked;
+     * a limit larger than any before refills every device's ring.
      */
     AccessWindow deviceWindow(storage::DeviceId device,
                               size_t limit) const;
 
-    /** Most recent `limit` accesses of one file. */
+    /**
+     * The most recent `limit` accesses of one file, oldest first, from
+     * the file's ring, which the file rings' shared backward pass
+     * fills.
+     */
     std::vector<PerfRecord> recentAccessesForFile(storage::FileId file,
                                                   size_t limit) const;
 
-    /** The single most recent access of a file, if any (cached). */
+    /** The single most recent access of a file, if any (its ring). */
     bool latestAccessForFile(storage::FileId file, PerfRecord &out) const;
 
     /** Mean measured throughput per device over the last `limit`
@@ -238,7 +261,7 @@ class ReplayDb
      * Discard every row appended after `wm` and reset the
      * AUTOINCREMENT sequences, so rows inserted after the rewind get
      * the same ids an uninterrupted run would have assigned. Drops the
-     * caches; the next read refills them.
+     * rings; the next read refills them.
      */
     void rewindTo(const ReplayDbWatermark &wm);
 
@@ -257,16 +280,76 @@ class ReplayDb
     static void removeFiles(const std::string &path);
 
   private:
-    /** A device's newest rows as columns: a ring once it is full. */
-    struct DeviceRing
+    /**
+     * One key's newest rows, oldest first from slot `begin` on, in a
+     * circular buffer of `capacity` slots. A fill adds older rows in
+     * front and insertAccesses() newer ones behind; once
+     * every slot holds a row, a newer row replaces the oldest and an
+     * older one is not kept. The slots never move, so a window stays
+     * valid while a fill adds older rows.
+     */
+    template <typename Row>
+    struct Ring
     {
-        size_t capacity = 0; ///< rows the fill asked SQLite for
-        size_t head = 0;     ///< slot of the oldest row once full
-        std::vector<int64_t> ids;
-        std::vector<std::array<double, kLiveFeatureCount>> features;
-        std::vector<double> throughput;
+        explicit Ring(size_t capacity) : slots(capacity) {}
 
-        void push(const PerfRecord &record);
+        size_t begin = 0; ///< slot of the oldest row held
+        size_t count = 0; ///< rows held
+        std::vector<Row> slots;
+
+        void pushOlder(const PerfRecord &record);
+        void pushNewer(const PerfRecord &record);
+        /** Slot of the oldest of the newest `limit` rows held. */
+        size_t first(size_t limit) const;
+    };
+
+    /**
+     * The rings of one key (a device or a file) and how a miss fills
+     * them. Without an index, SQLite walks the table back from the
+     * newest row either way; it skips a row of another key about five
+     * times faster than it returns one.
+     *
+     * By key (devices: a few keys, each asked for thousands of rows),
+     * a miss reads the asked key's newest `capacity` rows and nothing
+     * else, and a ring, once filled, holds all of its key's rows or
+     * its newest `capacity`. Inserts extend the filled rings only.
+     *
+     * By the pass (files: many keys, each asked for a few rows), a
+     * miss goes on with one backward pass that offers each row,
+     * newest first, to the ring of its key, so every ring holds its
+     * key's newest rows among those at or above `below`: all of them,
+     * or `capacity` of them. The pass stops when the asked ring has
+     * enough, or at the first row (`below` 0). Inserts extend every
+     * ring, starting one for a key the pass has not met.
+     */
+    template <typename Key, typename Row>
+    struct RingSet
+    {
+        RingSet(Key PerfRecord::*field, int col, bool by_key)
+            : key(field), column(col), byKey(by_key)
+        {
+        }
+
+        Key PerfRecord::*key; ///< the field that keys the rings
+        int column;           ///< ... and its column in a pass's row
+        bool byKey;
+        sqlite3_stmt *fill = nullptr; ///< the miss's read
+        /** The largest limit asked so far, the most rows a ring
+         *  holds (0: no read yet, so no rings); a larger limit drops
+         *  the rings and starts over. */
+        size_t capacity = 0;
+        /** By the pass: the rings have seen every row at or above
+         *  this id, the pass the older ones and inserts the newer. */
+        int64_t below = 0;
+        std::unordered_map<Key, Ring<Row>> rings;
+        /** A by-key fill whose read ended early: served, not kept. */
+        Ring<Row> unkept{0};
+
+        /** After an insert: `record` is its key's newest row. */
+        void pushNewer(const PerfRecord &record);
+        /** Empty the rings; the pass starts over below `next`, one
+         *  past the newest row. */
+        void drop(int64_t next);
     };
 
     sqlite3 *db_ = nullptr;
@@ -280,8 +363,6 @@ class ReplayDb
     sqlite3_stmt *insertMovementStmt_ = nullptr;
     sqlite3_stmt *insertAttemptStmt_ = nullptr;
     sqlite3_stmt *insertFaultStmt_ = nullptr;
-    sqlite3_stmt *deviceRowsStmt_ = nullptr; ///< a device's newest rows
-    sqlite3_stmt *fileRowsStmt_ = nullptr;   ///< a file's newest rows
     sqlite3_stmt *countAccessesStmt_ = nullptr;
     sqlite3_stmt *countAttemptsStmt_ = nullptr;
     sqlite3_stmt *countFaultsStmt_ = nullptr;
@@ -293,13 +374,16 @@ class ReplayDb
     bool openedCorrupt_ = false;
     util::Counter *readCorruptMetric_ = nullptr;
     util::Counter *cacheFillsMetric_ = nullptr;
+    /** Id of the newest access row; the next insert's is higher. */
+    int64_t newestAccess_ = 0;
 
-    mutable std::unordered_map<storage::DeviceId, DeviceRing> rings_;
-    /** Each file's newest row; id 0 marks a file with no rows. */
-    mutable std::unordered_map<storage::FileId, PerfRecord> latest_;
+    mutable RingSet<storage::DeviceId, AccessWindow::Row> devices_{
+        &PerfRecord::device, 2, /*by_key=*/true};
+    mutable RingSet<storage::FileId, PerfRecord> files_{
+        &PerfRecord::file, 1, /*by_key=*/false};
 
     /** Insert one access sample outside any transaction of its own;
-     *  returns its row id. Caches are the caller's to update. */
+     *  returns its row id. Rings are the caller's to update. */
     int64_t insertAccess(const PerfRecord &record);
 
     void exec(const std::string &sql);
@@ -309,19 +393,24 @@ class ReplayDb
     void stepDone(sqlite3_stmt *stmt, const char *what);
     /**
      * The one row loop: step a bound SELECT, hand each row to
-     * `row(stmt)`, then reset the statement. A read that ends in an
-     * error instead of DONE is logged and counted in
+     * `row(stmt)`, then reset the statement. A `row` that returns a
+     * bool stops the read when it returns false. A read that ends in
+     * an error instead of DONE is logged and counted in
      * replaydb.read.corrupt. Returns whether the read ran to its end.
      */
     template <typename RowFn>
     bool forEachRow(sqlite3_stmt *stmt, const char *what,
                     RowFn &&row) const;
-    /** The newest `limit` access rows of `stmt` (deviceRowsStmt_ or
-     *  fileRowsStmt_) for `key`, oldest first; `complete` (if given)
-     *  says whether the read ran to its end. */
-    std::vector<PerfRecord> queryAccesses(sqlite3_stmt *stmt, int64_t key,
-                                          size_t limit,
-                                          bool *complete = nullptr) const;
+    /**
+     * The ring of `key` in `set`, holding at least `limit` rows or
+     * every row of the key, filled first if needed (an empty ring for
+     * a key with no rows). A fill that ends on a read error serves
+     * what it read; a pass keeps it and the next read goes on from
+     * there, a by-key fill is not kept.
+     */
+    template <typename Key, typename Row>
+    const Ring<Row> &ringFor(RingSet<Key, Row> &set, Key key,
+                             size_t limit) const;
     /** The single value of a COUNT(*) statement. */
     int64_t countOf(sqlite3_stmt *stmt, const char *what) const;
 };

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the SQLite-backed ReplayDB and its caches: the per-device
- * rings and per-file latest rows must equal what SQL returns.
+ * Tests for the SQLite-backed ReplayDB and its rings: each device's
+ * and each file's newest rows must equal what SQL returns.
  */
 
 #include <gtest/gtest.h>
@@ -133,6 +133,9 @@ TEST(ReplayDb, RoundTripPreservesFields)
     original.ctms = 1;
     original.throughput = 123.456;
     db.insertAccesses({original});
+    // Drop the rings that the insert built, so the row comes back
+    // through SQLite.
+    db.rewindTo(db.watermark());
     std::vector<PerfRecord> out = db.recentAccessesForFile(12, 1);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].file, original.file);
@@ -220,12 +223,15 @@ TEST(ReplayDb, FileBackedPersistence)
 }
 
 // ---------------------------------------------------------------------
-// The caches against SQL: after every insert, rewind and reopen, each
-// device window and each file's latest row must equal what a second
-// connection reads from the same file, bit for bit.
+// The rings against SQL: after every insert, rewind and reopen, each
+// device window and each file's history and latest row must equal what
+// a second connection reads from the same file, bit for bit.
 
 constexpr storage::DeviceId kCacheDevices = 4;
 constexpr storage::FileId kCacheFiles = 9; ///< file kCacheFiles: no rows
+/** One row each, under thousands of newer rows; read last. */
+constexpr storage::DeviceId kRareDevice = kCacheDevices + 1;
+constexpr storage::FileId kRareFile = kCacheFiles + 1;
 constexpr size_t kSmallWindow = 7;
 constexpr size_t kLargeWindow = 40;
 
@@ -321,7 +327,9 @@ expectSameRow(const PerfRecord &got, const PerfRecord &want)
 void
 expectCachesMatchSql(const ReplayDb &db, const SqlReader &sql)
 {
-    for (storage::DeviceId device = 0; device <= kCacheDevices; ++device) {
+    // The rare keys come last: asked first, they would send the pass
+    // to the first row before the other keys are read.
+    for (storage::DeviceId device = 0; device <= kRareDevice; ++device) {
         for (size_t limit : {kSmallWindow, kLargeWindow}) {
             std::vector<PerfRecord> want =
                 sql.newest("device_id", device, limit);
@@ -339,14 +347,27 @@ expectCachesMatchSql(const ReplayDb &db, const SqlReader &sql)
             }
         }
     }
-    for (storage::FileId file = 0; file <= kCacheFiles; ++file) {
+    for (storage::FileId file = 0; file <= kRareFile; ++file) {
         std::vector<PerfRecord> want = sql.newest("file_id", file, 1);
         PerfRecord got;
         ASSERT_EQ(db.latestAccessForFile(file, got), !want.empty())
             << "file " << file;
         if (!want.empty())
             expectSameRow(got, want.front());
+        // The gap predictor's read, at three limits.
+        for (size_t limit : {size_t{1}, kSmallWindow, size_t{64}}) {
+            std::vector<PerfRecord> history =
+                db.recentAccessesForFile(file, limit);
+            want = sql.newest("file_id", file, limit);
+            ASSERT_EQ(history.size(), want.size())
+                << "file " << file << ", limit " << limit;
+            for (size_t i = 0; i < want.size(); ++i)
+                expectSameRow(history[i], want[i]);
+        }
     }
+    EXPECT_EQ(sql.scalar("SELECT COUNT(*) FROM sqlite_master"
+                         " WHERE type = 'index';"),
+              0);
     EXPECT_EQ(db.accessCount(), sql.scalar("SELECT COUNT(*) FROM accesses;"));
     EXPECT_EQ(db.watermark().accesses,
               sql.scalar("SELECT COALESCE(MAX(id), 0) FROM accesses;"));
@@ -381,23 +402,91 @@ randomRecord(Rng &rng)
     return rec;
 }
 
+/**
+ * A database as an older build wrote it, with the secondary indexes
+ * on accesses and move_attempts: the rare device's and the rare file's
+ * one row, then `rows` random rows.
+ */
+void
+writeOldSchemaFile(const std::string &path, Rng &rng, size_t rows)
+{
+    sqlite3 *db = nullptr;
+    ASSERT_EQ(sqlite3_open(path.c_str(), &db), SQLITE_OK);
+    const char *schema =
+        "CREATE TABLE accesses (id INTEGER PRIMARY KEY AUTOINCREMENT,"
+        " file_id INTEGER NOT NULL, device_id INTEGER NOT NULL,"
+        " rb INTEGER NOT NULL, wb INTEGER NOT NULL, ots INTEGER NOT NULL,"
+        " otms INTEGER NOT NULL, cts INTEGER NOT NULL,"
+        " ctms INTEGER NOT NULL, throughput REAL NOT NULL,"
+        " failed INTEGER NOT NULL DEFAULT 0);"
+        "CREATE INDEX idx_accesses_device ON accesses(device_id, id);"
+        "CREATE INDEX idx_accesses_file ON accesses(file_id, id);"
+        "CREATE TABLE move_attempts (id INTEGER PRIMARY KEY AUTOINCREMENT,"
+        " timestamp REAL NOT NULL, file_id INTEGER NOT NULL,"
+        " from_device INTEGER NOT NULL, to_device INTEGER NOT NULL,"
+        " attempt INTEGER NOT NULL, outcome INTEGER NOT NULL,"
+        " reason INTEGER NOT NULL, bytes_copied INTEGER NOT NULL);"
+        "CREATE INDEX idx_attempts_file ON move_attempts(file_id, id);"
+        "BEGIN;";
+    ASSERT_EQ(sqlite3_exec(db, schema, nullptr, nullptr, nullptr), SQLITE_OK);
+    sqlite3_stmt *insert = nullptr;
+    ASSERT_EQ(sqlite3_prepare_v2(
+                  db,
+                  "INSERT INTO accesses (file_id, device_id, rb, wb, ots,"
+                  " otms, cts, ctms, throughput, failed)"
+                  " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?);",
+                  -1, &insert, nullptr),
+              SQLITE_OK);
+    for (size_t i = 0; i <= rows; ++i) {
+        PerfRecord rec = randomRecord(rng);
+        if (i == 0) {
+            rec.device = kRareDevice;
+            rec.file = kRareFile;
+        }
+        sqlite3_bind_int64(insert, 1, static_cast<int64_t>(rec.file));
+        sqlite3_bind_int64(insert, 2, static_cast<int64_t>(rec.device));
+        sqlite3_bind_int64(insert, 3, static_cast<int64_t>(rec.rb));
+        sqlite3_bind_int64(insert, 4, static_cast<int64_t>(rec.wb));
+        sqlite3_bind_int64(insert, 5, rec.ots);
+        sqlite3_bind_int64(insert, 6, rec.otms);
+        sqlite3_bind_int64(insert, 7, rec.cts);
+        sqlite3_bind_int64(insert, 8, rec.ctms);
+        sqlite3_bind_double(insert, 9, rec.throughput);
+        sqlite3_bind_int64(insert, 10, rec.failed ? 1 : 0);
+        EXPECT_EQ(sqlite3_step(insert), SQLITE_DONE);
+        sqlite3_reset(insert);
+    }
+    sqlite3_finalize(insert);
+    EXPECT_EQ(sqlite3_exec(db, "COMMIT;", nullptr, nullptr, nullptr),
+              SQLITE_OK);
+    sqlite3_close(db);
+}
+
 TEST(ReplayDbCache, MatchesSqlThroughInsertsRewindsAndReopens)
 {
     std::string path = testing::TempDir() + "/geomancy_replaydb_cache.db";
     ReplayDb::removeFiles(path);
-    auto db = std::make_unique<ReplayDb>(path);
+    Rng rng(2310);
+    writeOldSchemaFile(path, rng, 3000);
     SqlReader sql(path);
+    ASSERT_EQ(sql.scalar("SELECT COUNT(*) FROM sqlite_master"
+                         " WHERE type = 'index';"),
+              3);
+    // Opening drops the old indexes; the rings match SQL from the
+    // first read on.
+    auto db = std::make_unique<ReplayDb>(path);
+    expectCachesMatchSql(*db, sql);
     util::Counter &fills =
         util::MetricRegistry::global().counter("replaydb.cache_fills");
-    Rng rng(2310);
     std::vector<ReplayDbWatermark> cuts;
     size_t blocks = 0, leftovers = 0, rewinds = 0, reopens = 0;
+    size_t coldInserts = 0;
     for (int step = 0; step < 80; ++step) {
         SCOPED_TRACE("step " + std::to_string(step));
         uint64_t before = fills.value();
         int64_t action = rng.uniformInt(0, 9);
-        bool warm = step > 0 && action < 7;
-        if (action < 7) {
+        bool warm = action < 7;
+        auto insertBatch = [&] {
             size_t rows = static_cast<size_t>(rng.uniformInt(0, 70));
             std::vector<PerfRecord> batch;
             for (size_t i = 0; i < rows; ++i)
@@ -405,6 +494,9 @@ TEST(ReplayDbCache, MatchesSqlThroughInsertsRewindsAndReopens)
             db->insertAccesses(batch);
             blocks += rows / ReplayDb::kInsertBlockRows;
             leftovers += rows % ReplayDb::kInsertBlockRows;
+        };
+        if (action < 7) {
+            insertBatch();
             if (rng.chance(0.5))
                 cuts.push_back(db->watermark());
         } else if (action < 9) {
@@ -422,6 +514,20 @@ TEST(ReplayDbCache, MatchesSqlThroughInsertsRewindsAndReopens)
             db = std::make_unique<ReplayDb>(path);
             ++reopens;
         }
+        // After a rewind or a reopen, rows inserted before any read,
+        // or after one read that stops the pass early, start the file
+        // rings of keys the pass has not met while their older rows
+        // sit in SQL only; a device ring that read filled takes them
+        // too. The reads below ask those rings for 1, 7 and 64 rows.
+        if (!warm && rng.chance(0.6)) {
+            if (rng.chance(0.5)) {
+                PerfRecord latest;
+                db->latestAccessForFile(0, latest);
+                db->deviceWindow(0, kSmallWindow);
+            }
+            insertBatch();
+            ++coldInserts;
+        }
         expectCachesMatchSql(*db, sql);
         // Warm caches serve inserts without going back to SQL.
         if (warm)
@@ -435,6 +541,7 @@ TEST(ReplayDbCache, MatchesSqlThroughInsertsRewindsAndReopens)
     EXPECT_GT(leftovers, 0u);
     EXPECT_GT(rewinds, 2u);
     EXPECT_GT(reopens, 1u);
+    EXPECT_GT(coldInserts, 1u);
     db.reset();
     ReplayDb::removeFiles(path);
 }

@@ -264,15 +264,15 @@ struct TrainedRun
     std::vector<Matrix> weights;
 };
 
-/** Model 1 with the DrlEngine's SGD configuration, trained on the
- *  calling thread. */
+/** Model 1 with the DrlEngine's SGD configuration (or another clip),
+ *  trained on the calling thread. */
 TrainedRun
 trainModelOne(const Dataset &train, const Dataset &validation,
-              const TrainOptions &options)
+              const TrainOptions &options, double clip = 5.0)
 {
     Rng rng(91);
     Sequential model = buildModel(1, 6, rng);
-    SgdOptimizer opt(0.05, 5.0);
+    SgdOptimizer opt(0.05, clip);
     TrainedRun run;
     run.result = model.train(train, validation, opt, options);
     for (const Matrix *p : model.parameters())
@@ -322,7 +322,9 @@ TEST(SequentialParallelTeam, MatchesTeamOfOneBitForBit)
     // team runs go first: a worker is back in the pool only after its
     // task's future is ready. 103 rows leave a tail batch at every
     // batch size; sizes 1, 3 and 5 leave members without rows; size 3
-    // shuffles; the validation set runs the team's evaluate.
+    // shuffles; the validation set runs the team's evaluate. A clip of
+    // 0.05 clips batches, so the team's norms give a scale below 1.0
+    // as well as the 1.0 of the clip of 5.
     util::ThreadPool &pool = util::ThreadPool::global();
     Rng rng(90);
     Dataset train = randomDataset(rng, 103, 6);
@@ -347,6 +349,8 @@ TEST(SequentialParallelTeam, MatchesTeamOfOneBitForBit)
                   static_cast<double>(pool.workerCount()));
     }
     team.push_back(trainModelOne(poisoned, validation, optionsFor(5)));
+    team.push_back(
+        trainModelOne(train, validation, optionsFor(64), /*clip=*/0.05));
     std::vector<TrainedRun> solo =
         pool.submit([&]() {
                 std::vector<TrainedRun> runs;
@@ -355,6 +359,8 @@ TEST(SequentialParallelTeam, MatchesTeamOfOneBitForBit)
                         trainModelOne(train, validation, optionsFor(batch)));
                 runs.push_back(
                     trainModelOne(poisoned, validation, optionsFor(5)));
+                runs.push_back(trainModelOne(train, validation,
+                                             optionsFor(64), 0.05));
                 return runs;
             }).get();
     EXPECT_EQ(trainTeamGauge(), 1.0);
@@ -370,6 +376,12 @@ TEST(SequentialParallelTeam, MatchesTeamOfOneBitForBit)
     EXPECT_TRUE(team[4].result.diverged);
     EXPECT_TRUE(team[4].result.trainLoss.empty());
     expectSameRun(team[4], solo[4], /*nan_matches=*/true);
+
+    // The clip of 0.05 moved the weights away from the clip of 5's.
+    SCOPED_TRACE("clip 0.05");
+    EXPECT_FALSE(team[5].result.diverged);
+    expectSameRun(team[5], solo[5]);
+    EXPECT_NE(team[5].weights.front().data(), team[3].weights.front().data());
 }
 
 TEST(SequentialParallelTeam, GaugeShowsTheTeamThatTrained)
